@@ -4,8 +4,10 @@ A group is a product Z_m0 x Z_m1 x ... The element (c0, c1, ...) has rank
 c0 + c1*m0 + c2*m0*m1 + ... (little-endian mixed radix).  Subsets of the group
 are stored as Python ints used as bitsets: bit r set means rank r is in the
 set.  Translation and negation of a bitset are block permutations, applied one
-coordinate at a time with precomputed digit masks, so they cost
-O(sum(moduli) * |G|/wordsize) instead of O(|G|) Python-level bit moves.
+coordinate at a time.  A translate rotates each coordinate with two masked
+shifts, so it costs O(len(moduli) * |G|/wordsize); negation reflects each
+coordinate digit by digit, O(sum(moduli) * |G|/wordsize).  Both replace O(|G|)
+Python-level bit moves.
 """
 from __future__ import annotations
 
@@ -114,7 +116,7 @@ class GroupElement:
 class _Tables:
     """Per-group precomputed masks for bitset translation and negation."""
 
-    __slots__ = ("moduli", "order", "blocks", "digit_masks", "full")
+    __slots__ = ("moduli", "order", "blocks", "reps", "digit_masks", "full")
 
     def __init__(self, moduli: tuple[int, ...]):
         self.moduli = moduli
@@ -125,18 +127,18 @@ class _Tables:
             self.blocks.append(b)
             b *= m
         self.full = (1 << self.order) - 1
-        # digit_masks[i][k]: bits whose i-th coordinate equals k.  Built in
-        # closed form: a run of `block` ones at offset k*block, repeated every
-        # block*m bits across the whole rank range.
+        # reps[i]: one bit at the start of every period of block*m bits, the
+        # ranks whose coordinates 0..i are all zero.  digit_masks[i][k]: bits
+        # whose i-th coordinate equals k, a run of `block` ones at offset
+        # k*block in every period.
+        self.reps = []
         self.digit_masks = []
         for i, m in enumerate(moduli):
             blk = self.blocks[i]
-            period = blk * m
-            repeater = ((1 << self.order) - 1) // ((1 << period) - 1)
+            rep = self.full // ((1 << (blk * m)) - 1)
             unit = ((1 << blk) - 1)
-            self.digit_masks.append(
-                [repeater * (unit << (k * blk)) for k in range(m)]
-            )
+            self.reps.append(rep)
+            self.digit_masks.append([rep * (unit << (k * blk)) for k in range(m)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -144,29 +146,27 @@ def _tables(moduli: tuple[int, ...]) -> _Tables:
     return _Tables(moduli)
 
 
-def _rotate_coord(bits: int, masks: list[int], m: int, blk: int, c: int) -> int:
-    """Send every digit k of one coordinate to k+c (mod m) inside the bitset."""
-    out = 0
-    for k in range(m):
-        part = bits & masks[k]
-        if not part:
-            continue
-        nk = k + c
-        if nk >= m:
-            nk -= m
-        delta = (nk - k) * blk
-        out |= part << delta if delta >= 0 else part >> -delta
-    return out
-
-
 def translate_bits(g: GroupDescriptor, bits: int, x_rank: int) -> int:
-    """Bitset of {a + x : a in the set described by bits}."""
+    """Bitset of {a + x : a in the set described by bits}.
+
+    Coordinate i (block b, modulus m, shift c) rotates with two masked
+    shifts: its digits k < m - c move up to k + c, the rest wrap down to
+    k + c - m.  With rep = reps[i] and s = (m - c) * b,
+
+        low  = bits & ((rep << s) - rep)    # digit < m - c in every period
+        bits = (low << c * b) | ((bits ^ low) >> s)
+
+    (rep << s) - rep is rep * (2**s - 1): a run of s ones at the start of
+    every period.  About six big-int operations per coordinate, whatever m.
+    """
     t = _tables(g.moduli)
     r = x_rank
-    for i, m in enumerate(t.moduli):
+    for m, blk, rep in zip(t.moduli, t.blocks, t.reps):
         r, c = divmod(r, m)
         if c:
-            bits = _rotate_coord(bits, t.digit_masks[i], m, t.blocks[i], c)
+            s = (m - c) * blk
+            low = bits & ((rep << s) - rep)
+            bits = (low << (c * blk)) | ((bits ^ low) >> s)
     return bits
 
 
@@ -380,31 +380,27 @@ def enumerate_subgroups(
     return out
 
 
-def cosets(g: GroupDescriptor, h: Subgroup) -> list[int]:
-    """Coset bitsets of h in g, ordered by minimum representative rank."""
+def _coset_walk(g: GroupDescriptor, h: Subgroup) -> Iterator[tuple[int, int]]:
+    """(minimum rank, bitset) of each coset of h, by minimum rank: the lowest
+    rank no coset so far covers starts the next one."""
     if h.group != g:
         raise ValueError("subgroup does not belong to this group")
-    out = []
-    covered = 0
-    for r in range(g.order):
-        if (covered >> r) & 1:
-            continue
+    free = g.full_mask
+    while free:
+        r = (free & -free).bit_length() - 1
         c = translate_bits(g, h.bits, r)
-        out.append(c)
-        covered |= c
-    return out
+        yield r, c
+        free ^= c
+
+
+def cosets(g: GroupDescriptor, h: Subgroup) -> list[int]:
+    """Coset bitsets of h in g, ordered by minimum representative rank."""
+    return [c for _, c in _coset_walk(g, h)]
 
 
 def coset_representatives(g: GroupDescriptor, h: Subgroup) -> list[int]:
     """Minimum-rank representative of each coset, in coset order."""
-    reps = []
-    covered = 0
-    for r in range(g.order):
-        if (covered >> r) & 1:
-            continue
-        reps.append(r)
-        covered |= translate_bits(g, h.bits, r)
-    return reps
+    return [r for r, _ in _coset_walk(g, h)]
 
 
 def find_complement(

@@ -442,8 +442,9 @@ def coset_goodness(a: GroupSubset, h: Subgroup,
     from .groups import cosets as _cosets
 
     flags = []
+    size = h.size
     for c in _cosets(g, h):
-        dens = Fraction((a.bits & c).bit_count(), h.size)
+        dens = Fraction((a.bits & c).bit_count(), size)
         flags.append(dens <= eta or dens >= 1 - eta)
     bad = sum(1 for x in flags if not x)
     return CosetGoodness(h, eta, tuple(flags), Fraction(bad, len(flags)))
@@ -476,11 +477,12 @@ def densify(a: GroupSubset, h: Subgroup, f: BipartitePattern,
                          "rounded set; the perturbation bound does not apply")
     goodness = coset_goodness(a, h, f)
     eta = goodness.eta
+    size = h.size
     for u, xe in enumerate(w.phi_u):
         for v, ye in enumerate(w.phi_v):
             base = add_rank(g, xe.rank, ye.rank)
             c = translate_bits(g, h.bits, base)
-            dens = Fraction((a.bits & c).bit_count(), h.size)
+            dens = Fraction((a.bits & c).bit_count(), size)
             if not (dens <= eta or dens >= 1 - eta):
                 raise ValueError(
                     f"pair coset for (u={u}, v={v}) is bad at eta={eta}"

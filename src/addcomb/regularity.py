@@ -65,8 +65,9 @@ def coset_round(a: GroupSubset, h: Subgroup) -> GroupSubset:
     if h.group != g:
         raise ValueError("subgroup does not belong to the subset's group")
     out = 0
+    size = h.size
     for c in cosets(g, h):
-        if 2 * (a.bits & c).bit_count() >= h.size:
+        if 2 * (a.bits & c).bit_count() >= size:
             out |= c
     return GroupSubset(g, out)
 

@@ -123,7 +123,8 @@ def symdiff_size(a: GroupSubset, b: GroupSubset) -> int:
     return (a.bits ^ b.bits).bit_count()
 
 
-@functools.lru_cache(maxsize=1 << 15)
+# A profile of |G| = 4096 holds ~147 KB, so a full cache stays under ~40 MB.
+@functools.lru_cache(maxsize=256)
 def _symdiff_profile(a: GroupSubset) -> tuple[int, ...]:
     """g(x) = |A xor (A+x)| for every rank x.  The workhorse shared by
     almost_periods, greedy packing, and certificate verification.

@@ -2,10 +2,14 @@
 
 Everything here works on plain coordinate tuples and element sets, never on
 the library's bitsets or cached profiles, so agreement between the two is
-meaningful.  Only usable at tiny sizes.
+meaningful.  Only usable at tiny sizes.  The exception is the bitset
+translation by digit masks (digit_masks, rotate_coord,
+translate_bits_by_digit), the reference for the library's two-shift
+translation kernel; it builds its own masks.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -36,6 +40,42 @@ def neg(mods, a):
 
 def translate(mods, aset, x):
     return {add(mods, a, x) for a in aset}
+
+
+@functools.lru_cache(maxsize=None)
+def digit_masks(mods) -> list[list[int]]:
+    """digit_masks(mods)[i][k]: bitset of the ranks whose i-th coordinate is k."""
+    out = [[0] * m for m in mods]
+    for r, coords in enumerate(elements(mods)):
+        for i, c in enumerate(coords):
+            out[i][c] |= 1 << r
+    return out
+
+
+def rotate_coord(bits: int, masks: list[int], m: int, blk: int, c: int) -> int:
+    """Send every digit k of one coordinate to k+c (mod m) inside the bitset."""
+    out = 0
+    for k in range(m):
+        part = bits & masks[k]
+        if not part:
+            continue
+        nk = k + c
+        if nk >= m:
+            nk -= m
+        delta = (nk - k) * blk
+        out |= part << delta if delta >= 0 else part >> -delta
+    return out
+
+
+def translate_bits_by_digit(mods, bits: int, x_rank: int) -> int:
+    """Bitset translate by x, one digit of one coordinate at a time."""
+    blk = 1
+    for m, masks in zip(mods, digit_masks(tuple(mods))):
+        x_rank, c = divmod(x_rank, m)
+        if c:
+            bits = rotate_coord(bits, masks, m, blk, c)
+        blk *= m
+    return bits
 
 
 def sumset(mods, aset, bset):

@@ -1,0 +1,44 @@
+"""Byte-identity gate: the benchmark's regularize_cyclic and pattern_search
+jobs, run through the public API, must reproduce perfbench/goldens.json.
+
+Each case runs every job of one input set of the workload's fixed job list
+and compares its canonical-JSON digest, and its independent check
+(certificate verification, witness re-check), with the recorded golden.
+perfbench/ is only read.
+"""
+import json
+import os
+import sys
+
+import pytest
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+sys.path.insert(0, PERFBENCH)
+
+import workloads  # noqa: E402
+
+with open(os.path.join(PERFBENCH, "goldens.json"), encoding="utf-8") as fh:
+    GOLDENS = json.load(fh)
+
+CASES = [
+    (name, kind, item)
+    for name in ("regularize_cyclic", "pattern_search")
+    for kind in workloads.WORKLOADS[name].kinds
+    for item in range(workloads.WORKLOADS[name].items)
+]
+
+
+def test_goldens_match_the_corpus():
+    assert GOLDENS["corpus_label"] == workloads.CORPUS_LABEL
+
+
+@pytest.mark.parametrize("name,kind,item", CASES,
+                         ids=[f"{n}/{k.name}/{i}" for n, k, i in CASES])
+def test_job_digests_match_goldens(name, kind, item):
+    a = workloads.corpus_set(name, kind, item)
+    for param in kind.params():
+        key = workloads.job_key(kind.name, item, param)
+        text, ok = workloads.run_job(kind.task, a, param, item)
+        assert ok, key
+        assert workloads.digest(text) == GOLDENS["digests"][name][key], key

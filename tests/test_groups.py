@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from addcomb import (
     CapExceeded,
     GroupDescriptor,
     add,
+    coset_representatives,
     cosets,
     enumerate_subgroups,
     find_complement,
@@ -22,6 +25,10 @@ from addcomb.groups import (
     translate_bits,
 )
 from conftest import MODULI_POOL, groups
+
+# Shapes MODULI_POOL lacks, for the translation kernel: long cyclic factors
+# (wide masks and shifts), mixed moduli, and ten factors of 2.
+KERNEL_SHAPES = [(64,), (1024,), (2, 24), (3, 16, 2), (5, 7, 4), (2,) * 10]
 
 
 def test_descriptor_validation():
@@ -76,6 +83,30 @@ def test_bitset_translate_negate_match_oracle(g, data):
     n = negate_bits(g, bits)
     nset = {g.coords_of(r) for r in range(g.order) if (n >> r) & 1}
     assert nset == {oracles.neg(g.moduli, a) for a in aset}
+
+
+@pytest.mark.parametrize("mods", KERNEL_SHAPES,
+                         ids=lambda mods: "x".join(map(str, mods)))
+def test_translate_bits_matches_digit_oracle_for_every_shift(mods):
+    g = GroupDescriptor(mods)
+    bits = random.Random(repr(mods)).getrandbits(g.order)
+    for x in range(g.order):
+        want = oracles.translate_bits_by_digit(mods, bits, x)
+        assert translate_bits(g, bits, x) == want, x
+
+
+@given(st.sampled_from(KERNEL_SHAPES), st.data())
+def test_translate_bits_on_kernel_shapes(mods, data):
+    g = GroupDescriptor(mods)
+    bits = data.draw(st.integers(0, g.full_mask))
+    x = data.draw(st.integers(0, g.order - 1))
+    y = data.draw(st.integers(0, g.order - 1))
+    elems = oracles.elements(mods)
+    t = translate_bits(g, bits, x)
+    aset = {elems[r] for r in range(g.order) if (bits >> r) & 1}
+    tset = {elems[r] for r in range(g.order) if (t >> r) & 1}
+    assert tset == oracles.translate(mods, aset, elems[x])
+    assert translate_bits(g, t, y) == translate_bits(g, bits, add_rank(g, x, y))
 
 
 def test_element_order():
@@ -178,6 +209,9 @@ def test_cosets_partition(g, data):
     h = data.draw(st.sampled_from(subs))
     cs = cosets(g, h)
     assert len(cs) == h.index
+    reps = coset_representatives(g, h)
+    assert reps == [(c & -c).bit_length() - 1 for c in cs]
+    assert reps == sorted(reps)
     union = 0
     for c in cs:
         assert c.bit_count() == h.size
