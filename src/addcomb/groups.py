@@ -312,18 +312,26 @@ def generated_subgroup(
     return _make_subgroup(g, bits, ranks)
 
 
-def subgroup_from_bits(g: GroupDescriptor, bits: int) -> Subgroup:
-    """Interpret a bitset as a subgroup, with a greedy generating set.
-
-    Raises ValueError when the bitset is not closed under the group law."""
-    if not bits & 1:
-        raise ValueError("subgroup bitset must contain 0")
+def _closure_walk(g: GroupDescriptor, bits: int) -> tuple[int, list[int]]:
+    """Bitset of the subgroup generated by the elements of bits, and the
+    generators kept on the way: each element in rank order joins the
+    closure when the closure so far misses it."""
     acc = 1
     gens: list[int] = []
     for r in _bit_ranks(bits):
         if not (acc >> r) & 1:
             gens.append(r)
             acc = _closure_with(g, acc, r)
+    return acc, gens
+
+
+def subgroup_from_bits(g: GroupDescriptor, bits: int) -> Subgroup:
+    """Interpret a bitset as a subgroup, with a greedy generating set.
+
+    Raises ValueError when the bitset is not closed under the group law."""
+    if not bits & 1:
+        raise ValueError("subgroup bitset must contain 0")
+    acc, gens = _closure_walk(g, bits)
     if acc != bits:
         raise ValueError("bitset is not closed under addition")
     return _make_subgroup(g, bits, gens)

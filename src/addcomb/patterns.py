@@ -17,6 +17,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from typing import Iterator
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .groups import (
@@ -137,6 +138,20 @@ def _make_witness(f: BipartitePattern, g: GroupDescriptor,
     )
 
 
+def _bi_induces(a: GroupSubset, f: BipartitePattern, u_ranks: list[int],
+                v_ranks: list[int]) -> bool:
+    """True iff edge(u,v) <=> x_u + y_v in A for every pair, with x = u_ranks
+    and y = v_ranks."""
+    g = a.group
+    bits = a.bits
+    edges = f.edges
+    for u, xr in enumerate(u_ranks):
+        for v, yr in enumerate(v_ranks):
+            if ((bits >> add_rank(g, xr, yr)) & 1) != ((u, v) in edges):
+                return False
+    return True
+
+
 def check_witness(a: GroupSubset, f: BipartitePattern, w: BiInducedWitness,
                   injectivity: str = "none") -> bool:
     """True iff edge(u,v) <=> phi_u(u)+phi_v(v) in A for all pairs.
@@ -146,14 +161,10 @@ def check_witness(a: GroupSubset, f: BipartitePattern, w: BiInducedWitness,
     pairwise distinct as one set."""
     if injectivity not in ("none", "per_side", "global"):
         raise ValueError(f"unknown injectivity mode {injectivity!r}")
-    g = a.group
     u_ranks = [e.rank for e in w.phi_u]
     v_ranks = [e.rank for e in w.phi_v]
-    for u, xr in enumerate(u_ranks):
-        for v, yr in enumerate(v_ranks):
-            inside = a.contains_rank(add_rank(g, xr, yr))
-            if inside != ((u, v) in f.edges):
-                return False
+    if not _bi_induces(a, f, u_ranks, v_ranks):
+        return False
     if injectivity == "per_side":
         return (len(set(u_ranks)) == f.u_count
                 and len(set(v_ranks)) == f.v_count)
@@ -162,22 +173,42 @@ def check_witness(a: GroupSubset, f: BipartitePattern, w: BiInducedWitness,
     return True
 
 
-def _u_masks(g: GroupDescriptor, a_bits: int, f: BipartitePattern,
-             v_ranks: list[int]) -> list[int]:
-    """For each u, the bitset of y with: y + phi_v(v) in A iff v in N(u),
-    over the currently assigned phi_v prefix."""
+def _v_sweep(a: GroupSubset, f: BipartitePattern, distinct: bool,
+             budget: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Every phi_v in rank order whose per-u masks all stay nonempty, as
+    (v_ranks, masks): mask u is the bitset of y with y + phi_v(v) in A iff v
+    in N(u).  Each y tried for a V-vertex is one visit; distinct skips y
+    already in phi_v, and the visit past the budget raises CapExceeded."""
+    g = a.group
+    n = g.order
     full = g.full_mask
-    v_traces = [translate_bits(g, a_bits, neg_rank(g, r)) for r in v_ranks]
-    masks = []
-    for u in range(f.u_count):
-        nb = f.u_neighborhood(u)
-        m = full
-        for v, t in enumerate(v_traces):
-            m &= t if v in nb else (full ^ t)
-            if not m:
-                break
-        masks.append(m)
-    return masks
+    nbhd = [f.u_neighborhood(u) for u in range(f.u_count)]
+    visits = 0
+
+    def extend(v_ranks: list[int], masks: list[int]
+               ) -> Iterator[tuple[list[int], list[int]]]:
+        nonlocal visits
+        v_idx = len(v_ranks)
+        if v_idx == f.v_count:
+            yield v_ranks, masks
+            return
+        for y in range(n):
+            if distinct and y in v_ranks:
+                continue
+            visits += 1
+            if visits > budget:
+                raise CapExceeded(f"pattern search exceeded {budget} visits")
+            t = translate_bits(g, a.bits, neg_rank(g, y))
+            new_masks = []
+            for u in range(f.u_count):
+                m = masks[u] & (t if v_idx in nbhd[u] else (full ^ t))
+                if not m:
+                    break
+                new_masks.append(m)
+            else:
+                yield from extend(v_ranks + [y], new_masks)
+
+    return extend([], [full] * f.u_count)
 
 
 def find_bi_induced(a: GroupSubset, f: BipartitePattern,
@@ -191,61 +222,24 @@ def find_bi_induced(a: GroupSubset, f: BipartitePattern,
     side only needs each mask to hold as many candidates as the vertices
     sharing it.  Budgeted by caps.pattern_visit_cap node visits."""
     g = a.group
-    n = g.order
-    full = g.full_mask
-    visits = 0
-    nbhd = [f.u_neighborhood(u) for u in range(f.u_count)]
     groups_by_nb: dict[frozenset, list[int]] = {}
-    for u, nb in enumerate(nbhd):
-        groups_by_nb.setdefault(nb, []).append(u)
-
-    def assign(v_idx: int, v_ranks: list[int], masks: list[int]
-               ) -> BiInducedWitness | None:
-        nonlocal visits
-        if v_idx == f.v_count:
-            u_ranks = [0] * f.u_count
-            if require_injective:
-                for nb, us in groups_by_nb.items():
-                    m = masks[us[0]]
-                    if m.bit_count() < len(us):
-                        return None
-                    got = []
-                    mm = m
-                    while len(got) < len(us):
-                        low = mm & -mm
-                        got.append(low.bit_length() - 1)
-                        mm ^= low
-                    for u, r in zip(us, got):
-                        u_ranks[u] = r
-            else:
-                for u, m in enumerate(masks):
-                    u_ranks[u] = (m & -m).bit_length() - 1
-            return _make_witness(f, g, u_ranks, v_ranks)
-        for y in range(n):
-            if require_injective and y in v_ranks:
-                continue
-            visits += 1
-            if visits > caps.pattern_visit_cap:
-                raise CapExceeded(
-                    f"pattern search exceeded {caps.pattern_visit_cap} visits"
-                )
-            t = translate_bits(g, a.bits, neg_rank(g, y))
-            new_masks = []
-            dead = False
-            for u in range(f.u_count):
-                m = masks[u] & (t if v_idx in nbhd[u] else (full ^ t))
-                if not m:
-                    dead = True
-                    break
-                new_masks.append(m)
-            if dead:
-                continue
-            got = assign(v_idx + 1, v_ranks + [y], new_masks)
-            if got is not None:
-                return got
-        return None
-
-    return assign(0, [], [full] * f.u_count)
+    for u in range(f.u_count):
+        groups_by_nb.setdefault(f.u_neighborhood(u), []).append(u)
+    for v_ranks, masks in _v_sweep(a, f, require_injective,
+                                   caps.pattern_visit_cap):
+        if require_injective and any(masks[us[0]].bit_count() < len(us)
+                                     for us in groups_by_nb.values()):
+            continue
+        u_ranks = [0] * f.u_count
+        for us in groups_by_nb.values():
+            m = masks[us[0]]
+            for u in us:
+                low = m & -m
+                u_ranks[u] = low.bit_length() - 1
+                if require_injective:
+                    m ^= low
+        return _make_witness(f, g, u_ranks, v_ranks)
+    return None
 
 
 def witness_from_shattering(a: GroupSubset, f: BipartitePattern,
@@ -319,21 +313,12 @@ def sample_tester(a: GroupSubset, f: BipartitePattern, samples: int,
     g = a.group
     n = g.order
     rng = random.Random(rng_seed)
-    edges = f.edges
     bi = 0
     inj = 0
     for _ in range(samples):
         u_ranks = [rng.randrange(n) for _ in range(f.u_count)]
         v_ranks = [rng.randrange(n) for _ in range(f.v_count)]
-        ok = True
-        for u, xr in enumerate(u_ranks):
-            if not ok:
-                break
-            for v, yr in enumerate(v_ranks):
-                if a.contains_rank(add_rank(g, xr, yr)) != ((u, v) in edges):
-                    ok = False
-                    break
-        if ok:
+        if _bi_induces(a, f, u_ranks, v_ranks):
             bi += 1
             if (len(set(u_ranks)) == f.u_count
                     and len(set(v_ranks)) == f.v_count):
@@ -356,32 +341,13 @@ def exhaustive_density(a: GroupSubset, f: BipartitePattern,
         raise CapExceeded(
             f"|G|^{f.vertex_count} exceeds density cap {caps.density_enum_cap}"
         )
-    full = g.full_mask
-    nbhd = [f.u_neighborhood(u) for u in range(f.u_count)]
+    # visits <= n^(v+1) <= n^vertex_count, so the budget never trips here
     total = 0
-
-    def sweep(v_idx: int, masks: list[int]) -> None:
-        nonlocal total
-        if v_idx == f.v_count:
-            prod = 1
-            for m in masks:
-                prod *= m.bit_count()
-            total += prod
-            return
-        for y in range(n):
-            t = translate_bits(g, a.bits, neg_rank(g, y))
-            new_masks = []
-            dead = False
-            for u in range(f.u_count):
-                m = masks[u] & (t if v_idx in nbhd[u] else (full ^ t))
-                if not m:
-                    dead = True
-                    break
-                new_masks.append(m)
-            if not dead:
-                sweep(v_idx + 1, new_masks)
-
-    sweep(0, [full] * f.u_count)
+    for _, masks in _v_sweep(a, f, False, caps.density_enum_cap):
+        prod = 1
+        for m in masks:
+            prod *= m.bit_count()
+        total += prod
     return Fraction(total, n ** f.vertex_count)
 
 
@@ -490,19 +456,10 @@ def densify(a: GroupSubset, h: Subgroup, f: BipartitePattern,
     rng = random.Random(rng_seed)
     h_ranks = h.ranks()
     hits = 0
-    edges = f.edges
     for _ in range(samples):
         xs = [add_rank(g, e.rank, rng.choice(h_ranks)) for e in w.phi_u]
         ys = [add_rank(g, e.rank, rng.choice(h_ranks)) for e in w.phi_v]
-        ok = True
-        for u, xr in enumerate(xs):
-            if not ok:
-                break
-            for v, yr in enumerate(ys):
-                if a.contains_rank(add_rank(g, xr, yr)) != ((u, v) in edges):
-                    ok = False
-                    break
-        if ok:
+        if _bi_induces(a, f, xs, ys):
             hits += 1
     frac = hits / samples
     sigma = binomial_sigma(hits, samples)

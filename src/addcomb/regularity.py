@@ -60,12 +60,15 @@ def coset_round(a: GroupSubset, h: Subgroup) -> GroupSubset:
     """Union of the H-cosets holding at least half of their elements in A.
 
     The boundary is inclusive: a coset with exactly |H|/2 elements of A is
-    kept."""
+    kept.  The trivial subgroup's cosets are single elements, so A itself is
+    returned without walking them."""
     g = a.group
     if h.group != g:
         raise ValueError("subgroup does not belong to the subset's group")
-    out = 0
     size = h.size
+    if size == 1:
+        return a
+    out = 0
     for c in cosets(g, h):
         if 2 * (a.bits & c).bit_count() >= size:
             out |= c
@@ -321,8 +324,9 @@ def robust_pipeline(a: GroupSubset, epsilon, d: int,
     than |G| / (12 m^d), random restricted systems must shatter more than d
     elements, so return the sampled-VC report; otherwise continue the
     regularity pipeline at this delta and return its certificate once the
-    rounding error meets epsilon.  The sweep always decides, because the
-    final delta reduces the ball to the exact stabilizer."""
+    rounding error meets epsilon.  The sweep always decides: after the
+    schedule comes delta = 1/(2|G|), where the ball is the exact stabilizer K
+    of A, so H = K and the rounding error is 0."""
     eps = _to_fraction(epsilon)
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -332,7 +336,8 @@ def robust_pipeline(a: GroupSubset, epsilon, d: int,
     schedule = (list(cfg.delta_schedule) if cfg.delta_schedule is not None
                 else default_delta_schedule(eps, g.order))
     steps: list[RobustStep] = []
-    for delta in schedule:
+    deltas = [*schedule, Fraction(1, 2 * g.order)]
+    for pos, delta in enumerate(deltas):
         dd = _to_fraction(delta)
         m_raw, m_eff = _robust_m(dd, d, g.order, cfg.c_constant)
         denom = 12 * m_eff**d
@@ -347,7 +352,8 @@ def robust_pipeline(a: GroupSubset, epsilon, d: int,
                                 caps=cfg.caps)
             return RobustOutcome("high_vc", d, report, None, tuple(steps))
         _, trace, h, s, err = _pipeline_step(a, dd, pipeline_cfg)
-        if err <= eps:
+        # the appended stabilizer delta decides even for a negative epsilon
+        if err <= eps or pos == len(deltas) - 1:
             steps.append(RobustStep(dd, m_raw, m_eff, threshold, ball.size,
                                     "certificate"))
             cert = RegularityCertificate(
@@ -358,25 +364,3 @@ def robust_pipeline(a: GroupSubset, epsilon, d: int,
             return RobustOutcome("certificate", d, None, cert, tuple(steps))
         steps.append(RobustStep(dd, m_raw, m_eff, threshold, ball.size,
                                 "continue"))
-    # custom schedules may exhaust without deciding; force the stabilizer delta
-    dd = Fraction(1, 2 * g.order)
-    m_raw, m_eff = _robust_m(dd, d, g.order, cfg.c_constant)
-    denom = 12 * m_eff**d
-    threshold = Fraction(g.order, denom)
-    ball = almost_periods(a, dd)
-    if ball.size * denom < g.order:
-        steps.append(RobustStep(dd, m_raw, m_eff, threshold, ball.size,
-                                "small_ball"))
-        x_size = min(12 * m_eff**d, g.order)
-        y_size = min(max(m_eff, d + 1), g.order)
-        report = sampled_vc(a, x_size, y_size, cfg.trials, d, rng_seed,
-                            caps=cfg.caps)
-        return RobustOutcome("high_vc", d, report, None, tuple(steps))
-    _, trace, h, s, err = _pipeline_step(a, dd, pipeline_cfg)
-    steps.append(RobustStep(dd, m_raw, m_eff, threshold, ball.size,
-                            "certificate"))
-    cert = RegularityCertificate(
-        base=a, epsilon=eps, delta_used=dd, subgroup=h, rounded=s,
-        achieved_error=err, index=h.index, degenerate=False, trace=trace,
-    )
-    return RobustOutcome("certificate", d, None, cert, tuple(steps))

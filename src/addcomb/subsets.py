@@ -17,6 +17,7 @@ from .groups import (
     GroupElement,
     Subgroup,
     _bit_ranks,
+    _closure_walk,
     _closure_with,
     _full_lattice,
     _make_subgroup,
@@ -345,8 +346,7 @@ def kneser_fill_check(a: GroupSubset, t: int) -> KneserReport:
     g = a.group
     if a.size == 0:
         return KneserReport(t, False, False, False, False, 0, False)
-    gen = generated_bits(g, a.bits)
-    generates = gen == g.full_mask
+    generates = _closure_walk(g, a.bits)[0] == g.full_mask
     size_ok = a.size * t >= g.order
     contains_zero = bool(a.bits & 1)
     cur = a
@@ -360,12 +360,3 @@ def kneser_fill_check(a: GroupSubset, t: int) -> KneserReport:
     return KneserReport(t, generates, size_ok, contains_zero,
                         generates and size_ok and contains_zero,
                         cur.size, fills)
-
-
-def generated_bits(g: GroupDescriptor, bits: int) -> int:
-    """Bitset of the subgroup generated by the elements of bits."""
-    acc = 1
-    for r in _bit_ranks(bits):
-        if not (acc >> r) & 1:
-            acc = _closure_with(g, acc, r)
-    return acc

@@ -3,11 +3,15 @@
 The set system of a subset A is {A + x : x in X} viewed as subsets of a
 ground set Y (both default to the whole group).  A set U of ground elements
 is shattered when every one of the 2^|U| subsets of U arises as (A+x) & U.
-The exact search runs a depth-first scan over candidate ground elements,
-refining the partition of traces by their pattern on the chosen elements;
-a branch dies as soon as one pattern class fails to split, since shattered
+One exact search serves every query: a depth-first scan over candidate
+ground elements in ascending order, refining the partition of traces by
+their pattern on the chosen elements, that returns a shattered witness set.
+A branch dies as soon as one pattern class fails to split, since shattered
 sets are closed under subsets.  The smallest pattern class also bounds the
 reachable depth (each further element at best halves it), which prunes hard.
+The dimension is the length of the largest witness; a threshold query stops
+at the first witness one longer than the threshold, and a size-k query
+returns the first shattered k-set, the least in lexicographic order.
 """
 from __future__ import annotations
 
@@ -64,101 +68,32 @@ class TranslateSystem:
         return sorted(seen)
 
 
-def _max_shattered(traces: Sequence[int], ground_positions: Sequence[int],
-                   max_d: int | None) -> int:
-    """Size of the largest shattered subset of the ground positions; with
-    max_d given, stops early and reports max_d + 1 as soon as a shattered set
-    of size max_d + 1 exists."""
+def _shattered_witness(traces: Sequence[int], ground_positions: Sequence[int],
+                       stop_at: int | None) -> list[int]:
+    """A largest shattered subset of the ground positions (ascending), the
+    first one met in the search; with stop_at given, the first shattered set
+    of that size as soon as one is found."""
     if len(traces) <= 1:
-        return 0
+        return []
     t0 = traces[0]
     diff = 0
     for t in traces:
         diff |= t ^ t0
     cand = [p for p in ground_positions if (diff >> p) & 1]
-    best = 0
-    limit = None if max_d is None else max_d + 1
+    best: list[int] = []
+    chosen: list[int] = []
 
-    def grow(classes: list[list[int]], start: int, depth: int) -> bool:
+    def grow(classes: list[list[int]], start: int) -> bool:
         nonlocal best
-        if depth > best:
-            best = depth
-            if limit is not None and best >= limit:
+        depth = len(chosen)
+        if depth > len(best):
+            best = list(chosen)
+            if depth == stop_at:
                 return True
-        min_size = min(len(c) for c in classes)
-        if depth + min_size.bit_length() - 1 <= best:
+        if depth + min(len(c) for c in classes).bit_length() - 1 <= len(best):
             return False
         for i in range(start, len(cand)):
-            if depth + len(cand) - i <= best:
-                break
-            bit = 1 << cand[i]
-            split: list[list[int]] | None = []
-            for cls in classes:
-                ones = [t for t in cls if t & bit]
-                if not ones or len(ones) == len(cls):
-                    split = None
-                    break
-                zeros = [t for t in cls if not t & bit]
-                split.append(ones)
-                split.append(zeros)
-            if split is not None and grow(split, i + 1, depth + 1):
-                return True
-        return False
-
-    grow([list(traces)], 0, 0)
-    return best
-
-
-def vc_dimension(sys: TranslateSystem, max_d: int | None = None,
-                 caps: Caps = DEFAULT_CAPS) -> int:
-    """Exact VC dimension of the system.
-
-    With max_d set, the search stops as soon as it certifies the dimension
-    exceeds max_d and returns max_d + 1, meaning "> max_d".  Threshold
-    queries are much cheaper than exact computation on large systems."""
-    ground = sys.resolved_ground()
-    if ground.size > caps.vc_ground_cap:
-        raise CapExceeded(
-            f"ground size {ground.size} exceeds vc cap {caps.vc_ground_cap}"
-        )
-    return _max_shattered(sys.traces(), ground.ranks(), max_d)
-
-
-def set_vc_dimension(a: GroupSubset, max_d: int | None = None,
-                     caps: Caps = DEFAULT_CAPS) -> int:
-    """VC dimension of the full translate system of A."""
-    return vc_dimension(TranslateSystem(a), max_d=max_d, caps=caps)
-
-
-def find_shattered_set(a: GroupSubset, size: int,
-                       caps: Caps = DEFAULT_CAPS) -> list[int] | None:
-    """First shattered ground set of the given size (positions ascending),
-    or None when the VC dimension is smaller than size."""
-    if size == 0:
-        return []
-    sys = TranslateSystem(a)
-    ground = sys.resolved_ground()
-    if ground.size > caps.vc_ground_cap:
-        raise CapExceeded(
-            f"ground size {ground.size} exceeds vc cap {caps.vc_ground_cap}"
-        )
-    traces = sys.traces()
-    if len(traces) < 1 << size:
-        return None
-    t0 = traces[0]
-    diff = 0
-    for t in traces:
-        diff |= t ^ t0
-    cand = [p for p in ground.ranks() if (diff >> p) & 1]
-
-    def grow(classes: list[list[int]], start: int, chosen: list[int]) -> list[int] | None:
-        if len(chosen) == size:
-            return list(chosen)
-        min_size = min(len(c) for c in classes)
-        if len(chosen) + min_size.bit_length() - 1 < size:
-            return None
-        for i in range(start, len(cand)):
-            if len(chosen) + len(cand) - i < size:
+            if depth + len(cand) - i <= len(best):
                 break
             bit = 1 << cand[i]
             split: list[list[int]] | None = []
@@ -171,13 +106,53 @@ def find_shattered_set(a: GroupSubset, size: int,
                 split.append([t for t in cls if not t & bit])
             if split is not None:
                 chosen.append(cand[i])
-                got = grow(split, i + 1, chosen)
-                if got is not None:
-                    return got
+                if grow(split, i + 1):
+                    return True
                 chosen.pop()
-        return None
+        return False
 
-    return grow([list(traces)], 0, [])
+    grow([list(traces)], 0)
+    return best
+
+
+def _search_input(sys: TranslateSystem, caps: Caps) -> tuple[list[int], list[int]]:
+    """The system's traces and ground positions, after the ground-size cap."""
+    ground = sys.resolved_ground()
+    if ground.size > caps.vc_ground_cap:
+        raise CapExceeded(
+            f"ground size {ground.size} exceeds vc cap {caps.vc_ground_cap}"
+        )
+    return sys.traces(), ground.ranks()
+
+
+def vc_dimension(sys: TranslateSystem, max_d: int | None = None,
+                 caps: Caps = DEFAULT_CAPS) -> int:
+    """Exact VC dimension of the system.
+
+    With max_d set, the search stops as soon as it certifies the dimension
+    exceeds max_d and returns max_d + 1, meaning "> max_d".  Threshold
+    queries are much cheaper than exact computation on large systems."""
+    stop_at = None if max_d is None else max_d + 1
+    return len(_shattered_witness(*_search_input(sys, caps), stop_at))
+
+
+def set_vc_dimension(a: GroupSubset, max_d: int | None = None,
+                     caps: Caps = DEFAULT_CAPS) -> int:
+    """VC dimension of the full translate system of A."""
+    return vc_dimension(TranslateSystem(a), max_d=max_d, caps=caps)
+
+
+def find_shattered_set(a: GroupSubset, size: int,
+                       caps: Caps = DEFAULT_CAPS) -> list[int] | None:
+    """The lexicographically least shattered ground set of the given size
+    (positions ascending), or None when the VC dimension is smaller."""
+    if size == 0:
+        return []
+    traces, positions = _search_input(TranslateSystem(a), caps)
+    if len(traces) < 1 << size:
+        return None
+    got = _shattered_witness(traces, positions, size)
+    return got if len(got) == size else None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -276,8 +251,7 @@ def sampled_vc(a: GroupSubset, x_size: int, y_size: int, trials: int, d: int,
         for r in rng.sample(everything, y_size):
             y_bits |= 1 << r
         traces = sorted({translate_bits(g, a.bits, x) & y_bits for x in xs})
-        got = _max_shattered(traces, _bit_ranks(y_bits), max_d=d)
-        if got > d:
+        if len(_shattered_witness(traces, _bit_ranks(y_bits), d + 1)) > d:
             hits += 1
     lo, hi = wilson_interval(hits, trials)
     return SampledVcReport(x_size, y_size, d, trials, hits, hits / trials, lo, hi)
@@ -410,7 +384,7 @@ def separated_sample_bound_check(a: GroupSubset, delta, m: int, d: int,
         for r in positions:
             y_bits |= 1 << r
         traces = sorted({t & y_bits for t in fam})
-        if _max_shattered(traces, sorted(positions), max_d=d) <= d:
+        if len(_shattered_witness(traces, sorted(positions), d + 1)) <= d:
             low += 1
     frac = low / trials
     sigma = binomial_sigma(low, trials)

@@ -1,9 +1,11 @@
-"""Byte-identity gate: the benchmark's regularize_cyclic and pattern_search
-jobs, run through the public API, must reproduce perfbench/goldens.json.
+"""Byte-identity gate: the benchmark's regularize_cyclic, vc_packing and
+pattern_search jobs, run through the public API, must reproduce
+perfbench/goldens.json.
 
 Each case runs every job of one input set of the workload's fixed job list
 and compares its canonical-JSON digest, and its independent check
-(certificate verification, witness re-check), with the recorded golden.
+(certificate verification, packing certification, witness re-check), with
+the recorded golden.
 perfbench/ is only read.
 """
 import json
@@ -23,7 +25,7 @@ with open(os.path.join(PERFBENCH, "goldens.json"), encoding="utf-8") as fh:
 
 CASES = [
     (name, kind, item)
-    for name in ("regularize_cyclic", "pattern_search")
+    for name in ("regularize_cyclic", "vc_packing", "pattern_search")
     for kind in workloads.WORKLOADS[name].kinds
     for item in range(workloads.WORKLOADS[name].items)
 ]

@@ -27,7 +27,7 @@ from addcomb import (
     set_vc_dimension,
     witness_from_shattering,
 )
-from addcomb.caps import CapExceeded
+from addcomb.caps import Caps, CapExceeded
 from addcomb.groups import translate_bits
 from addcomb.stats import wilson_interval
 from conftest import MODULI_POOL, subsets
@@ -163,6 +163,38 @@ def test_two_coset_union_has_no_half_graph_2():
     assert find_bi_induced(u3, half_graph(2)) is not None
 
 
+def _visit_budget_cases():
+    z16 = GroupDescriptor([2, 2, 2, 2])
+    h16 = generated_subgroup(z16, [1, 2])
+    u2 = GroupSubset(z16, h16.bits | translate_bits(z16, h16.bits, 4))
+    interval = GroupSubset.from_ranks(GroupDescriptor([13]), range(1, 7))
+    # two cosets of the index-8 subgroup of Z/64 hold no half graph of size
+    # 3, so this search is exhaustive
+    z64 = GroupDescriptor([64])
+    h64 = generated_subgroup(z64, [8])
+    planted = GroupSubset(z64, h64.bits | translate_bits(z64, h64.bits, 1))
+    return [
+        ("two_cosets_z2^4_injective", u2, half_graph(2), True, 256),
+        ("two_cosets_z2^4_any", u2, half_graph(2), False, 272),
+        ("interval_z13", interval, half_graph(2), True, 2),
+        ("planted_z64", planted, half_graph(3), True, 67584),
+    ]
+
+
+@pytest.mark.parametrize("name,a,f,injective,visits", _visit_budget_cases(),
+                         ids=[c[0] for c in _visit_budget_cases()])
+def test_find_bi_induced_visit_budget_is_exact(name, a, f, injective, visits):
+    # one visit per y tried for a V-vertex, after the injective skip: the
+    # search finishes with exactly `visits` allowed and raises with one less
+    want = find_bi_induced(a, f, require_injective=injective)
+    got = find_bi_induced(a, f, require_injective=injective,
+                          caps=Caps(pattern_visit_cap=visits))
+    assert got == want
+    with pytest.raises(CapExceeded):
+        find_bi_induced(a, f, require_injective=injective,
+                        caps=Caps(pattern_visit_cap=visits - 1))
+
+
 @given(subsets(pool=TINY_POOL), st.sampled_from([half_graph(1), half_graph(2), PATH, EDGELESS]))
 def test_find_bi_induced_matches_enumeration(a, f):
     w = find_bi_induced(a, f)
@@ -260,6 +292,19 @@ def test_exhaustive_density_examples():
     assert exhaustive_density(interval, PATH) == Fraction(36, 169)
     with pytest.raises(CapExceeded):
         exhaustive_density(GroupSubset.empty(GroupDescriptor([2] * 9)), half_graph(2))
+
+
+def test_exhaustive_density_budget_is_the_density_cap():
+    interval = GroupSubset.from_ranks(GroupDescriptor([13]), range(1, 7))
+    want = exhaustive_density(interval, half_graph(2))
+    # the pattern search budget does not apply
+    assert exhaustive_density(interval, half_graph(2),
+                              caps=Caps(pattern_visit_cap=1)) == want
+    assert exhaustive_density(interval, half_graph(2),
+                              caps=Caps(density_enum_cap=13**4)) == want
+    with pytest.raises(CapExceeded):
+        exhaustive_density(interval, half_graph(2),
+                           caps=Caps(density_enum_cap=13**4 - 1))
 
 
 @given(subsets(pool=TINY_POOL), st.sampled_from([half_graph(1), PATH]))

@@ -61,6 +61,22 @@ def test_coset_round_matches_oracle(a, data):
         assert translate_bits(g, got.bits, x) == got.bits
 
 
+@given(subsets())
+def test_coset_round_trivial_subgroup_returns_the_set(a):
+    g = a.group
+    got = coset_round(a, generated_subgroup(g, []))
+    assert got == a
+    assert _as_set(got) == oracles.coset_round(g.moduli, _as_set(a), {g.coords_of(0)})
+
+
+def test_coset_round_trivial_subgroup_on_z1024():
+    g = GroupDescriptor([1024])
+    rng = random.Random(5)
+    a = GroupSubset.from_ranks(g, [r for r in range(g.order) if rng.random() < 0.3])
+    want = oracles.coset_round(g.moduli, _as_set(a), {g.coords_of(0)})
+    assert _as_set(coset_round(a, generated_subgroup(g, []))) == want
+
+
 def test_rounding_error_bound_examples():
     z22 = GroupDescriptor([2, 2])
     h = generated_subgroup(z22, [1])
@@ -268,6 +284,31 @@ def test_robust_pipeline_examples():
     assert out.kind == "certificate" and out.certificate.index == 1
     with pytest.raises(ValueError):
         robust_pipeline(empty, Fraction(1, 4), 0, rng_seed=0)
+
+
+def test_robust_pipeline_schedule_exhausted_takes_the_stabilizer_delta():
+    # a custom schedule that decides nothing is followed by delta = 1/(2|G|)
+    g = GroupDescriptor([2] * 6)
+    h = generated_subgroup(g, [1, 2, 4, 8])
+    two_cosets = GroupSubset(g, h.bits | translate_bits(g, h.bits, 16))
+    out = robust_pipeline(two_cosets, 0, 1,
+                          RobustConfig(delta_schedule=(Fraction(1),)), rng_seed=0)
+    assert [(s.delta, s.branch) for s in out.steps] == [
+        (Fraction(1), "continue"), (Fraction(1, 128), "certificate")]
+    assert out.kind == "certificate" and out.certificate.index == 2
+    assert out.certificate.achieved_error == 0
+    assert verify_certificate(out.certificate).ok
+    # the appended delta decides even when no error can meet epsilon
+    out = robust_pipeline(two_cosets, -1, 1,
+                          RobustConfig(delta_schedule=(Fraction(1),)), rng_seed=0)
+    assert [s.branch for s in out.steps] == ["continue", "certificate"]
+
+    rand = GroupSubset(g, random.Random(0).getrandbits(64))
+    out = robust_pipeline(rand, 0, 1,
+                          RobustConfig(delta_schedule=(Fraction(1, 2),)), rng_seed=0)
+    assert [(s.delta, s.branch) for s in out.steps] == [
+        (Fraction(1, 2), "continue"), (Fraction(1, 128), "small_ball")]
+    assert out.kind == "high_vc" and out.steps[-1].ball_size == 1
 
 
 @given(subsets(), st.sampled_from([1, 2]))

@@ -270,6 +270,13 @@ def test_kneser_needs_zero_in_the_set():
     assert not rep.fills and rep.sumset_size == 2
 
 
+@given(nonempty_subsets())
+def test_kneser_generates_flag_matches_generated_subgroup(a):
+    g = a.group
+    want = generated_subgroup(g, a.ranks()).bits == g.full_mask
+    assert kneser_fill_check(a, 1).generates == want
+
+
 @given(nonempty_subsets(), st.integers(1, 4))
 def test_kneser_corollary_on_random_sets(a, t):
     rep = kneser_fill_check(a, t)

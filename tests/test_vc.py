@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from addcomb import (
     vc_dimension,
 )
 from addcomb.caps import Caps, CapExceeded
+from addcomb.groups import translate_bits
 from conftest import MODULI_POOL, subsets
 
 SMALL_POOL = tuple(m for m in MODULI_POOL if math.prod(m) <= 16)
@@ -105,6 +107,42 @@ def test_find_shattered_set_examples():
     assert find_shattered_set(a, 0) == []
 
 
+def test_find_shattered_set_ground_cap():
+    a = GroupSubset.from_ranks(GroupDescriptor([2, 2]), [0, 1])
+    with pytest.raises(CapExceeded):
+        find_shattered_set(a, 1, caps=Caps(vc_ground_cap=3))
+    assert find_shattered_set(a, 1, caps=Caps(vc_ground_cap=4)) == [0]
+    # size 0 is answered before the ground is looked at
+    assert find_shattered_set(a, 0, caps=Caps(vc_ground_cap=3)) == []
+
+
+def _lex_least_shattered(a, k):
+    """Brute force: the first k-subset of G, in itertools.combinations order,
+    on which the translates of A realise all 2^k patterns."""
+    g = a.group
+    traces = [translate_bits(g, a.bits, x) for x in range(g.order)]
+    for combo in itertools.combinations(range(g.order), k):
+        if len({tuple((t >> p) & 1 for p in combo) for t in traces}) == 1 << k:
+            return list(combo)
+    return None
+
+
+LEX_SHAPES = [(2, 2, 2), (8,), (3, 3), (2, 5), (12,), (2, 2, 3), (13,),
+              (2, 2, 2, 2), (4, 4), (2, 8), (16,)]
+
+
+@pytest.mark.parametrize("mods", LEX_SHAPES, ids=[str(m) for m in LEX_SHAPES])
+def test_find_shattered_set_is_lexicographically_least(mods):
+    g = GroupDescriptor(mods)
+    rng = random.Random(f"lex-least/{mods}")
+    for density in (0.2, 0.35, 0.5):
+        for _ in range(8):
+            a = GroupSubset.from_ranks(
+                g, [r for r in range(g.order) if rng.random() < density])
+            for k in range(set_vc_dimension(a) + 2):
+                assert find_shattered_set(a, k) == _lex_least_shattered(a, k)
+
+
 @given(subsets(pool=SMALL_POOL))
 def test_find_shattered_set_consistent_with_dimension(a):
     d = set_vc_dimension(a)
@@ -170,8 +208,7 @@ def test_sampled_vc_full_draw_is_exact():
 
 def _exact_restricted_exceed_prob(a, x_size, y_size, d):
     """Enumerate every (X, Y) pair and count restricted vcdim > d."""
-    from addcomb.groups import translate_bits
-    from addcomb.vc import _max_shattered
+    from addcomb.vc import _shattered_witness
 
     g = a.group
     hits = tot = 0
@@ -182,7 +219,7 @@ def _exact_restricted_exceed_prob(a, x_size, y_size, d):
                 y_bits |= 1 << r
             traces = sorted({translate_bits(g, a.bits, x) & y_bits for x in xs})
             tot += 1
-            if _max_shattered(traces, list(ys), max_d=d) > d:
+            if len(_shattered_witness(traces, list(ys), d + 1)) > d:
                 hits += 1
     return Fraction(hits, tot)
 
