@@ -12,6 +12,16 @@ reachable depth (each further element at best halves it), which prunes hard.
 The dimension is the length of the largest witness; a threshold query stops
 at the first witness one longer than the threshold, and a size-k query
 returns the first shattered k-set, the least in lexicographic order.
+
+When ground and translators are both the whole group the system is
+invariant under translation: (A+x) & (U+z) = ((A+x-z) & U) + z, so if U is
+shattered so is U - min(U), which contains 0.  The search is then anchored:
+it tries only position 0 at depth 0 (position 0 is the first candidate
+whenever A is neither empty nor full).  The largest shattered size is
+unchanged, and so is the lexicographically least shattered k-set, which
+always contains 0.  A restricted system (a proper ground Y or translator set
+X, as in sampled_vc and separated_sample_bound_check) is not invariant, and
+its search tries every first position.
 """
 from __future__ import annotations
 
@@ -22,9 +32,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
-from .groups import GroupDescriptor, GroupElement, add_rank, neg_rank, negate_bits, translate_bits, _bit_ranks
+from .groups import GroupDescriptor, GroupElement, negate_bits, translate_bits, _bit_ranks
 from .stats import binomial_sigma, wilson_interval
-from .subsets import GroupSubset, _to_fraction, symdiff_profile
+from .subsets import GroupSubset, _to_fraction, almost_periods
 
 __all__ = [
     "TranslateSystem",
@@ -69,10 +79,12 @@ class TranslateSystem:
 
 
 def _shattered_witness(traces: Sequence[int], ground_positions: Sequence[int],
-                       stop_at: int | None) -> list[int]:
+                       stop_at: int | None, anchored: bool = False) -> list[int]:
     """A largest shattered subset of the ground positions (ascending), the
     first one met in the search; with stop_at given, the first shattered set
-    of that size as soon as one is found."""
+    of that size as soon as one is found.  Anchored (only for the full
+    translate system, see the module docstring), depth 0 tries the first
+    candidate alone, which is then position 0."""
     if len(traces) <= 1:
         return []
     t0 = traces[0]
@@ -83,7 +95,7 @@ def _shattered_witness(traces: Sequence[int], ground_positions: Sequence[int],
     best: list[int] = []
     chosen: list[int] = []
 
-    def grow(classes: list[list[int]], start: int) -> bool:
+    def grow(classes: list[list[int]], start: int, end: int) -> bool:
         nonlocal best
         depth = len(chosen)
         if depth > len(best):
@@ -92,7 +104,7 @@ def _shattered_witness(traces: Sequence[int], ground_positions: Sequence[int],
                 return True
         if depth + min(len(c) for c in classes).bit_length() - 1 <= len(best):
             return False
-        for i in range(start, len(cand)):
+        for i in range(start, end):
             if depth + len(cand) - i <= len(best):
                 break
             bit = 1 << cand[i]
@@ -106,23 +118,28 @@ def _shattered_witness(traces: Sequence[int], ground_positions: Sequence[int],
                 split.append([t for t in cls if not t & bit])
             if split is not None:
                 chosen.append(cand[i])
-                if grow(split, i + 1):
+                if grow(split, i + 1, len(cand)):
                     return True
                 chosen.pop()
         return False
 
-    grow([list(traces)], 0)
+    grow([list(traces)], 0, 1 if anchored else len(cand))
     return best
 
 
-def _search_input(sys: TranslateSystem, caps: Caps) -> tuple[list[int], list[int]]:
-    """The system's traces and ground positions, after the ground-size cap."""
+def _search_input(sys: TranslateSystem, caps: Caps
+                  ) -> tuple[list[int], list[int], bool]:
+    """The system's traces, its ground positions and whether the search may
+    be anchored (ground and translators both the whole group), after the
+    ground-size cap."""
     ground = sys.resolved_ground()
     if ground.size > caps.vc_ground_cap:
         raise CapExceeded(
             f"ground size {ground.size} exceeds vc cap {caps.vc_ground_cap}"
         )
-    return sys.traces(), ground.ranks()
+    full = sys.base.group.full_mask
+    anchored = ground.bits == full and sys.resolved_translators().bits == full
+    return sys.traces(), ground.ranks(), anchored
 
 
 def vc_dimension(sys: TranslateSystem, max_d: int | None = None,
@@ -133,7 +150,8 @@ def vc_dimension(sys: TranslateSystem, max_d: int | None = None,
     exceeds max_d and returns max_d + 1, meaning "> max_d".  Threshold
     queries are much cheaper than exact computation on large systems."""
     stop_at = None if max_d is None else max_d + 1
-    return len(_shattered_witness(*_search_input(sys, caps), stop_at))
+    traces, positions, anchored = _search_input(sys, caps)
+    return len(_shattered_witness(traces, positions, stop_at, anchored))
 
 
 def set_vc_dimension(a: GroupSubset, max_d: int | None = None,
@@ -148,10 +166,10 @@ def find_shattered_set(a: GroupSubset, size: int,
     (positions ascending), or None when the VC dimension is smaller."""
     if size == 0:
         return []
-    traces, positions = _search_input(TranslateSystem(a), caps)
+    traces, positions, _ = _search_input(TranslateSystem(a), caps)
     if len(traces) < 1 << size:
         return None
-    got = _shattered_witness(traces, positions, size)
+    got = _shattered_witness(traces, positions, size, True)
     return got if len(got) == size else None
 
 
@@ -170,9 +188,9 @@ class SauerReport:
 def sauer_check(sys: TranslateSystem, caps: Caps = DEFAULT_CAPS) -> SauerReport:
     """Count distinct traces and compare with sum_{i<=d} C(n,i), and with
     2n^d when n >= 2 and d >= 1."""
-    traces = sys.traces()
-    n = sys.resolved_ground().size
-    d = vc_dimension(sys, caps=caps)
+    traces, positions, anchored = _search_input(sys, caps)
+    n = len(positions)
+    d = len(_shattered_witness(traces, positions, None, anchored))
     count = len(traces)
     binom = sum(math.comb(n, i) for i in range(min(d, n) + 1))
     poly = 2 * n**d if n >= 2 and d >= 1 else None
@@ -192,29 +210,42 @@ class PackingResult:
 
 def greedy_packing(a: GroupSubset, delta) -> PackingResult:
     """Scan x in rank order, keeping x as a center iff |(A+x) xor (A+w)| is
-    strictly greater than delta*|G| for every kept center w.  The result is
-    delta-separated and maximal by construction; both properties are
-    re-verified on the symmetric-difference profile before returning."""
-    d = _to_fraction(delta)
+    strictly greater than delta*|G| for every kept center w.
+
+    That holds exactly when x - w lies outside the almost-period ball
+    B_delta(A), i.e. when x is outside the ball translate B + w, so the scan
+    is a ball cover: keep x iff it is not yet covered, then add its ball
+    translate to the cover.  This costs one translate per center,
+    O(|centers|) big-int translates in all, and one bit test per rank.  The
+    result is delta-separated and maximal by construction; both properties
+    are re-checked on the ball translates before returning."""
+    ball = almost_periods(a, delta)
+    ball_bits = ball.members.bits
     g = a.group
-    prof = symdiff_profile(a)
-    bound_num = d.numerator * g.order
-    den = d.denominator
+    covered = 0
     centers: list[int] = []
     for x in range(g.order):
-        if all(prof[add_rank(g, x, neg_rank(g, w))] * den > bound_num
-               for w in centers):
+        if not (covered >> x) & 1:
             centers.append(x)
-    # re-verify separation and maximality exactly
-    for i, w in enumerate(centers):
-        for w2 in centers[i + 1:]:
-            if prof[add_rank(g, w2, neg_rank(g, w))] * den <= bound_num:
-                raise AssertionError("packing separation violated")
-    for x in range(g.order):
-        if all(prof[add_rank(g, x, neg_rank(g, w))] * den > bound_num
-               for w in centers):
-            raise AssertionError("packing not maximal")
-    return PackingResult(a, d, tuple(g.element(r) for r in centers), True)
+            covered |= translate_bits(g, ball_bits, x)
+    _check_packing(g, ball_bits, centers)
+    return PackingResult(a, ball.delta, tuple(g.element(r) for r in centers), True)
+
+
+def _check_packing(g: GroupDescriptor, ball: int, centers: Sequence[int]) -> None:
+    """Raise unless the centers are separated (no center's ball translate
+    holds another center) and maximal (their ball translates cover G)."""
+    center_bits = 0
+    for w in centers:
+        center_bits |= 1 << w
+    union = 0
+    for w in centers:
+        t = translate_bits(g, ball, w)
+        if (t & center_bits) != 1 << w:
+            raise AssertionError("packing separation violated")
+        union |= t
+    if union != g.full_mask:
+        raise AssertionError("packing not maximal")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -2,10 +2,12 @@
 
 Everything here works on plain coordinate tuples and element sets, never on
 the library's bitsets or cached profiles, so agreement between the two is
-meaningful.  Only usable at tiny sizes.  The exception is the bitset
-translation by digit masks (digit_masks, rotate_coord,
+meaningful.  Only usable at tiny sizes.  Two exceptions work on int
+bitsets: the bitset translation by digit masks (digit_masks, rotate_coord,
 translate_bits_by_digit), the reference for the library's two-shift
-translation kernel; it builds its own masks.
+translation kernel, which builds its own masks; and shattered_witness, the
+unanchored shattering search the library ran before it anchored the full
+translate system at 0, the reference for the anchored search.
 """
 from __future__ import annotations
 
@@ -164,6 +166,66 @@ def set_vc_dimension(mods, aset) -> int:
     elems = elements(mods)
     traces = {frozenset(translate(mods, aset, x)) for x in elems}
     return vc_dimension(list(traces), elems)
+
+
+def shattered_witness(traces, ground_positions, stop_at):
+    """Depth-first search over every candidate position at every depth (no
+    anchor): a largest shattered subset of the ground positions, ascending,
+    the first one met; with stop_at given, the first shattered set of that
+    size.  traces are distinct int bitsets, sorted ascending."""
+    if len(traces) <= 1:
+        return []
+    t0 = traces[0]
+    diff = 0
+    for t in traces:
+        diff |= t ^ t0
+    cand = [p for p in ground_positions if (diff >> p) & 1]
+    best = []
+    chosen = []
+
+    def grow(classes, start):
+        nonlocal best
+        depth = len(chosen)
+        if depth > len(best):
+            best = list(chosen)
+            if depth == stop_at:
+                return True
+        if depth + min(len(c) for c in classes).bit_length() - 1 <= len(best):
+            return False
+        for i in range(start, len(cand)):
+            if depth + len(cand) - i <= len(best):
+                break
+            bit = 1 << cand[i]
+            split = []
+            for cls in classes:
+                ones = [t for t in cls if t & bit]
+                if not ones or len(ones) == len(cls):
+                    split = None
+                    break
+                split.append(ones)
+                split.append([t for t in cls if not t & bit])
+            if split is not None:
+                chosen.append(cand[i])
+                if grow(split, i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    grow([list(traces)], 0)
+    return best
+
+
+def greedy_packing(mods, aset, delta: Fraction) -> list[tuple[int, ...]]:
+    """Scan x in rank order and keep x iff |(A+x) xor (A+w)| > delta*|G|
+    for every kept w, comparing translates pairwise."""
+    elems = elements(mods)
+    bound = delta * len(elems)
+    shifted = {x: translate(mods, aset, x) for x in elems}
+    kept = []
+    for x in elems:
+        if all(symdiff_size(shifted[x], shifted[w]) > bound for w in kept):
+            kept.append(x)
+    return kept
 
 
 def bi_induced_exists(mods, aset, u_count, v_count, edges,

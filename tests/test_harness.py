@@ -431,6 +431,12 @@ def test_cli_ball_and_pack(files):
     assert code == 0 and obj["certified"] and obj["size"] >= 1
 
 
+def test_cli_pack_negative_delta(files):
+    code, out, err = _run_cli(["pack", "--set", files["union"], "--delta=-1/2"])
+    assert (code, out) == (1, "")
+    assert err == '{"detail":"delta must be >= 0","error":"ValueError"}\n'
+
+
 def test_cli_regularize_certificate(files):
     code, out, _ = _run_cli(
         ["regularize", "--set", files["union"], "--eps", "1/4"]

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -25,8 +25,10 @@ from addcomb import (
     translate,
     vc_dimension,
 )
+from addcomb import vc
 from addcomb.caps import Caps, CapExceeded
-from addcomb.groups import translate_bits
+from addcomb.exhaustive import all_abelian_groups, orbit_representatives
+from addcomb.groups import _bit_ranks, translate_bits
 from conftest import MODULI_POOL, subsets
 
 SMALL_POOL = tuple(m for m in MODULI_POOL if math.prod(m) <= 16)
@@ -168,6 +170,25 @@ def test_sauer_never_fails(a):
     assert sauer_check(TranslateSystem(a)).holds
 
 
+def test_sauer_check_computes_the_traces_once(monkeypatch):
+    calls = []
+    traces = TranslateSystem.traces
+
+    def counting(self):
+        calls.append(self)
+        return traces(self)
+
+    monkeypatch.setattr(TranslateSystem, "traces", counting)
+    z16 = GroupDescriptor([2, 2, 2, 2])
+    sys_ = TranslateSystem(GroupSubset.from_ranks(z16, [0, 1, 2, 3, 5, 8]))
+    rep = sauer_check(sys_)
+    assert len(calls) == 1 and rep.dimension == 3 and rep.holds
+    # the ground cap is checked before any translate is taken
+    with pytest.raises(CapExceeded):
+        sauer_check(sys_, caps=Caps(vc_ground_cap=15))
+    assert len(calls) == 1
+
+
 def test_greedy_packing_examples():
     z222 = GroupDescriptor([2, 2, 2])
     h = GroupSubset(z222, generated_subgroup(z222, [1, 2]).bits)
@@ -176,6 +197,48 @@ def test_greedy_packing_examples():
     assert res.centers[0].rank == 0
     assert len(greedy_packing(h, 1).centers) == 1
     assert len(greedy_packing(GroupSubset.empty(z222), Fraction(1, 2)).centers) == 1
+
+
+def test_greedy_packing_rejects_negative_delta():
+    a = GroupSubset.from_ranks(GroupDescriptor([2, 2]), [0])
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        greedy_packing(a, Fraction(-1, 2))
+
+
+def _interval_packing():
+    """{0..3} in Z/16 at delta 1/4: the ball is {-2..2}, the centers
+    0, 3, 6, 9, 12."""
+    z16 = GroupDescriptor([16])
+    a = GroupSubset.from_ranks(z16, range(4))
+    delta = Fraction(1, 4)
+    return a, delta, almost_periods(a, delta).members.bits
+
+
+def test_packing_check_rejects_unseparated_and_non_maximal_centers():
+    a, delta, ball = _interval_packing()
+    g = a.group
+    centers = [e.rank for e in greedy_packing(a, delta).centers]
+    assert centers == [0, 3, 6, 9, 12]
+    vc._check_packing(g, ball, centers)
+    with pytest.raises(AssertionError, match="packing not maximal"):
+        vc._check_packing(g, ball, centers[:-1])
+    with pytest.raises(AssertionError, match="packing separation violated"):
+        vc._check_packing(g, ball, [0, 1, 3, 6, 9, 12])
+
+
+def test_greedy_packing_certifies_through_the_check(monkeypatch):
+    a, delta, ball = _interval_packing()
+    seen = []
+    check = vc._check_packing
+
+    def spy(g, ball_bits, centers):
+        seen.append((ball_bits, list(centers)))
+        check(g, ball_bits, centers)
+
+    monkeypatch.setattr(vc, "_check_packing", spy)
+    res = greedy_packing(a, delta)
+    assert res.certified
+    assert seen == [(ball, [e.rank for e in res.centers])]
 
 
 @given(
@@ -296,3 +359,100 @@ def test_separated_sample_bound_never_fails(a, delta):
     m = max(2, a.group.order // 2)
     rep = separated_sample_bound_check(a, delta, m, 1, 60, rng_seed=11)
     assert rep.holds
+
+
+def _assert_matches_oracles(a, delta):
+    """The anchored search and the ball-cover packing against the unanchored
+    search and the pairwise packing: exact dimension, every threshold query
+    and every size-k witness up to d + 1, and the packing centers."""
+    g = a.group
+    traces = TranslateSystem(a).traces()
+    positions = list(range(g.order))
+    d = len(oracles.shattered_witness(traces, positions, None))
+    assert set_vc_dimension(a) == d
+    for k in range(d + 2):
+        assert set_vc_dimension(a, max_d=k) == min(d, k + 1)
+        if k == 0:
+            want = []
+        elif k <= d:
+            want = oracles.shattered_witness(traces, positions, k)
+            assert len(want) == k
+        else:
+            want = None
+        assert find_shattered_set(a, k) == want
+    aset = {g.coords_of(r) for r in a.ranks()}
+    centers = [e.coords for e in greedy_packing(a, delta).centers]
+    assert centers == oracles.greedy_packing(g.moduli, aset, delta)
+
+
+UP_TO_16 = all_abelian_groups(16)
+
+
+@pytest.mark.parametrize("g", UP_TO_16, ids=[str(g.moduli) for g in UP_TO_16])
+def test_anchored_search_and_ball_cover_match_oracles_on_every_orbit(g):
+    # dimension, witnesses and centers are constant on each orbit under
+    # translation and complementation (see addcomb.exhaustive)
+    for bits in orbit_representatives(g):
+        _assert_matches_oracles(GroupSubset(g, bits), Fraction(1, 4))
+
+
+@settings(max_examples=8)
+@given(st.sampled_from([(48,), (4, 12), (2,) * 6]),
+       st.sampled_from([0.1, 0.3, 0.5]),
+       st.integers(0, 2**32),
+       st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)]))
+def test_anchored_search_and_ball_cover_match_oracles_at_order_48_and_64(
+        mods, density, seed, delta):
+    g = GroupDescriptor(mods)
+    rng = random.Random(seed)
+    a = GroupSubset.from_ranks(g, [r for r in range(g.order) if rng.random() < density])
+    _assert_matches_oracles(a, delta)
+
+
+@given(subsets(pool=SMALL_POOL), st.integers(0, 3))
+def test_explicit_full_system_matches_the_default(a, max_d):
+    full = GroupSubset.full(a.group)
+    for sys_ in (TranslateSystem(a, ground=full),
+                 TranslateSystem(a, translators=full),
+                 TranslateSystem(a, ground=full, translators=full)):
+        assert vc_dimension(sys_) == set_vc_dimension(a)
+        assert vc_dimension(sys_, max_d=max_d) == set_vc_dimension(a, max_d=max_d)
+
+
+def _restricted_oracle_dimension(a, y_bits, x_bits):
+    mods = a.group.moduli
+    elems = oracles.elements(mods)
+    aset = {elems[r] for r in a.ranks()}
+    yset = {elems[r] for r in _bit_ranks(y_bits)}
+    traces = {frozenset(oracles.translate(mods, aset, elems[x]) & yset)
+              for x in _bit_ranks(x_bits)}
+    return oracles.vc_dimension(list(traces), sorted(yset))
+
+
+def _assert_restricted_matches_oracle(a, y_bits, x_bits):
+    g = a.group
+    sys_ = TranslateSystem(a, ground=GroupSubset(g, y_bits),
+                           translators=GroupSubset(g, x_bits))
+    assert vc_dimension(sys_) == _restricted_oracle_dimension(a, y_bits, x_bits)
+
+
+@given(subsets(pool=SMALL_POOL), st.data())
+def test_restricted_vc_dimension_matches_oracle(a, data):
+    full = a.group.full_mask
+    y_bits = data.draw(st.integers(0, full))
+    x_bits = data.draw(st.integers(0, full))
+    _assert_restricted_matches_oracle(a, y_bits, x_bits)
+
+
+@pytest.mark.parametrize("which", ["ground", "translators", "both"])
+def test_restricted_vc_dimension_matches_oracle_seeded(which):
+    # a restricted system is not translation-invariant, so the search must
+    # not be anchored there; these draws include systems where it matters
+    rng = random.Random(f"restricted/{which}")
+    for mods in ((8,), (2, 2, 2), (12,), (2, 2, 3), (4, 4), (16,)):
+        g = GroupDescriptor(mods)
+        for _ in range(25):
+            a = GroupSubset(g, rng.getrandbits(g.order))
+            y_bits = rng.getrandbits(g.order) if which != "translators" else g.full_mask
+            x_bits = rng.getrandbits(g.order) if which != "ground" else g.full_mask
+            _assert_restricted_matches_oracle(a, y_bits, x_bits)
