@@ -18,7 +18,9 @@ class Caps:
     subgroup_exhaustive_cap: largest order at which max_subgroup_within uses the
         exhaustive lattice as the authoritative answer (greedy closure beyond).
     vc_ground_cap: largest ground-set size accepted by the shattering search.
-    pattern_visit_cap: node-visit budget for the bi-induced backtracking search.
+    pattern_visit_cap: visit budget for the bi-induced search, counted on its
+        V-side sweep anchored at phi_v(0) = 0: one visit per y tried for a
+        V-vertex.
     density_enum_cap: largest |G|**|V(F)| accepted by exhaustive_density.
     distance_group_cap: largest |G| accepted by distance_to_free.
     """

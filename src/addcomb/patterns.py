@@ -6,10 +6,29 @@ phi_u: U -> G and phi_v: V -> G bi-induce F in A when for every pair (u, v)
     (u, v) is an edge of F  <=>  phi_u(u) + phi_v(v) in A.
 
 A *copy* additionally requires phi_u and phi_v to be injective.  The search
-assigns the V side first: once phi_v is fixed, the y values usable for a
-vertex u are exactly the y whose pattern (which translates A - phi_v(v)
-contain y) equals u's neighborhood, so per-u candidate masks both prune the
+assigns the V side first: once phi_v is fixed, the x values usable for a
+vertex u are exactly the x whose pattern (which translates A - phi_v(v)
+contain x) equals u's neighborhood, so per-u candidate masks both prune the
 search and count completions in closed form.
+
+Column table.  Every question about a pair (x, y) is a bit of the column
+A - y: x + y is in A iff bit x of A - y is set.  Each call builds one table
+of these columns, filled on first use, so a column costs one translate per
+call however often it is read.  The table stores at most
+_COLUMN_TABLE_BITS // |G| columns (16 MiB); past that it computes a column
+without keeping it, so memory stays bounded whatever |G| or the number of
+samples.
+
+Anchor.  The accepted phi_v tuples of the V-side sweep are closed under the
+shift y -> y - z, and the per-u mask sizes do not change under it.  So the
+lexicographically first accepted tuple has phi_v(0) = 0, and the sweep tries
+only y = 0 for the first V-vertex: find_bi_induced returns the same witness,
+and exhaustive_density is |G| times the anchored sum.
+
+Witness reuse.  A copy of F found in a set B lives on the positions
+P = {phi_u(u) + phi_v(v)} and stays a copy in every B' with B' & P == B & P.
+distance_to_free keeps each witness it finds and searches a flip set only
+when none of them survives in it.
 """
 from __future__ import annotations
 
@@ -25,6 +44,7 @@ from .groups import (
     GroupElement,
     Subgroup,
     add_rank,
+    cosets,
     neg_rank,
     translate_bits,
 )
@@ -138,16 +158,41 @@ def _make_witness(f: BipartitePattern, g: GroupDescriptor,
     )
 
 
-def _bi_induces(a: GroupSubset, f: BipartitePattern, u_ranks: list[int],
+# A column table stores at most this many bits (16 MiB), whatever |G| is.
+_COLUMN_TABLE_BITS = 1 << 27
+
+
+class _Columns(dict):
+    """Column y is the bitset of A - y: bit x is set iff x + y is in A.
+
+    Filled on first use; stores at most _COLUMN_TABLE_BITS // |G| columns
+    and computes any further column without keeping it."""
+
+    __slots__ = ("group", "bits", "room")
+
+    def __init__(self, a: GroupSubset):
+        super().__init__()
+        self.group = a.group
+        self.bits = a.bits
+        self.room = _COLUMN_TABLE_BITS // a.group.order
+
+    def __missing__(self, y: int) -> int:
+        g = self.group
+        col = translate_bits(g, self.bits, neg_rank(g, y))
+        if len(self) < self.room:
+            self[y] = col
+        return col
+
+
+def _bi_induces(cols: _Columns, f: BipartitePattern, u_ranks: list[int],
                 v_ranks: list[int]) -> bool:
-    """True iff edge(u,v) <=> x_u + y_v in A for every pair, with x = u_ranks
-    and y = v_ranks."""
-    g = a.group
-    bits = a.bits
+    """True iff edge(u,v) <=> x_u + y_v in A for every pair, with x = u_ranks,
+    y = v_ranks and cols the column table of A."""
     edges = f.edges
-    for u, xr in enumerate(u_ranks):
-        for v, yr in enumerate(v_ranks):
-            if ((bits >> add_rank(g, xr, yr)) & 1) != ((u, v) in edges):
+    for v, yr in enumerate(v_ranks):
+        col = cols[yr]
+        for u, xr in enumerate(u_ranks):
+            if ((col >> xr) & 1) != ((u, v) in edges):
                 return False
     return True
 
@@ -163,7 +208,7 @@ def check_witness(a: GroupSubset, f: BipartitePattern, w: BiInducedWitness,
         raise ValueError(f"unknown injectivity mode {injectivity!r}")
     u_ranks = [e.rank for e in w.phi_u]
     v_ranks = [e.rank for e in w.phi_v]
-    if not _bi_induces(a, f, u_ranks, v_ranks):
+    if not _bi_induces(_Columns(a), f, u_ranks, v_ranks):
         return False
     if injectivity == "per_side":
         return (len(set(u_ranks)) == f.u_count
@@ -173,15 +218,16 @@ def check_witness(a: GroupSubset, f: BipartitePattern, w: BiInducedWitness,
     return True
 
 
-def _v_sweep(a: GroupSubset, f: BipartitePattern, distinct: bool,
+def _v_sweep(cols: _Columns, f: BipartitePattern, distinct: bool,
              budget: int) -> Iterator[tuple[list[int], list[int]]]:
-    """Every phi_v in rank order whose per-u masks all stay nonempty, as
-    (v_ranks, masks): mask u is the bitset of y with y + phi_v(v) in A iff v
-    in N(u).  Each y tried for a V-vertex is one visit; distinct skips y
-    already in phi_v, and the visit past the budget raises CapExceeded."""
-    g = a.group
-    n = g.order
-    full = g.full_mask
+    """Every phi_v with phi_v(0) = 0 in rank order whose per-u masks all stay
+    nonempty, as (v_ranks, masks): mask u is the bitset of x with
+    x + phi_v(v) in A iff v in N(u).  The anchor loses nothing: shifting a
+    whole tuple by -phi_v(0) keeps it accepted and shifts every mask.  Each
+    y tried for a V-vertex is one visit; distinct skips y already in phi_v,
+    and the visit past the budget raises CapExceeded."""
+    n = cols.group.order
+    full = cols.group.full_mask
     nbhd = [f.u_neighborhood(u) for u in range(f.u_count)]
     visits = 0
 
@@ -192,13 +238,13 @@ def _v_sweep(a: GroupSubset, f: BipartitePattern, distinct: bool,
         if v_idx == f.v_count:
             yield v_ranks, masks
             return
-        for y in range(n):
+        for y in range(n if v_idx else 1):
             if distinct and y in v_ranks:
                 continue
             visits += 1
             if visits > budget:
                 raise CapExceeded(f"pattern search exceeded {budget} visits")
-            t = translate_bits(g, a.bits, neg_rank(g, y))
+            t = cols[y]
             new_masks = []
             for u in range(f.u_count):
                 m = masks[u] & (t if v_idx in nbhd[u] else (full ^ t))
@@ -220,12 +266,13 @@ def find_bi_induced(a: GroupSubset, f: BipartitePattern,
     With require_injective, both sides must be injective.  Distinct
     U-neighborhoods have disjoint candidate masks, so injectivity on the U
     side only needs each mask to hold as many candidates as the vertices
-    sharing it.  Budgeted by caps.pattern_visit_cap node visits."""
+    sharing it.  Budgeted by caps.pattern_visit_cap visits of the anchored
+    sweep."""
     g = a.group
     groups_by_nb: dict[frozenset, list[int]] = {}
     for u in range(f.u_count):
         groups_by_nb.setdefault(f.u_neighborhood(u), []).append(u)
-    for v_ranks, masks in _v_sweep(a, f, require_injective,
+    for v_ranks, masks in _v_sweep(_Columns(a), f, require_injective,
                                    caps.pattern_visit_cap):
         if require_injective and any(masks[us[0]].bit_count() < len(us)
                                      for us in groups_by_nb.values()):
@@ -310,15 +357,15 @@ def sample_tester(a: GroupSubset, f: BipartitePattern, samples: int,
     verified witness and the tester never errs on pattern-free sets."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    g = a.group
-    n = g.order
+    n = a.group.order
+    cols = _Columns(a)
     rng = random.Random(rng_seed)
     bi = 0
     inj = 0
     for _ in range(samples):
         u_ranks = [rng.randrange(n) for _ in range(f.u_count)]
         v_ranks = [rng.randrange(n) for _ in range(f.v_count)]
-        if _bi_induces(a, f, u_ranks, v_ranks):
+        if _bi_induces(cols, f, u_ranks, v_ranks):
             bi += 1
             if (len(set(u_ranks)) == f.u_count
                     and len(set(v_ranks)) == f.v_count):
@@ -334,56 +381,58 @@ def exhaustive_density(a: GroupSubset, f: BipartitePattern,
 
     Enumerates only the |G|^v_count V-side assignments; for each, the number
     of completing U-side maps is the product of the per-u candidate mask
-    sizes.  Injectivity is not required, matching the sampled fraction."""
+    sizes; the anchored sweep covers one tuple of each shift class, so the
+    sum over all tuples is |G| times its sum.  Injectivity is not required,
+    matching the sampled fraction."""
     g = a.group
     n = g.order
     if n ** f.vertex_count > caps.density_enum_cap:
         raise CapExceeded(
             f"|G|^{f.vertex_count} exceeds density cap {caps.density_enum_cap}"
         )
-    # visits <= n^(v+1) <= n^vertex_count, so the budget never trips here
+    # with the anchor, visits <= 1 + n + ... + n^(v-1) <= n^v <= n^vertex_count
+    # (n >= 2), so the budget never trips here
     total = 0
-    for _, masks in _v_sweep(a, f, False, caps.density_enum_cap):
+    for _, masks in _v_sweep(_Columns(a), f, False, caps.density_enum_cap):
         prod = 1
         for m in masks:
             prod *= m.bit_count()
         total += prod
-    return Fraction(total, n ** f.vertex_count)
-
-
-_freeness_cache: dict[tuple, bool] = {}
-
-
-def _is_free(g: GroupDescriptor, f: BipartitePattern, bits: int,
-             caps: Caps) -> bool:
-    key = (g.moduli, f, bits)
-    got = _freeness_cache.get(key)
-    if got is None:
-        got = find_bi_induced(GroupSubset(g, bits), f, require_injective=True,
-                              caps=caps) is None
-        _freeness_cache[key] = got
-    return got
+    return Fraction(n * total, n ** f.vertex_count)
 
 
 def distance_to_free(a: GroupSubset, f: BipartitePattern,
                      caps: Caps = DEFAULT_CAPS) -> int:
     """Minimum |A xor A'| over A' containing no injective bi-induced copy of
-    f.  Brute force: try flip sets in increasing size, memoizing freeness per
-    modified set; capped at caps.distance_group_cap group order."""
+    f.  Brute force: try flip sets in increasing size.  Each copy found is
+    kept as (P, B & P), P its sum positions; a flip set whose set agrees with
+    a kept copy on its P holds that copy, so only the others are searched.
+    Capped at caps.distance_group_cap group order."""
     g = a.group
     n = g.order
     if n > caps.distance_group_cap:
         raise CapExceeded(
             f"order {n} exceeds distance cap {caps.distance_group_cap}"
         )
+    found: list[tuple[int, int]] = []
     for t in range(n + 1):
         for flips in itertools.combinations(range(n), t):
             b = a.bits
             for p in flips:
                 b ^= 1 << p
-            if _is_free(g, f, b, caps):
+            if any(b & pos == on for pos, on in found):
+                continue
+            w = find_bi_induced(GroupSubset(g, b), f, require_injective=True,
+                                caps=caps)
+            if w is None:
                 return t
-    raise AssertionError("unreachable: the empty set is always reachable")
+            pos = 0
+            for xe in w.phi_u:
+                for ye in w.phi_v:
+                    pos |= 1 << add_rank(g, xe.rank, ye.rank)
+            found.append((pos, b & pos))
+    raise AssertionError("unreachable: every set was tried, and the empty "
+                         "set or the whole group is free of any pattern")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -405,11 +454,9 @@ def coset_goodness(a: GroupSubset, h: Subgroup,
     """Classify cosets with eta = 1 / (2 |U| |V|); the boundary is good."""
     g = a.group
     eta = Fraction(1, 2 * f.u_count * f.v_count)
-    from .groups import cosets as _cosets
-
     flags = []
     size = h.size
-    for c in _cosets(g, h):
+    for c in cosets(g, h):
         dens = Fraction((a.bits & c).bit_count(), size)
         flags.append(dens <= eta or dens >= 1 - eta)
     bad = sum(1 for x in flags if not x)
@@ -453,13 +500,14 @@ def densify(a: GroupSubset, h: Subgroup, f: BipartitePattern,
                 raise ValueError(
                     f"pair coset for (u={u}, v={v}) is bad at eta={eta}"
                 )
+    cols = _Columns(a)
     rng = random.Random(rng_seed)
     h_ranks = h.ranks()
     hits = 0
     for _ in range(samples):
         xs = [add_rank(g, e.rank, rng.choice(h_ranks)) for e in w.phi_u]
         ys = [add_rank(g, e.rank, rng.choice(h_ranks)) for e in w.phi_v]
-        if _bi_induces(a, f, xs, ys):
+        if _bi_induces(cols, f, xs, ys):
             hits += 1
     frac = hits / samples
     sigma = binomial_sigma(hits, samples)

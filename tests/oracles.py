@@ -2,18 +2,29 @@
 
 Everything here works on plain coordinate tuples and element sets, never on
 the library's bitsets or cached profiles, so agreement between the two is
-meaningful.  Only usable at tiny sizes.  Two exceptions work on int
+meaningful.  Only usable at tiny sizes.  Three exceptions work on int
 bitsets: the bitset translation by digit masks (digit_masks, rotate_coord,
 translate_bits_by_digit), the reference for the library's two-shift
-translation kernel, which builds its own masks; and shattered_witness, the
+translation kernel, which builds its own masks; shattered_witness, the
 unanchored shattering search the library ran before it anchored the full
-translate system at 0, the reference for the anchored search.
+translate system at 0, the reference for the anchored search; and the
+patterns layer as it was before its column table, its anchored V-side sweep
+and its witness reuse (v_sweep, find_bi_induced, exhaustive_density,
+bi_induces, sample_tester, distance_to_free), which translates A at every
+visit, adds ranks pair by pair and searches every flip set.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import random
 from fractions import Fraction
+
+from addcomb.caps import DEFAULT_CAPS, CapExceeded
+from addcomb.groups import add_rank, neg_rank, translate_bits
+from addcomb.patterns import BiInducedWitness, TesterReport
+from addcomb.stats import wilson_interval
+from addcomb.subsets import GroupSubset
 
 
 def elements(mods) -> list[tuple[int, ...]]:
@@ -282,3 +293,140 @@ def coset_round(mods, aset, hset):
         if 2 * len(aset & coset) >= len(hset):
             out |= coset
     return out
+
+
+def _witness(f, g, u_ranks, v_ranks) -> BiInducedWitness:
+    return BiInducedWitness(
+        f,
+        tuple(g.element(r) for r in u_ranks),
+        tuple(g.element(r) for r in v_ranks),
+        len(set(u_ranks)) == len(u_ranks),
+        len(set(v_ranks)) == len(v_ranks),
+    )
+
+
+def v_sweep(a, f, distinct: bool, budget: int):
+    """Every phi_v in rank order, y = 0..|G|-1 at every depth (no anchor),
+    whose per-u masks all stay nonempty, as (v_ranks, masks); A is
+    translated by -y at every visit.  Visits are counted as the library
+    counts them."""
+    g = a.group
+    n = g.order
+    full = g.full_mask
+    nbhd = [f.u_neighborhood(u) for u in range(f.u_count)]
+    visits = 0
+
+    def extend(v_ranks, masks):
+        nonlocal visits
+        v_idx = len(v_ranks)
+        if v_idx == f.v_count:
+            yield v_ranks, masks
+            return
+        for y in range(n):
+            if distinct and y in v_ranks:
+                continue
+            visits += 1
+            if visits > budget:
+                raise CapExceeded(f"pattern search exceeded {budget} visits")
+            t = translate_bits(g, a.bits, neg_rank(g, y))
+            new_masks = []
+            for u in range(f.u_count):
+                m = masks[u] & (t if v_idx in nbhd[u] else (full ^ t))
+                if not m:
+                    break
+                new_masks.append(m)
+            else:
+                yield from extend(v_ranks + [y], new_masks)
+
+    return extend([], [full] * f.u_count)
+
+
+def find_bi_induced(a, f, require_injective: bool = True, caps=DEFAULT_CAPS):
+    """First accepted phi_v of the unanchored sweep, with each U-vertex on
+    the lowest free candidate of its mask."""
+    groups_by_nb = {}
+    for u in range(f.u_count):
+        groups_by_nb.setdefault(f.u_neighborhood(u), []).append(u)
+    for v_ranks, masks in v_sweep(a, f, require_injective,
+                                  caps.pattern_visit_cap):
+        if require_injective and any(masks[us[0]].bit_count() < len(us)
+                                     for us in groups_by_nb.values()):
+            continue
+        u_ranks = [0] * f.u_count
+        for us in groups_by_nb.values():
+            m = masks[us[0]]
+            for u in us:
+                low = m & -m
+                u_ranks[u] = low.bit_length() - 1
+                if require_injective:
+                    m ^= low
+        return _witness(f, a.group, u_ranks, v_ranks)
+    return None
+
+
+def exhaustive_density(a, f, caps=DEFAULT_CAPS) -> Fraction:
+    """Sum of the per-u mask-size products over every phi_v of the
+    unanchored sweep, over |G|^vertex_count."""
+    n = a.group.order
+    if n ** f.vertex_count > caps.density_enum_cap:
+        raise CapExceeded(
+            f"|G|^{f.vertex_count} exceeds density cap {caps.density_enum_cap}"
+        )
+    total = 0
+    for _, masks in v_sweep(a, f, False, caps.density_enum_cap):
+        prod = 1
+        for m in masks:
+            prod *= m.bit_count()
+        total += prod
+    return Fraction(total, n ** f.vertex_count)
+
+
+def bi_induces(a, f, u_ranks, v_ranks) -> bool:
+    """edge(u,v) <=> x_u + y_v in A for every pair, one rank sum per pair."""
+    g = a.group
+    for u, xr in enumerate(u_ranks):
+        for v, yr in enumerate(v_ranks):
+            if ((a.bits >> add_rank(g, xr, yr)) & 1) != ((u, v) in f.edges):
+                return False
+    return True
+
+
+def sample_tester(a, f, samples: int, rng_seed: int) -> TesterReport:
+    """The sampled tester with the rank-sum predicate, drawing the same maps
+    in the same order as the library."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    n = a.group.order
+    rng = random.Random(rng_seed)
+    bi = 0
+    inj = 0
+    for _ in range(samples):
+        u_ranks = [rng.randrange(n) for _ in range(f.u_count)]
+        v_ranks = [rng.randrange(n) for _ in range(f.v_count)]
+        if bi_induces(a, f, u_ranks, v_ranks):
+            bi += 1
+            if (len(set(u_ranks)) == f.u_count
+                    and len(set(v_ranks)) == f.v_count):
+                inj += 1
+    lo, hi = wilson_interval(bi, samples)
+    return TesterReport(samples, bi, bi / samples, lo, hi, inj,
+                        inj / samples, "YES" if inj else "NO")
+
+
+def distance_to_free(a, f, caps=DEFAULT_CAPS) -> int:
+    """Flip sets in increasing size, one oracle search per flip set, no
+    memo and no witness reuse."""
+    g = a.group
+    n = g.order
+    if n > caps.distance_group_cap:
+        raise CapExceeded(
+            f"order {n} exceeds distance cap {caps.distance_group_cap}"
+        )
+    for t in range(n + 1):
+        for flips in itertools.combinations(range(n), t):
+            b = a.bits
+            for p in flips:
+                b ^= 1 << p
+            if find_bi_induced(GroupSubset(g, b), f, caps=caps) is None:
+                return t
+    raise AssertionError("every set was tried")

@@ -549,6 +549,59 @@ def test_cli_densify(files):
     assert len(obj["witness"]["phi_u"]) == 2
 
 
+# Full stdout bytes of the pattern subcommands, captured before the column
+# table, the anchored V-side sweep and the witness reuse in distance_to_free.
+# Words naming a fixture file are replaced by its path.
+PATTERN_CLI_GOLDENS = [
+    ("pattern-find --set interval --pattern hg2",
+     '{"found":true,"injective_u":true,"injective_v":true,"phi_u":[[1],'
+     '[0]],"phi_v":[[0],[1]]}\n'),
+    ("pattern-find --set interval --pattern hg2 --no-injective",
+     '{"found":true,"injective_u":true,"injective_v":true,"phi_u":[[1],'
+     '[0]],"phi_v":[[0],[1]]}\n'),
+    ("pattern-find --set union --pattern hg2 --no-injective",
+     '{"found":true,"injective_u":true,"injective_v":true,"phi_u":[[0,0,0,'
+     '1],[0,0,1,0]],"phi_v":[[0,0,0,0],[0,0,1,0]]}\n'),
+    ("pattern-find --set three --pattern hg2",
+     '{"found":true,"injective_u":true,"injective_v":true,"phi_u":[[0,0,0,'
+     '0],[0,0,1,1]],"phi_v":[[0,0,0,0],[0,0,1,0]]}\n'),
+    ("pattern-find --set interval --pattern hg2 --via-shattering",
+     '{"found":false}\n'),
+    ("pattern-find --set interval --pattern hg1 --via-shattering",
+     '{"found":true,"injective_u":true,"injective_v":true,"phi_u":[[6]],'
+     '"phi_v":[[0]]}\n'),
+    ("pattern-test --set three --pattern hg2 --samples 400 --seed 3 --exact",
+     '{"bi_fraction":0.1125,"bi_inducing":45,"decision":"YES",'
+     '"exact_density":"3/32","injective_bi_inducing":45,"samples":400,'
+     '"wilson_high":0.14722427637608715,"wilson_low":0.0851480200886654}\n'),
+    ("pattern-test --set interval --pattern hg2 --samples 400 --seed 5 --exact",
+     '{"bi_fraction":0.0425,"bi_inducing":17,"decision":"YES",'
+     '"exact_density":"70/2197","injective_bi_inducing":17,"samples":400,'
+     '"wilson_high":0.06700259659708263,"wilson_low":0.02670146955162519}\n'),
+    ("distance --set union --pattern hg2",
+     '{"distance":4}\n'),
+    ("distance --set three --pattern hg2",
+     '{"distance":4}\n'),
+    ("densify --set union --pattern hg2 --subgroup subgroup --samples 500 --seed 1",
+     '{"bound":"1/2","fraction":1.0,"hits":500,"meets_bound":true,'
+     '"samples":500,"sigma":0.0,"witness":{"injective_u":true,'
+     '"injective_v":true,"phi_u":[[0,0,0,1],[0,0,1,0]],"phi_v":[[0,0,0,0],'
+     '[0,0,1,0]]}}\n'),
+    ("densify --set three --pattern hg2 --subgroup subgroup --samples 500 --seed 1",
+     '{"bound":"1/2","fraction":1.0,"hits":500,"meets_bound":true,'
+     '"samples":500,"sigma":0.0,"witness":{"injective_u":true,'
+     '"injective_v":true,"phi_u":[[0,0,0,0],[0,0,1,1]],"phi_v":[[0,0,0,0],'
+     '[0,0,1,0]]}}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,stdout", PATTERN_CLI_GOLDENS,
+                         ids=[c[0] for c in PATTERN_CLI_GOLDENS])
+def test_cli_pattern_stdout_bytes(files, argv, stdout):
+    code, out, err = _run_cli([files.get(w, w) for w in argv.split()])
+    assert (code, out, err) == (0, stdout, "")
+
+
 def test_cli_ap_search(files):
     code, out, _ = _run_cli(
         ["ap-search", "--set", files["interval"], "--k", "2", "--half-graph"]

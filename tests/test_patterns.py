@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,8 +29,9 @@ from addcomb import (
     set_vc_dimension,
     witness_from_shattering,
 )
+from addcomb import patterns
 from addcomb.caps import Caps, CapExceeded
-from addcomb.groups import translate_bits
+from addcomb.groups import neg_rank, translate_bits
 from addcomb.stats import wilson_interval
 from conftest import MODULI_POOL, subsets
 
@@ -173,26 +176,48 @@ def _visit_budget_cases():
     z64 = GroupDescriptor([64])
     h64 = generated_subgroup(z64, [8])
     planted = GroupSubset(z64, h64.bits | translate_bits(z64, h64.bits, 1))
+    # (name, set, pattern, injective, visits of the anchored sweep, visits
+    # of the unanchored oracle sweep); an exhaustive search visits
+    # 1 + (old - |G|)/|G| nodes once anchored
     return [
-        ("two_cosets_z2^4_injective", u2, half_graph(2), True, 256),
-        ("two_cosets_z2^4_any", u2, half_graph(2), False, 272),
-        ("interval_z13", interval, half_graph(2), True, 2),
-        ("planted_z64", planted, half_graph(3), True, 67584),
+        ("two_cosets_z2^4_injective", u2, half_graph(2), True, 16, 256),
+        ("two_cosets_z2^4_any", u2, half_graph(2), False, 17, 272),
+        ("interval_z13", interval, half_graph(2), True, 2, 2),
+        ("planted_z64", planted, half_graph(3), True, 1056, 67584),
     ]
 
 
-@pytest.mark.parametrize("name,a,f,injective,visits", _visit_budget_cases(),
-                         ids=[c[0] for c in _visit_budget_cases()])
-def test_find_bi_induced_visit_budget_is_exact(name, a, f, injective, visits):
+def _assert_exact_budget(search, a, f, injective, visits):
     # one visit per y tried for a V-vertex, after the injective skip: the
     # search finishes with exactly `visits` allowed and raises with one less
-    want = find_bi_induced(a, f, require_injective=injective)
-    got = find_bi_induced(a, f, require_injective=injective,
-                          caps=Caps(pattern_visit_cap=visits))
+    want = search(a, f, require_injective=injective)
+    got = search(a, f, require_injective=injective,
+                 caps=Caps(pattern_visit_cap=visits))
     assert got == want
     with pytest.raises(CapExceeded):
-        find_bi_induced(a, f, require_injective=injective,
-                        caps=Caps(pattern_visit_cap=visits - 1))
+        search(a, f, require_injective=injective,
+               caps=Caps(pattern_visit_cap=visits - 1))
+
+
+@pytest.mark.parametrize("name,a,f,injective,visits,oracle_visits",
+                         _visit_budget_cases(),
+                         ids=[c[0] for c in _visit_budget_cases()])
+def test_find_bi_induced_visit_budget_is_exact(name, a, f, injective, visits,
+                                               oracle_visits):
+    _assert_exact_budget(find_bi_induced, a, f, injective, visits)
+
+
+@pytest.mark.parametrize("name,a,f,injective,visits,oracle_visits",
+                         _visit_budget_cases(),
+                         ids=[c[0] for c in _visit_budget_cases()])
+def test_oracle_sweep_visit_budget_is_unchanged(name, a, f, injective, visits,
+                                                oracle_visits):
+    # the unanchored sweep still needs the counts the library needed before
+    # the anchor
+    _assert_exact_budget(oracles.find_bi_induced, a, f, injective,
+                         oracle_visits)
+    assert find_bi_induced(a, f, injective) == oracles.find_bi_induced(
+        a, f, injective)
 
 
 @given(subsets(pool=TINY_POOL), st.sampled_from([half_graph(1), half_graph(2), PATH, EDGELESS]))
@@ -203,6 +228,99 @@ def test_find_bi_induced_matches_enumeration(a, f):
     assert (w is not None) == expect
     if w is not None:
         assert check_witness(a, f, w, injectivity="per_side")
+
+
+# ------------------------------------------- rewritten layer against oracles
+
+ORACLE_PATTERNS = [half_graph(1), half_graph(2), half_graph(3), PATH, EDGELESS]
+# every group of order <= 8; Z/6 as well as Z/2 x Z/3, whose ranks differ
+ORDER_8_GROUPS = sorted(set(TINY_POOL) | {(6,)},
+                        key=lambda m: (math.prod(m), m))
+
+
+def _same_or_both_raise(lib, oracle):
+    try:
+        want = oracle()
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            lib()
+        return
+    assert lib() == want
+
+
+def _assert_layer_matches_oracles(a, f, seed):
+    for injective in (True, False):
+        assert find_bi_induced(a, f, injective) == oracles.find_bi_induced(
+            a, f, injective)
+    _same_or_both_raise(lambda: exhaustive_density(a, f),
+                        lambda: oracles.exhaustive_density(a, f))
+    assert (sample_tester(a, f, 40, seed)
+            == oracles.sample_tester(a, f, 40, seed))
+
+
+@pytest.mark.parametrize("mods", ORDER_8_GROUPS, ids=str)
+def test_patterns_layer_matches_oracles_on_every_subset(mods):
+    g = GroupDescriptor(mods)
+    for bits in range(1 << g.order):
+        a = GroupSubset(g, bits)
+        for f in ORACLE_PATTERNS:
+            _assert_layer_matches_oracles(a, f, bits)
+            assert distance_to_free(a, f) == oracles.distance_to_free(a, f)
+
+
+@given(subsets(), st.sampled_from(ORACLE_PATTERNS), st.integers(0, 2**16))
+def test_patterns_layer_matches_oracles(a, f, seed):
+    _assert_layer_matches_oracles(a, f, seed)
+
+
+# distance to free of half_graph(1) and EDGELESS at order 16 takes the
+# per-flip-set oracle seconds; both are swept exhaustively at order <= 8
+@given(subsets(), st.sampled_from([half_graph(2), half_graph(3), PATH]))
+def test_distance_matches_oracle(a, f):
+    assert distance_to_free(a, f) == oracles.distance_to_free(a, f)
+
+
+def test_column_table_bound_keeps_answers(monkeypatch):
+    # a table with room for two columns computes the rest without keeping
+    # them, and every answer stays the same
+    g = GroupDescriptor([4, 4])
+    a = GroupSubset(g, random.Random(8).getrandbits(g.order))
+    monkeypatch.setattr(patterns, "_COLUMN_TABLE_BITS", 2 * g.order)
+    cols = patterns._Columns(a)
+    for y in range(g.order):
+        assert cols[y] == translate_bits(g, a.bits, neg_rank(g, y))
+    assert sorted(cols) == [0, 1]
+    for f in ORACLE_PATTERNS:
+        _assert_layer_matches_oracles(a, f, 5)
+
+
+def test_sample_tester_memory_is_bounded():
+    # 2000 samples of half_graph(2) on (Z/2)^18 read ~2600 distinct 32 KiB
+    # columns: ~83 MB if all were kept, 16 MiB with the table's bound
+    g = GroupDescriptor([2] * 18)
+    a = GroupSubset(g, random.Random(3).getrandbits(g.order))
+    translate_bits(g, a.bits, 1)  # the group's shift tables, outside the trace
+    tracemalloc.start()
+    try:
+        rep = sample_tester(a, half_graph(2), 2000, rng_seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert rep == oracles.sample_tester(a, half_graph(2), 2000, rng_seed=1)
+
+
+def _module_state():
+    return {k: len(v) if isinstance(v, (dict, list, set)) else id(v)
+            for k, v in vars(patterns).items()}
+
+
+def test_distance_leaves_no_module_state():
+    before = _module_state()
+    g = GroupDescriptor([2, 2, 2, 2])
+    for bits in (0xF0FF, 0xFFF0, 0x1234):
+        distance_to_free(GroupSubset(g, bits), half_graph(2))
+    assert _module_state() == before
 
 
 def test_witness_from_shattering_examples():
@@ -328,6 +446,10 @@ def test_distance_examples():
     assert distance_to_free(u2, half_graph(2)) == 0
     with pytest.raises(CapExceeded):
         distance_to_free(GroupSubset.empty(GroupDescriptor([17])), half_graph(1))
+    # the empty set holds no edge and the whole group no non-edge, so one of
+    # them is free of any pattern
+    assert distance_to_free(GroupSubset.empty(z4), EDGELESS) == 4
+    assert distance_to_free(GroupSubset.full(z4), EDGELESS) == 0
 
 
 @given(subsets(pool=TINY_POOL), st.sampled_from([half_graph(2), PATH]))
