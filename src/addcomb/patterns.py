@@ -11,13 +11,15 @@ vertex u are exactly the x whose pattern (which translates A - phi_v(v)
 contain x) equals u's neighborhood, so per-u candidate masks both prune the
 search and count completions in closed form.
 
-Column table.  Every question about a pair (x, y) is a bit of the column
-A - y: x + y is in A iff bit x of A - y is set.  Each call builds one table
-of these columns, filled on first use, so a column costs one translate per
-call however often it is read.  The table stores at most
+Column table.  The sweep reads A - y for every y at every node above the
+last V-vertex, so each column is read many times per call.  Each sweep
+builds one table of these columns, filled on first use, so a column costs
+one translate per call however often it is read.  The table stores at most
 _COLUMN_TABLE_BITS // |G| columns (16 MiB); past that it computes a column
-without keeping it, so memory stays bounded whatever |G| or the number of
-samples.
+without keeping it, so memory stays bounded whatever |G| is.  The sampled
+checks (check_witness, sample_tester, densify) read about samples * |V| / |G|
+times per column, below one on large groups where a |G|-bit translate costs
+far more than a rank sum, so their predicate sums ranks instead.
 
 Anchor.  The accepted phi_v tuples of the V-side sweep are closed under the
 shift y -> y - z, and the per-u mask sizes do not change under it.  So the
@@ -184,15 +186,16 @@ class _Columns(dict):
         return col
 
 
-def _bi_induces(cols: _Columns, f: BipartitePattern, u_ranks: list[int],
+def _bi_induces(a: GroupSubset, f: BipartitePattern, u_ranks: list[int],
                 v_ranks: list[int]) -> bool:
-    """True iff edge(u,v) <=> x_u + y_v in A for every pair, with x = u_ranks,
-    y = v_ranks and cols the column table of A."""
+    """True iff edge(u,v) <=> x_u + y_v in A for every pair, with x = u_ranks
+    and y = v_ranks."""
+    g = a.group
+    bits = a.bits
     edges = f.edges
-    for v, yr in enumerate(v_ranks):
-        col = cols[yr]
-        for u, xr in enumerate(u_ranks):
-            if ((col >> xr) & 1) != ((u, v) in edges):
+    for u, xr in enumerate(u_ranks):
+        for v, yr in enumerate(v_ranks):
+            if ((bits >> add_rank(g, xr, yr)) & 1) != ((u, v) in edges):
                 return False
     return True
 
@@ -208,7 +211,7 @@ def check_witness(a: GroupSubset, f: BipartitePattern, w: BiInducedWitness,
         raise ValueError(f"unknown injectivity mode {injectivity!r}")
     u_ranks = [e.rank for e in w.phi_u]
     v_ranks = [e.rank for e in w.phi_v]
-    if not _bi_induces(_Columns(a), f, u_ranks, v_ranks):
+    if not _bi_induces(a, f, u_ranks, v_ranks):
         return False
     if injectivity == "per_side":
         return (len(set(u_ranks)) == f.u_count
@@ -357,15 +360,15 @@ def sample_tester(a: GroupSubset, f: BipartitePattern, samples: int,
     verified witness and the tester never errs on pattern-free sets."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    n = a.group.order
-    cols = _Columns(a)
+    g = a.group
+    n = g.order
     rng = random.Random(rng_seed)
     bi = 0
     inj = 0
     for _ in range(samples):
         u_ranks = [rng.randrange(n) for _ in range(f.u_count)]
         v_ranks = [rng.randrange(n) for _ in range(f.v_count)]
-        if _bi_induces(cols, f, u_ranks, v_ranks):
+        if _bi_induces(a, f, u_ranks, v_ranks):
             bi += 1
             if (len(set(u_ranks)) == f.u_count
                     and len(set(v_ranks)) == f.v_count):
@@ -500,14 +503,13 @@ def densify(a: GroupSubset, h: Subgroup, f: BipartitePattern,
                 raise ValueError(
                     f"pair coset for (u={u}, v={v}) is bad at eta={eta}"
                 )
-    cols = _Columns(a)
     rng = random.Random(rng_seed)
     h_ranks = h.ranks()
     hits = 0
     for _ in range(samples):
         xs = [add_rank(g, e.rank, rng.choice(h_ranks)) for e in w.phi_u]
         ys = [add_rank(g, e.rank, rng.choice(h_ranks)) for e in w.phi_v]
-        if _bi_induces(cols, f, xs, ys):
+        if _bi_induces(a, f, xs, ys):
             hits += 1
     frac = hits / samples
     sigma = binomial_sigma(hits, samples)

@@ -10,20 +10,18 @@ unanchored shattering search the library ran before it anchored the full
 translate system at 0, the reference for the anchored search; and the
 patterns layer as it was before its column table, its anchored V-side sweep
 and its witness reuse (v_sweep, find_bi_induced, exhaustive_density,
-bi_induces, sample_tester, distance_to_free), which translates A at every
-visit, adds ranks pair by pair and searches every flip set.
+distance_to_free), which translates A at every visit and searches every
+flip set.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-import random
 from fractions import Fraction
 
 from addcomb.caps import DEFAULT_CAPS, CapExceeded
-from addcomb.groups import add_rank, neg_rank, translate_bits
-from addcomb.patterns import BiInducedWitness, TesterReport
-from addcomb.stats import wilson_interval
+from addcomb.groups import neg_rank, translate_bits
+from addcomb.patterns import BiInducedWitness
 from addcomb.subsets import GroupSubset
 
 
@@ -379,38 +377,6 @@ def exhaustive_density(a, f, caps=DEFAULT_CAPS) -> Fraction:
             prod *= m.bit_count()
         total += prod
     return Fraction(total, n ** f.vertex_count)
-
-
-def bi_induces(a, f, u_ranks, v_ranks) -> bool:
-    """edge(u,v) <=> x_u + y_v in A for every pair, one rank sum per pair."""
-    g = a.group
-    for u, xr in enumerate(u_ranks):
-        for v, yr in enumerate(v_ranks):
-            if ((a.bits >> add_rank(g, xr, yr)) & 1) != ((u, v) in f.edges):
-                return False
-    return True
-
-
-def sample_tester(a, f, samples: int, rng_seed: int) -> TesterReport:
-    """The sampled tester with the rank-sum predicate, drawing the same maps
-    in the same order as the library."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    n = a.group.order
-    rng = random.Random(rng_seed)
-    bi = 0
-    inj = 0
-    for _ in range(samples):
-        u_ranks = [rng.randrange(n) for _ in range(f.u_count)]
-        v_ranks = [rng.randrange(n) for _ in range(f.v_count)]
-        if bi_induces(a, f, u_ranks, v_ranks):
-            bi += 1
-            if (len(set(u_ranks)) == f.u_count
-                    and len(set(v_ranks)) == f.v_count):
-                inj += 1
-    lo, hi = wilson_interval(bi, samples)
-    return TesterReport(samples, bi, bi / samples, lo, hi, inj,
-                        inj / samples, "YES" if inj else "NO")
 
 
 def distance_to_free(a, f, caps=DEFAULT_CAPS) -> int:
