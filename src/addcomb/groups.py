@@ -116,7 +116,7 @@ class GroupElement:
 class _Tables:
     """Per-group precomputed masks for bitset translation and negation."""
 
-    __slots__ = ("moduli", "order", "blocks", "reps", "digit_masks", "full")
+    __slots__ = ("moduli", "order", "blocks", "reps", "masks", "full")
 
     def __init__(self, moduli: tuple[int, ...]):
         self.moduli = moduli
@@ -128,17 +128,23 @@ class _Tables:
             b *= m
         self.full = (1 << self.order) - 1
         # reps[i]: one bit at the start of every period of block*m bits, the
-        # ranks whose coordinates 0..i are all zero.  digit_masks[i][k]: bits
-        # whose i-th coordinate equals k, a run of `block` ones at offset
-        # k*block in every period.
-        self.reps = []
-        self.digit_masks = []
-        for i, m in enumerate(moduli):
+        # ranks whose coordinates 0..i are all zero.
+        self.reps = [self.full // ((1 << (blk * m)) - 1)
+                     for m, blk in zip(moduli, self.blocks)]
+        self.masks: list[list[int] | None] = [None] * len(moduli)
+
+    def digit_masks(self, i: int) -> list[int]:
+        """digit_masks(i)[k]: bits whose i-th coordinate equals k, a run of
+        `block` ones at offset k*block in every period.  m masks of up to
+        |G| bits, O(m * |G|) bits for modulus m, so they are built on first
+        use: only negation reads them."""
+        masks = self.masks[i]
+        if masks is None:
             blk = self.blocks[i]
-            rep = self.full // ((1 << (blk * m)) - 1)
-            unit = ((1 << blk) - 1)
-            self.reps.append(rep)
-            self.digit_masks.append([rep * (unit << (k * blk)) for k in range(m)])
+            unit = self.reps[i] * ((1 << blk) - 1)
+            masks = [unit << (k * blk) for k in range(self.moduli[i])]
+            self.masks[i] = masks
+        return masks
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,7 +180,7 @@ def negate_bits(g: GroupDescriptor, bits: int) -> int:
     """Bitset of {-a : a in the set described by bits}."""
     t = _tables(g.moduli)
     for i, m in enumerate(t.moduli):
-        masks = t.digit_masks[i]
+        masks = t.digit_masks(i)
         blk = t.blocks[i]
         out = bits & masks[0]
         for k in range(1, m):

@@ -16,10 +16,20 @@ last V-vertex, so each column is read many times per call.  Each sweep
 builds one table of these columns, filled on first use, so a column costs
 one translate per call however often it is read.  The table stores at most
 _COLUMN_TABLE_BITS // |G| columns (16 MiB); past that it computes a column
-without keeping it, so memory stays bounded whatever |G| is.  The sampled
-checks (check_witness, sample_tester, densify) read about samples * |V| / |G|
-times per column, below one on large groups where a |G|-bit translate costs
-far more than a rank sum, so their predicate sums ranks instead.
+without keeping it, so memory stays bounded whatever |G| is.
+
+Sampled checks.  sample_tester and densify test their samples with numpy,
+_CHUNK samples at a time, so memory stays bounded whatever the sample count.
+They replay the draws of rng.randrange(n) and rng.choice(seq) with
+len(seq) = n in bulk: both call CPython's _randbelow(n), which takes the top
+k = n.bit_length() bits of one 32-bit Mersenne Twister word and draws again
+while the value is >= n, and getrandbits(32 * w) returns w such words, the
+first in the lowest bits.  The accepted values are read in order, and those
+left over at the end of one chunk start the next.  The last bulk call may
+draw words no sample uses; that is safe because each function creates its
+own random.Random and discards it when it returns.  Ranks are added by one
+digit decomposition per coordinate, and membership is read from A's packed
+bytes, |G|/8 of them.
 
 Anchor.  The accepted phi_v tuples of the V-side sweep are closed under the
 shift y -> y - z, and the per-u mask sizes do not change under it.  So the
@@ -40,11 +50,14 @@ import random
 from fractions import Fraction
 from typing import Iterator
 
+import numpy as np
+
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .groups import (
     GroupDescriptor,
     GroupElement,
     Subgroup,
+    _tables,
     add_rank,
     cosets,
     neg_rank,
@@ -198,6 +211,80 @@ def _bi_induces(a: GroupSubset, f: BipartitePattern, u_ranks: list[int],
             if ((bits >> add_rank(g, xr, yr)) & 1) != ((u, v) in edges):
                 return False
     return True
+
+
+# Samples tested per numpy pass of sample_tester and densify.
+_CHUNK = 4096
+
+
+def _draw_chunks(rng: random.Random, n: int, samples: int,
+                 width: int) -> Iterator[np.ndarray]:
+    """The values of samples * width calls of rng.randrange(n), as arrays of
+    shape (c, width), c = _CHUNK but for the last: row i holds the draws of
+    sample i in call order.  Draws getrandbits(32 * w) in bulk and keeps the
+    top k = n.bit_length() bits of each word below n, as _randbelow does;
+    the rng must not be used afterwards, since the last call may draw more
+    words than the samples use."""
+    k = n.bit_length()
+    if k > 32:
+        raise ValueError("bulk draws need n < 2**32")
+    spare = np.empty(0, np.int64)
+    for start in range(0, samples, _CHUNK):
+        c = min(_CHUNK, samples - start)
+        need = c * width
+        parts = [spare]
+        have = spare.size
+        while have < need:
+            # a word is accepted with probability n / 2**k > 1/2
+            w = ((need - have) << k) // n + 1
+            words = np.frombuffer(
+                rng.getrandbits(32 * w).to_bytes(4 * w, "little"), "<u4")
+            vals = words >> (32 - k)
+            vals = vals[vals < n].astype(np.int64)
+            parts.append(vals)
+            have += vals.size
+        got = np.concatenate(parts)
+        spare = got[need:].copy()
+        yield got[:need].reshape(c, width)
+
+
+def _add_ranks(g: GroupDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise (broadcast) rank of the sum of the elements with ranks a
+    and b: one digit decomposition per coordinate."""
+    t = _tables(g.moduli)
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), np.int64)
+    for m, blk in zip(t.moduli, t.blocks):
+        s = (a // blk) % m + (b // blk) % m
+        out += np.where(s >= m, s - m, s) * blk
+    return out
+
+
+class _SampleCheck:
+    """The bi-inducing predicate over rows of sampled maps, for one A and f."""
+
+    __slots__ = ("group", "packed", "edges")
+
+    def __init__(self, a: GroupSubset, f: BipartitePattern):
+        n = a.group.order
+        self.group = a.group
+        self.packed = np.frombuffer(a.bits.to_bytes((n + 7) // 8, "little"),
+                                    np.uint8)
+        self.edges = np.zeros((f.u_count, f.v_count), np.uint8)
+        for u, v in f.edges:
+            self.edges[u, v] = 1
+
+    def __call__(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """bi[i] iff row i of xs (shape (c, |U|)) and of ys (shape (c, |V|))
+        bi-induces f."""
+        s = _add_ranks(self.group, xs[:, :, None], ys[:, None, :])
+        inside = (self.packed[s >> 3] >> (s & 7)) & 1
+        return (inside == self.edges).all(axis=(1, 2))
+
+
+def _distinct_rows(r: np.ndarray) -> np.ndarray:
+    """distinct[i] iff the entries of row i are pairwise distinct."""
+    srt = np.sort(r, axis=1)
+    return (srt[:, 1:] != srt[:, :-1]).all(axis=1)
 
 
 def check_witness(a: GroupSubset, f: BipartitePattern, w: BiInducedWitness,
@@ -360,19 +447,17 @@ def sample_tester(a: GroupSubset, f: BipartitePattern, samples: int,
     verified witness and the tester never errs on pattern-free sets."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    g = a.group
-    n = g.order
-    rng = random.Random(rng_seed)
+    check = _SampleCheck(a, f)
     bi = 0
     inj = 0
-    for _ in range(samples):
-        u_ranks = [rng.randrange(n) for _ in range(f.u_count)]
-        v_ranks = [rng.randrange(n) for _ in range(f.v_count)]
-        if _bi_induces(a, f, u_ranks, v_ranks):
-            bi += 1
-            if (len(set(u_ranks)) == f.u_count
-                    and len(set(v_ranks)) == f.v_count):
-                inj += 1
+    for ranks in _draw_chunks(random.Random(rng_seed), a.group.order, samples,
+                              f.vertex_count):
+        xs = ranks[:, :f.u_count]
+        ys = ranks[:, f.u_count:]
+        hit = check(xs, ys)
+        bi += int(np.count_nonzero(hit))
+        inj += int(np.count_nonzero(hit & _distinct_rows(xs)
+                                    & _distinct_rows(ys)))
     lo, hi = wilson_interval(bi, samples)
     return TesterReport(samples, bi, bi / samples, lo, hi, inj,
                         inj / samples, "YES" if inj else "NO")
@@ -486,6 +571,8 @@ def densify(a: GroupSubset, h: Subgroup, f: BipartitePattern,
     eta = 1/(2|U||V|): each perturbed pair then disagrees with the pattern
     with probability at most eta, so the joint success probability is at
     least 1/2.  Asserted with three standard errors of slack."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     g = a.group
     rounded = coset_round(a, h)
     if not check_witness(rounded, f, w):
@@ -503,14 +590,15 @@ def densify(a: GroupSubset, h: Subgroup, f: BipartitePattern,
                 raise ValueError(
                     f"pair coset for (u={u}, v={v}) is bad at eta={eta}"
                 )
-    rng = random.Random(rng_seed)
-    h_ranks = h.ranks()
+    h_ranks = np.array(h.ranks(), np.int64)
+    base = np.array([e.rank for e in w.phi_u + w.phi_v], np.int64)
+    check = _SampleCheck(a, f)
     hits = 0
-    for _ in range(samples):
-        xs = [add_rank(g, e.rank, rng.choice(h_ranks)) for e in w.phi_u]
-        ys = [add_rank(g, e.rank, rng.choice(h_ranks)) for e in w.phi_v]
-        if _bi_induces(a, f, xs, ys):
-            hits += 1
+    for idx in _draw_chunks(random.Random(rng_seed), size, samples,
+                            f.vertex_count):
+        ranks = _add_ranks(g, base, h_ranks[idx])
+        hits += int(np.count_nonzero(check(ranks[:, :f.u_count],
+                                           ranks[:, f.u_count:])))
     frac = hits / samples
     sigma = binomial_sigma(hits, samples)
     bound = Fraction(1, 2)

@@ -11,17 +11,22 @@ translate system at 0, the reference for the anchored search; and the
 patterns layer as it was before its column table, its anchored V-side sweep
 and its witness reuse (v_sweep, find_bi_induced, exhaustive_density,
 distance_to_free), which translates A at every visit and searches every
-flip set.
+flip set; and the sampled checks as they were before the bulk numpy path
+(bi_induces, sample_tester, densify), one rng call per coordinate and one
+add_rank per pair, the reference for the replayed draws and the vectorized
+predicate.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import random
 from fractions import Fraction
 
 from addcomb.caps import DEFAULT_CAPS, CapExceeded
-from addcomb.groups import neg_rank, translate_bits
-from addcomb.patterns import BiInducedWitness
+from addcomb.groups import add_rank, neg_rank, translate_bits
+from addcomb.patterns import BiInducedWitness, DensifyReport, TesterReport
+from addcomb.stats import binomial_sigma, wilson_interval
 from addcomb.subsets import GroupSubset
 
 
@@ -396,3 +401,53 @@ def distance_to_free(a, f, caps=DEFAULT_CAPS) -> int:
             if find_bi_induced(GroupSubset(g, b), f, caps=caps) is None:
                 return t
     raise AssertionError("every set was tried")
+
+
+def bi_induces(a, f, u_ranks, v_ranks) -> bool:
+    """edge(u,v) <=> x_u + y_v in A for every pair, one add_rank per pair."""
+    g = a.group
+    for u, xr in enumerate(u_ranks):
+        for v, yr in enumerate(v_ranks):
+            if ((a.bits >> add_rank(g, xr, yr)) & 1) != ((u, v) in f.edges):
+                return False
+    return True
+
+
+def sample_tester(a, f, samples: int, rng_seed: int) -> TesterReport:
+    """One rng.randrange(|G|) per vertex, U first, and the per-pair
+    predicate, one sample at a time."""
+    n = a.group.order
+    rng = random.Random(rng_seed)
+    bi = 0
+    inj = 0
+    for _ in range(samples):
+        u_ranks = [rng.randrange(n) for _ in range(f.u_count)]
+        v_ranks = [rng.randrange(n) for _ in range(f.v_count)]
+        if bi_induces(a, f, u_ranks, v_ranks):
+            bi += 1
+            if (len(set(u_ranks)) == f.u_count
+                    and len(set(v_ranks)) == f.v_count):
+                inj += 1
+    lo, hi = wilson_interval(bi, samples)
+    return TesterReport(samples, bi, bi / samples, lo, hi, inj,
+                        inj / samples, "YES" if inj else "NO")
+
+
+def densify(a, h, f, w, samples: int, rng_seed: int) -> DensifyReport:
+    """densify's report from its sampling loop alone (its preconditions are
+    not checked): one rng.choice of H's ranks per vertex, U first, added to
+    the witness, and the per-pair predicate, one sample at a time."""
+    g = a.group
+    rng = random.Random(rng_seed)
+    h_ranks = h.ranks()
+    hits = 0
+    for _ in range(samples):
+        xs = [add_rank(g, e.rank, rng.choice(h_ranks)) for e in w.phi_u]
+        ys = [add_rank(g, e.rank, rng.choice(h_ranks)) for e in w.phi_v]
+        if bi_induces(a, f, xs, ys):
+            hits += 1
+    frac = hits / samples
+    sigma = binomial_sigma(hits, samples)
+    bound = Fraction(1, 2)
+    return DensifyReport(samples, hits, frac, sigma, bound,
+                         frac >= float(bound) - 3 * sigma)

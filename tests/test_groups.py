@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -18,6 +19,7 @@ from addcomb import (
     subgroup_from_bits,
 )
 from addcomb.groups import (
+    _tables,
     add_rank,
     element_order,
     neg_rank,
@@ -93,6 +95,22 @@ def test_translate_bits_matches_digit_oracle_for_every_shift(mods):
     for x in range(g.order):
         want = oracles.translate_bits_by_digit(mods, bits, x)
         assert translate_bits(g, bits, x) == want, x
+
+
+def test_translate_bits_builds_no_digit_masks():
+    # the digit masks of Z/16384, 16384 masks of up to 2 KiB (17.7 MB), are
+    # read only by negation; a first translate on the group builds none
+    _tables.cache_clear()
+    g = GroupDescriptor([16384])
+    bits = random.Random(5).getrandbits(g.order)
+    tracemalloc.start()
+    try:
+        t = translate_bits(g, bits, 1234)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t == translate_bits(g, translate_bits(g, bits, 1000), 234)
+    assert peak < 2**20
 
 
 @given(st.sampled_from(KERNEL_SHAPES), st.data())

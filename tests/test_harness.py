@@ -549,6 +549,15 @@ def test_cli_densify(files):
     assert len(obj["witness"]["phi_u"]) == 2
 
 
+def test_cli_densify_rejects_zero_samples(files):
+    code, out, err = _run_cli(
+        ["densify", "--set", files["union"], "--pattern", files["hg2"],
+         "--subgroup", files["subgroup"], "--samples", "0", "--seed", "1"]
+    )
+    assert (code, out, err) == (
+        1, "", '{"detail":"samples must be >= 1","error":"ValueError"}\n')
+
+
 # Full stdout bytes of the pattern subcommands, captured before the column
 # table, the anchored V-side sweep and the witness reuse in distance_to_free.
 # Words naming a fixture file are replaced by its path.

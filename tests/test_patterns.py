@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from addcomb import (
     coset_round,
     densify,
     distance_to_free,
+    enumerate_subgroups,
     exhaustive_density,
     find_bi_induced,
     generated_subgroup,
@@ -315,14 +317,26 @@ def test_sweep_column_table_memory_is_bounded():
 
 
 def test_sample_tester_memory_is_bounded():
-    # 2000 samples of half_graph(2) on (Z/2)^18 touch ~2600 distinct
-    # translates of 32 KiB; the rank-sum predicate keeps none of them
+    # 2000 samples of half_graph(2) on (Z/2)^18: the numpy predicate reads
+    # membership from A's packed bytes (32 KiB), never from A unpacked to
+    # one byte per element (256 KiB) or from a translate
     g = GroupDescriptor([2] * 18)
     a = GroupSubset(g, random.Random(3).getrandbits(g.order))
     rep, peak = _traced_peak(g, lambda: sample_tester(a, half_graph(2), 2000,
                                                       rng_seed=1))
     assert rep.samples == 2000
     assert peak < 2**20
+
+
+def test_sample_tester_memory_is_bounded_in_the_sample_count():
+    # 100000 samples tested in one pass would hold their draws, bulk words
+    # and pair sums at once, tens of MB; chunks of _CHUNK samples hold one
+    g = GroupDescriptor([2] * 18)
+    a = GroupSubset(g, random.Random(3).getrandbits(g.order))
+    rep, peak = _traced_peak(g, lambda: sample_tester(a, half_graph(2), 100000,
+                                                      rng_seed=1))
+    assert rep.samples == 100000
+    assert peak < 2 * 2**20
 
 
 def _module_state():
@@ -412,6 +426,86 @@ def test_sample_tester_decision_tracks_injective_hits(a, f):
     assert (rep.decision == "YES") == (rep.injective_bi_inducing > 0)
     assert 0.0 <= rep.wilson_low <= rep.bi_fraction <= rep.wilson_high <= 1.0
     assert rep.injective_bi_inducing <= rep.bi_inducing
+
+
+# ------------------------------------------ sampled checks against oracles
+
+CHUNK = patterns._CHUNK
+SAMPLE_COUNTS = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 47, 48, 63, 64, 65, 1023, 1024, 2**20])
+def test_bulk_draws_replay_randrange(n, width):
+    # the bulk words replay rng.randrange(n) call for call, across chunk
+    # boundaries, on every interpreter the package supports
+    samples = 3 * CHUNK + 5
+    chunks = list(patterns._draw_chunks(random.Random(n), n, samples, width))
+    assert [c.shape for c in chunks] == [(CHUNK, width)] * 3 + [(5, width)]
+    rng = random.Random(n)
+    want = [rng.randrange(n) for _ in range(samples * width)]
+    assert np.concatenate(chunks).ravel().tolist() == want
+
+
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+@pytest.mark.parametrize("f", ORACLE_PATTERNS,
+                         ids=["hg1", "hg2", "hg3", "path", "edgeless"])
+def test_sample_tester_matches_oracle_at_chunk_edges(f, samples):
+    g = GroupDescriptor([4, 12])
+    a = GroupSubset(g, random.Random(4).getrandbits(g.order))
+    assert sample_tester(a, f, samples, rng_seed=9) == oracles.sample_tester(
+        a, f, samples, 9)
+
+
+@given(subsets(), st.sampled_from(ORACLE_PATTERNS),
+       st.sampled_from(SAMPLE_COUNTS), st.integers(0, 2**32))
+def test_sample_tester_matches_oracle(a, f, samples, seed):
+    assert sample_tester(a, f, samples, seed) == oracles.sample_tester(
+        a, f, samples, seed)
+
+
+def _densify_cases():
+    # |H| = 1: the trivial subgroup of Z/4
+    z4 = GroupDescriptor([4])
+    one = (GroupSubset.from_ranks(z4, [1]), generated_subgroup(z4, []),
+           half_graph(1))
+    # |H| = 2: in Z/16 with H = {0, 8}, the witness's pair coset {1, 9} is
+    # half in A, so about half the samples hit
+    z16 = GroupDescriptor([16])
+    two = (GroupSubset.from_ranks(z16, [1, 3, 11]), generated_subgroup(z16, [8]),
+           half_graph(1))
+    # |H| = 8: two cosets of an index-8 subgroup of (Z/2)^6 and one stray
+    # element, as in test_densify_noisy_planted
+    g = GroupDescriptor([2] * 6)
+    h = generated_subgroup(g, [1, 2, 4])
+    base = h.bits | translate_bits(g, h.bits, 8) | translate_bits(g, h.bits, 16)
+    eight = (GroupSubset(g, base ^ 1), h, half_graph(2))
+    return [("h1", *one), ("h2", *two), ("h8", *eight)]
+
+
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+@pytest.mark.parametrize("name,a,h,f", _densify_cases(),
+                         ids=[c[0] for c in _densify_cases()])
+def test_densify_matches_oracle(name, a, h, f, samples):
+    assert h.size == int(name[1:])
+    w = find_bi_induced(coset_round(a, h), f)
+    rep = densify(a, h, f, w, samples, rng_seed=6)
+    assert rep == oracles.densify(a, h, f, w, samples, 6)
+    if samples > 1 and name != "h1":
+        assert 0 < rep.hits < samples
+
+
+# with a 1 x 1 pattern eta = 1/2, so every coset is good and densify
+# applies to any witness found in the rounded set
+@given(subsets(), st.sampled_from([half_graph(1), EDGELESS]), st.data())
+def test_densify_matches_oracle_on_any_subgroup(a, f, data):
+    h = data.draw(st.sampled_from(enumerate_subgroups(a.group)))
+    w = find_bi_induced(coset_round(a, h), f)
+    if w is None:
+        return
+    samples = data.draw(st.sampled_from(SAMPLE_COUNTS))
+    assert densify(a, h, f, w, samples, 2) == oracles.densify(
+        a, h, f, w, samples, 2)
 
 
 def test_exhaustive_density_examples():
@@ -550,6 +644,17 @@ def test_densify_rejects_bad_preconditions():
     assert check_witness(coset_round(noisy, h), half_graph(2), wr)
     with pytest.raises(ValueError, match="bad at eta"):
         densify(noisy, h, half_graph(2), wr, 10, rng_seed=0)
+
+
+def test_densify_rejects_sample_counts_below_one():
+    # checked before the preconditions: this witness fails on the rounded set
+    z4 = GroupDescriptor([4])
+    h2 = generated_subgroup(z4, [2])
+    w = find_bi_induced(GroupSubset.from_ranks(z4, [1]), half_graph(1))
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            densify(GroupSubset.from_ranks(z4, [0]), h2, half_graph(1), w,
+                    samples, rng_seed=0)
 
 
 def test_ap_search_examples():
