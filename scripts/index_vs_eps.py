@@ -16,7 +16,6 @@ from addcomb.harness import (
     ExperimentConfig,
     run_experiment,
     summary_table,
-    write_rows,
 )
 
 
@@ -58,9 +57,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     config = build_config(args)
-    rows = run_experiment(config)
+    rows = run_experiment(config)  # writes args.out itself, as the config asks
     if args.out:
-        write_rows(rows, args.out, args.format)
         print(f"wrote {len(rows)} rows to {args.out}")
 
     by_eps = collections.defaultdict(list)

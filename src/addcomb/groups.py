@@ -3,10 +3,9 @@
 A group is a product Z_m0 x Z_m1 x ... The element (c0, c1, ...) has rank
 c0 + c1*m0 + c2*m0*m1 + ... (little-endian mixed radix).  Subsets of the group
 are stored as Python ints used as bitsets: bit r set means rank r is in the
-set.  Translation and negation of a bitset are block permutations, applied one
-coordinate at a time.  A translate rotates each coordinate with two masked
-shifts, so it costs O(len(moduli) * |G|/wordsize); negation reflects each
-coordinate digit by digit, O(sum(moduli) * |G|/wordsize).  Both replace O(|G|)
+set.  A translate rotates each coordinate with two masked shifts, so it costs
+O(len(moduli) * |G|/wordsize).  Negation is one bit reversal plus one
+translate, also O(len(moduli) * |G|/wordsize).  Both replace O(|G|)
 Python-level bit moves.
 """
 from __future__ import annotations
@@ -14,9 +13,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GroupDescriptor",
@@ -51,6 +53,24 @@ class GroupDescriptor:
         object.__setattr__(self, "moduli", mods)
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_full_mask", (1 << order) - 1)
+        # _blocks[i]: the rank step of coordinate i, m0*...*m(i-1)
+        blocks = tuple(math.prod(mods[:i]) for i in range(len(mods)))
+        object.__setattr__(self, "_blocks", blocks)
+
+    @functools.cached_property
+    def _reps(self) -> tuple[int, ...]:
+        """_reps[i]: one bit at the start of every period of block*m bits, the
+        ranks whose coordinates 0..i are all zero.  Built by doubling shifts;
+        full // (2**period - 1) gives the same ints, but that big-int division
+        takes over a second on (Z/2)^20."""
+        reps = []
+        for m, blk in zip(self.moduli, self._blocks):
+            r, w = 1, blk * m
+            while w < self._order:
+                r |= r << w
+                w <<= 1
+            reps.append(r & self._full_mask)
+        return tuple(reps)
 
     @property
     def order(self) -> int:
@@ -79,7 +99,7 @@ class GroupDescriptor:
 
     def rank_of(self, coords: Sequence[int]) -> int:
         r = 0
-        for c, b in zip(coords, _tables(self.moduli).blocks):
+        for c, b in zip(coords, self._blocks):
             r += c * b
         return r
 
@@ -113,43 +133,8 @@ class GroupElement:
         return f"<{self.coords} rank {self.rank}>"
 
 
-class _Tables:
-    """Per-group precomputed masks for bitset translation and negation."""
-
-    __slots__ = ("moduli", "order", "blocks", "reps", "masks", "full")
-
-    def __init__(self, moduli: tuple[int, ...]):
-        self.moduli = moduli
-        self.order = math.prod(moduli)
-        self.blocks = []
-        b = 1
-        for m in moduli:
-            self.blocks.append(b)
-            b *= m
-        self.full = (1 << self.order) - 1
-        # reps[i]: one bit at the start of every period of block*m bits, the
-        # ranks whose coordinates 0..i are all zero.
-        self.reps = [self.full // ((1 << (blk * m)) - 1)
-                     for m, blk in zip(moduli, self.blocks)]
-        self.masks: list[list[int] | None] = [None] * len(moduli)
-
-    def digit_masks(self, i: int) -> list[int]:
-        """digit_masks(i)[k]: bits whose i-th coordinate equals k, a run of
-        `block` ones at offset k*block in every period.  m masks of up to
-        |G| bits, O(m * |G|) bits for modulus m, so they are built on first
-        use: only negation reads them."""
-        masks = self.masks[i]
-        if masks is None:
-            blk = self.blocks[i]
-            unit = self.reps[i] * ((1 << blk) - 1)
-            masks = [unit << (k * blk) for k in range(self.moduli[i])]
-            self.masks[i] = masks
-        return masks
-
-
-@functools.lru_cache(maxsize=None)
-def _tables(moduli: tuple[int, ...]) -> _Tables:
-    return _Tables(moduli)
+# _REV8[b]: the byte b with its 8 bits in reverse order
+_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def translate_bits(g: GroupDescriptor, bits: int, x_rank: int) -> int:
@@ -165,9 +150,8 @@ def translate_bits(g: GroupDescriptor, bits: int, x_rank: int) -> int:
     (rep << s) - rep is rep * (2**s - 1): a run of s ones at the start of
     every period.  About six big-int operations per coordinate, whatever m.
     """
-    t = _tables(g.moduli)
     r = x_rank
-    for m, blk, rep in zip(t.moduli, t.blocks, t.reps):
+    for m, blk, rep in zip(g.moduli, g._blocks, g._reps):
         r, c = divmod(r, m)
         if c:
             s = (m - c) * blk
@@ -177,26 +161,23 @@ def translate_bits(g: GroupDescriptor, bits: int, x_rank: int) -> int:
 
 
 def negate_bits(g: GroupDescriptor, bits: int) -> int:
-    """Bitset of {-a : a in the set described by bits}."""
-    t = _tables(g.moduli)
-    for i, m in enumerate(t.moduli):
-        masks = t.digit_masks(i)
-        blk = t.blocks[i]
-        out = bits & masks[0]
-        for k in range(1, m):
-            part = bits & masks[k]
-            if part:
-                delta = (m - 2 * k) * blk
-                out |= part << delta if delta >= 0 else part >> -delta
-        bits = out
-    return bits
+    """Bitset of {-a : a in the set described by bits}.
+
+    Reversing the |G| bits sends rank r to |G| - 1 - r, whose digits are
+    m_i - 1 - c_i.  So -A = rev(A) + (1, ..., 1): one byte-wise reversal,
+    then one translate by the rank of (1, ..., 1), sum(blocks).
+    """
+    n = g.order
+    nb = (n + 7) // 8
+    rev = int.from_bytes(bits.to_bytes(nb, "big").translate(_REV8),
+                         "little") >> (8 * nb - n)
+    return translate_bits(g, rev, sum(g._blocks))
 
 
 def add_rank(g: GroupDescriptor, a: int, b: int) -> int:
     """Rank of the sum of the elements with ranks a and b."""
-    t = _tables(g.moduli)
     out = 0
-    for m, blk in zip(t.moduli, t.blocks):
+    for m, blk in zip(g.moduli, g._blocks):
         a, ca = divmod(a, m)
         b, cb = divmod(b, m)
         s = ca + cb
@@ -206,10 +187,20 @@ def add_rank(g: GroupDescriptor, a: int, b: int) -> int:
     return out
 
 
-def neg_rank(g: GroupDescriptor, a: int) -> int:
-    t = _tables(g.moduli)
+def add_ranks(g: GroupDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise (broadcast) rank of the sum of the elements with ranks a
+    and b, int64 arrays: one digit decomposition per coordinate.  Array
+    operators only, so this module needs no numpy import."""
     out = 0
-    for m, blk in zip(t.moduli, t.blocks):
+    for m, blk in zip(g.moduli, g._blocks):
+        s = (a // blk) % m + (b // blk) % m
+        out = out + (s - m * (s >= m)) * blk
+    return out
+
+
+def neg_rank(g: GroupDescriptor, a: int) -> int:
+    out = 0
+    for m, blk in zip(g.moduli, g._blocks):
         a, c = divmod(a, m)
         if c:
             out += (m - c) * blk

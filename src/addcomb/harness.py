@@ -287,7 +287,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
             rows.append(ResultRow(run_id, config.study, _input_hash(a),
                                   str(value), seed, values, err, wall))
     if config.output_path is not None:
-        write_rows(rows, config.output_path, config.output_format)
+        write_rows(rows, config.output_path, config.output_format,
+                   config.study)
     return rows
 
 
@@ -310,9 +311,12 @@ def rows_to_csv(rows: list[ResultRow], study: str) -> str:
     return buf.getvalue()
 
 
-def write_rows(rows: list[ResultRow], path: str, fmt: str) -> None:
+def write_rows(
+    rows: list[ResultRow], path: str, fmt: str, study: str
+) -> None:
+    """Write rows as JSON lines, or as CSV with the columns of study, which
+    the caller names: an empty sweep still gets its own study's header."""
     if fmt == "csv":
-        study = rows[0].operation if rows else "regularize"
         write_text_atomic(path, rows_to_csv(rows, study))
     else:
         write_text_atomic(path, rows_to_json_lines(rows))

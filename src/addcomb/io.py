@@ -49,8 +49,7 @@ _HEX = "0123456789abcdef"
 def bits_to_hex(bits: int, order: int) -> str:
     if bits < 0 or bits >> order:
         raise ValueError("bitset out of range for the given order")
-    return "".join(_HEX[(bits >> (4 * j)) & 0xF]
-                   for j in range((order + 3) // 4))
+    return format(bits, f"0{(order + 3) // 4}x")[::-1]
 
 
 def hex_to_bits(s: str, order: int) -> int:
@@ -58,12 +57,12 @@ def hex_to_bits(s: str, order: int) -> int:
         raise ValueError(
             f"hex length {len(s)} does not match order {order}"
         )
-    bits = 0
-    for j, ch in enumerate(s.lower()):
-        v = _HEX.find(ch)
-        if v < 0:
-            raise ValueError(f"bad hex character {ch!r}")
-        bits |= v << (4 * j)
+    s = s.lower()
+    # checked before int(), which would also take "_", spaces, "0x" and "+"
+    bad = s.strip(_HEX)
+    if bad:
+        raise ValueError(f"bad hex character {bad[0]!r}")
+    bits = int(s[::-1], 16)
     if bits >> order:
         raise ValueError("hex string sets bits beyond the group order")
     return bits

@@ -57,8 +57,8 @@ from .groups import (
     GroupDescriptor,
     GroupElement,
     Subgroup,
-    _tables,
     add_rank,
+    add_ranks,
     cosets,
     neg_rank,
     translate_bits,
@@ -248,17 +248,6 @@ def _draw_chunks(rng: random.Random, n: int, samples: int,
         yield got[:need].reshape(c, width)
 
 
-def _add_ranks(g: GroupDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise (broadcast) rank of the sum of the elements with ranks a
-    and b: one digit decomposition per coordinate."""
-    t = _tables(g.moduli)
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), np.int64)
-    for m, blk in zip(t.moduli, t.blocks):
-        s = (a // blk) % m + (b // blk) % m
-        out += np.where(s >= m, s - m, s) * blk
-    return out
-
-
 class _SampleCheck:
     """The bi-inducing predicate over rows of sampled maps, for one A and f."""
 
@@ -276,7 +265,7 @@ class _SampleCheck:
     def __call__(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """bi[i] iff row i of xs (shape (c, |U|)) and of ys (shape (c, |V|))
         bi-induces f."""
-        s = _add_ranks(self.group, xs[:, :, None], ys[:, None, :])
+        s = add_ranks(self.group, xs[:, :, None], ys[:, None, :])
         inside = (self.packed[s >> 3] >> (s & 7)) & 1
         return (inside == self.edges).all(axis=(1, 2))
 
@@ -596,7 +585,7 @@ def densify(a: GroupSubset, h: Subgroup, f: BipartitePattern,
     hits = 0
     for idx in _draw_chunks(random.Random(rng_seed), size, samples,
                             f.vertex_count):
-        ranks = _add_ranks(g, base, h_ranks[idx])
+        ranks = add_ranks(g, base, h_ranks[idx])
         hits += int(np.count_nonzero(check(ranks[:, :f.u_count],
                                            ranks[:, f.u_count:])))
     frac = hits / samples

@@ -2,19 +2,21 @@
 
 Everything here works on plain coordinate tuples and element sets, never on
 the library's bitsets or cached profiles, so agreement between the two is
-meaningful.  Only usable at tiny sizes.  Three exceptions work on int
-bitsets: the bitset translation by digit masks (digit_masks, rotate_coord,
-translate_bits_by_digit), the reference for the library's two-shift
-translation kernel, which builds its own masks; shattered_witness, the
-unanchored shattering search the library ran before it anchored the full
-translate system at 0, the reference for the anchored search; and the
-patterns layer as it was before its column table, its anchored V-side sweep
-and its witness reuse (v_sweep, find_bi_induced, exhaustive_density,
-distance_to_free), which translates A at every visit and searches every
-flip set; and the sampled checks as they were before the bulk numpy path
-(bi_induces, sample_tester, densify), one rng call per coordinate and one
-add_rank per pair, the reference for the replayed draws and the vectorized
-predicate.
+meaningful.  Only usable at tiny sizes.  These exceptions work on int
+bitsets: the bitset translation and negation by digit masks (digit_masks,
+rotate_coord, translate_bits_by_digit, negate_bits_by_digit), which build
+their own masks, the references for the library's two-shift translation
+kernel and its reversal-plus-translate negation; the hex codec one nibble at
+a time (bits_to_hex_by_nibble, hex_to_bits_by_nibble), the reference for the
+library's format/int codec; shattered_witness, the unanchored shattering
+search the library ran before it anchored the full translate system at 0,
+the reference for the anchored search; the patterns layer as it was before
+its column table, its anchored V-side sweep and its witness reuse (v_sweep,
+find_bi_induced, exhaustive_density, distance_to_free), which translates A
+at every visit and searches every flip set; and the sampled checks as they
+were before the bulk numpy path (bi_induces, sample_tester, densify), one rng
+call per coordinate and one add_rank per pair, the reference for the
+replayed draws and the vectorized predicate.
 """
 from __future__ import annotations
 
@@ -91,6 +93,48 @@ def translate_bits_by_digit(mods, bits: int, x_rank: int) -> int:
         if c:
             bits = rotate_coord(bits, masks, m, blk, c)
         blk *= m
+    return bits
+
+
+def negate_bits_by_digit(mods, bits: int) -> int:
+    """Bitset negation, one digit of one coordinate at a time: digit k of
+    every coordinate moves to m - k (mod m)."""
+    blk = 1
+    for m, masks in zip(mods, digit_masks(tuple(mods))):
+        out = bits & masks[0]
+        for k in range(1, m):
+            delta = (m - 2 * k) * blk
+            part = bits & masks[k]
+            out |= part << delta if delta >= 0 else part >> -delta
+        bits = out
+        blk *= m
+    return bits
+
+
+_HEX = "0123456789abcdef"
+
+
+def bits_to_hex_by_nibble(bits: int, order: int) -> str:
+    """Little-endian hex: character j encodes bits 4j..4j+3."""
+    if bits < 0 or bits >> order:
+        raise ValueError("bitset out of range for the given order")
+    return "".join(_HEX[(bits >> (4 * j)) & 0xF]
+                   for j in range((order + 3) // 4))
+
+
+def hex_to_bits_by_nibble(s: str, order: int) -> int:
+    if len(s) != (order + 3) // 4:
+        raise ValueError(
+            f"hex length {len(s)} does not match order {order}"
+        )
+    bits = 0
+    for j, ch in enumerate(s.lower()):
+        v = _HEX.find(ch)
+        if v < 0:
+            raise ValueError(f"bad hex character {ch!r}")
+        bits |= v << (4 * j)
+    if bits >> order:
+        raise ValueError("hex string sets bits beyond the group order")
     return bits
 
 

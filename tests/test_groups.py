@@ -19,7 +19,6 @@ from addcomb import (
     subgroup_from_bits,
 )
 from addcomb.groups import (
-    _tables,
     add_rank,
     element_order,
     neg_rank,
@@ -98,9 +97,8 @@ def test_translate_bits_matches_digit_oracle_for_every_shift(mods):
 
 
 def test_translate_bits_builds_no_digit_masks():
-    # the digit masks of Z/16384, 16384 masks of up to 2 KiB (17.7 MB), are
-    # read only by negation; a first translate on the group builds none
-    _tables.cache_clear()
+    # per-digit masks of Z/16384 would be 16384 masks of up to 2 KiB
+    # (17.7 MB); a first translate on a fresh descriptor builds none
     g = GroupDescriptor([16384])
     bits = random.Random(5).getrandbits(g.order)
     tracemalloc.start()
@@ -110,6 +108,48 @@ def test_translate_bits_builds_no_digit_masks():
     finally:
         tracemalloc.stop()
     assert t == translate_bits(g, translate_bits(g, bits, 1000), 234)
+    assert peak < 2**20
+
+
+# The kernel shapes plus the benchmark's small-modulus and cyclic shapes.
+NEGATE_SHAPES = KERNEL_SHAPES + [(2,) * 12, (3,) * 7, (8,) * 4, (4096,)]
+
+
+@pytest.mark.parametrize("mods", NEGATE_SHAPES,
+                         ids=lambda mods: "x".join(map(str, mods)))
+def test_negate_bits_matches_digit_oracle(mods):
+    g = GroupDescriptor(mods)
+    rng = random.Random(repr(mods))
+    sets = [0, 1, g.full_mask, 1 << (g.order - 1)]
+    sets += [rng.getrandbits(g.order) for _ in range(4)]
+    for bits in sets:
+        n = negate_bits(g, bits)
+        assert n == oracles.negate_bits_by_digit(mods, bits)
+        assert negate_bits(g, n) == bits
+
+
+@pytest.mark.parametrize("mods", KERNEL_SHAPES,
+                         ids=lambda mods: "x".join(map(str, mods)))
+def test_repeaters_match_division(mods):
+    g = GroupDescriptor(mods)
+    full = g.full_mask
+    assert g._reps == tuple(full // ((1 << blk * m) - 1)
+                            for m, blk in zip(mods, g._blocks))
+
+
+def test_negate_bits_builds_no_digit_masks():
+    # the digit masks of Z/16384 take 17.7 MB; the reversal and one translate
+    # on a fresh descriptor stay far below that
+    g = GroupDescriptor([16384])
+    bits = random.Random(6).getrandbits(g.order)
+    tracemalloc.start()
+    try:
+        n = negate_bits(g, bits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n == sum(1 << (-r % g.order) for r in range(g.order)
+                    if (bits >> r) & 1)
     assert peak < 2**20
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from addcomb import (
     AdjacencyOracle,
     GroupDescriptor,
@@ -79,6 +80,29 @@ def test_hex_errors():
 def test_hex_round_trip(order, data):
     bits = data.draw(st.integers(0, (1 << order) - 1))
     assert hex_to_bits(bits_to_hex(bits, order), order) == bits
+
+
+def test_hex_codec_matches_nibble_oracle():
+    for order in list(range(2, 81)) + [1024, 2**16]:
+        rng = random.Random(order)
+        for bits in (0, (1 << order) - 1, rng.getrandbits(order)):
+            s = bits_to_hex(bits, order)
+            assert s == oracles.bits_to_hex_by_nibble(bits, order), order
+            for t in (s, s.upper()):
+                assert hex_to_bits(t, order) == bits, order
+                assert oracles.hex_to_bits_by_nibble(t, order) == bits, order
+
+
+@pytest.mark.parametrize("s", ["1_0", " a", "0x", "+a", "1G", "a\n",
+                               "f0f", "1f"])
+def test_hex_rejects_like_nibble_oracle(s):
+    # int(s, 16) would take "_", spaces, "0x" and "+"; the codec does not
+    order = 4 * len(s) - 1
+    with pytest.raises(ValueError) as want:
+        oracles.hex_to_bits_by_nibble(s, order)
+    with pytest.raises(ValueError) as got:
+        hex_to_bits(s, order)
+    assert str(got.value) == str(want.value)
 
 
 def test_frac_str_parse():
@@ -325,6 +349,18 @@ def test_run_experiment_writes_output(tmp_path):
         header = fh.readline().rstrip("\n")
     assert header == ("schema,run_id,operation,input_hash,sweep,seed,error,"
                       "epsilon,index,achieved_error,delta_used,degenerate,ell")
+
+
+@pytest.mark.parametrize("kw", [{"sweep": []}, {"seeds": []}])
+def test_run_experiment_csv_header_of_empty_grid_follows_study(tmp_path, kw):
+    # no row to read the study from: the header still names packing's columns
+    out = str(tmp_path / "rows.csv")
+    rows = run_experiment(_planted_config(
+        study="packing", output_path=out, output_format="csv", **kw))
+    assert rows == []
+    with open(out) as fh:
+        assert fh.read() == ("schema,run_id,operation,input_hash,sweep,seed,"
+                             "error,delta,vcdim,packing_size,bound,bound_ok\n")
 
 
 def test_summary_table_lists_rows():
