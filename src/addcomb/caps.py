@@ -17,7 +17,9 @@ class Caps:
     subgroup_enum_cap: largest group order for full subgroup-lattice enumeration.
     subgroup_exhaustive_cap: largest order at which max_subgroup_within uses the
         exhaustive lattice as the authoritative answer (greedy closure beyond).
-    vc_ground_cap: largest ground-set size accepted by the shattering search.
+    vc_ground_cap: largest ground-set size accepted by the shattering search,
+        including the sampled ground sets of sampled_vc and
+        separated_sample_bound_check (and so of robust_pipeline).
     pattern_visit_cap: visit budget for the bi-induced search, counted on its
         V-side sweep anchored at phi_v(0) = 0: one visit per y tried for a
         V-vertex.

@@ -131,17 +131,10 @@ def _robust_payload(outcome) -> dict:
 
 def _cmd_regularize(args, caps: Caps):
     a = _load_set(args.set, caps)
-    eps = _to_fraction(args.eps)
-    if args.robust is not None:
-        cfg = RobustConfig(caps=caps)
-        outcome = robust_pipeline(a, eps, args.robust, cfg, rng_seed=args.seed)
-        if outcome.kind == "high_vc":
-            return _robust_payload(outcome), EXIT_ROBUST_HIGH_VC
-        return _robust_payload(outcome), EXIT_OK
     schedule = _parse_schedule(args.schedule) if args.schedule else None
     cfg = PipelineConfig(delta_schedule=schedule, max_index=args.max_index,
                          caps=caps)
-    cert = regularize(a, eps, cfg)
+    cert = regularize(a, _to_fraction(args.eps), cfg)
     code = EXIT_DEGENERATE if cert.degenerate else EXIT_OK
     return certificate_to_json(cert), code
 
@@ -347,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--set", required=True)
     q.add_argument("--eps", required=True)
     q.add_argument("--max-index", type=int, default=None)
-    q.add_argument("--robust", type=int, default=None, metavar="D",
-                   help="run the VC-vs-certificate dichotomy at dimension D")
     q.add_argument("--schedule", help="comma separated delta values")
     q.set_defaults(handler=_cmd_regularize)
 

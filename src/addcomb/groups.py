@@ -255,12 +255,15 @@ class Subgroup:
         g = self.group
         if not self.bits & 1:
             return False
-        if negate_bits(g, self.bits) != self.bits:
-            return False
-        for r in self.ranks():
-            if translate_bits(g, self.bits, r) != self.bits:
-                return False
-        return g.order % self.size == 0 and self.index * self.size == g.order
+        return (negate_bits(g, self.bits) == self.bits
+                and _is_union_of_cosets(g, self.bits, self.bits)
+                and g.order % self.size == 0
+                and self.index * self.size == g.order)
+
+
+def _is_union_of_cosets(g: GroupDescriptor, s_bits: int, h_bits: int) -> bool:
+    """True iff S + x = S for every x in H, i.e. S is a union of H-cosets."""
+    return all(translate_bits(g, s_bits, x) == s_bits for x in _bit_ranks(h_bits))
 
 
 def _bit_ranks(bits: int) -> list[int]:

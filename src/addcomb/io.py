@@ -26,7 +26,6 @@ __all__ = [
     "hex_to_bits",
     "frac_str",
     "frac_parse",
-    "element_str",
     "group_to_json",
     "group_from_json",
     "subset_to_json",
@@ -74,11 +73,6 @@ def frac_str(x: Fraction) -> str:
 
 def frac_parse(s: Any) -> Fraction:
     return _to_fraction(s)
-
-
-def element_str(coords: tuple[int, ...]) -> str:
-    """Canonical textual element: comma-joined coordinates."""
-    return ",".join(str(c) for c in coords)
 
 
 def group_to_json(g: GroupDescriptor) -> dict:

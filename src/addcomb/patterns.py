@@ -65,7 +65,6 @@ from .groups import (
 )
 from .stats import binomial_sigma, wilson_interval
 from .subsets import GroupSubset
-from .regularity import coset_round
 from .vc import find_shattered_set
 
 __all__ = [
@@ -526,16 +525,19 @@ class CosetGoodness:
         return all(self.good)
 
 
+def _good(count: int, size: int, eta: Fraction) -> bool:
+    """Whether a coset of the given size holding count elements of A has
+    A-density within eta of 0 or 1 (the boundary is good)."""
+    dens = Fraction(count, size)
+    return dens <= eta or dens >= 1 - eta
+
+
 def coset_goodness(a: GroupSubset, h: Subgroup,
                    f: BipartitePattern) -> CosetGoodness:
     """Classify cosets with eta = 1 / (2 |U| |V|); the boundary is good."""
     g = a.group
     eta = Fraction(1, 2 * f.u_count * f.v_count)
-    flags = []
-    size = h.size
-    for c in cosets(g, h):
-        dens = Fraction((a.bits & c).bit_count(), size)
-        flags.append(dens <= eta or dens >= 1 - eta)
+    flags = [_good((a.bits & c).bit_count(), h.size, eta) for c in cosets(g, h)]
     bad = sum(1 for x in flags if not x)
     return CosetGoodness(h, eta, tuple(flags), Fraction(bad, len(flags)))
 
@@ -559,26 +561,31 @@ def densify(a: GroupSubset, h: Subgroup, f: BipartitePattern,
     and every pair coset phi_u(u) + phi_v(v) + H to be good at
     eta = 1/(2|U||V|): each perturbed pair then disagrees with the pattern
     with probability at most eta, so the joint success probability is at
-    least 1/2.  Asserted with three standard errors of slack."""
+    least 1/2.  Asserted with three standard errors of slack.
+
+    Both preconditions read only the count c of A in each pair coset, since
+    phi_u(u) + phi_v(v) lies in coset_round(A, H) iff 2c >= |H|: densify
+    makes |U| |V| translates of H and walks no other coset."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     g = a.group
-    rounded = coset_round(a, h)
-    if not check_witness(rounded, f, w):
+    if h.group != g:
+        raise ValueError("subgroup does not belong to the subset's group")
+    size = h.size
+    counts = {
+        (u, v): (a.bits & translate_bits(
+            g, h.bits, add_rank(g, xe.rank, ye.rank))).bit_count()
+        for u, xe in enumerate(w.phi_u) for v, ye in enumerate(w.phi_v)
+    }
+    if any((2 * c >= size) != (uv in f.edges) for uv, c in counts.items()):
         raise ValueError("witness does not bi-induce the pattern in the "
                          "rounded set; the perturbation bound does not apply")
-    goodness = coset_goodness(a, h, f)
-    eta = goodness.eta
-    size = h.size
-    for u, xe in enumerate(w.phi_u):
-        for v, ye in enumerate(w.phi_v):
-            base = add_rank(g, xe.rank, ye.rank)
-            c = translate_bits(g, h.bits, base)
-            dens = Fraction((a.bits & c).bit_count(), size)
-            if not (dens <= eta or dens >= 1 - eta):
-                raise ValueError(
-                    f"pair coset for (u={u}, v={v}) is bad at eta={eta}"
-                )
+    eta = Fraction(1, 2 * f.u_count * f.v_count)
+    for (u, v), c in counts.items():
+        if not _good(c, size, eta):
+            raise ValueError(
+                f"pair coset for (u={u}, v={v}) is bad at eta={eta}"
+            )
     h_ranks = np.array(h.ranks(), np.int64)
     base = np.array([e.rank for e in w.phi_u + w.phi_v], np.int64)
     check = _SampleCheck(a, f)

@@ -8,21 +8,24 @@ every x in 2lB - 2lB by the triangle inequality over the 4l summands, and
 |A xor S| <= mean over H of |A xor (A+x)|, so small delta yields a certified
 approximation.  The sweep keeps the certificate of smallest index among the
 successful deltas.
+
+robust_pipeline(A, eps, d) sweeps the same deltas but first compares the
+ball's size with |G| / (12 m^d), and answers with a sampled-VC report when it
+is smaller.  Both sweeps compute each ball once and run the same delta step
+on it (_pipeline_step), and build a certificate only for the delta they keep.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-import random
 from fractions import Fraction
 
 from .caps import Caps, DEFAULT_CAPS
 from .groups import (
-    GroupDescriptor,
     Subgroup,
+    _is_union_of_cosets,
     _make_subgroup,
     cosets,
-    translate_bits,
 )
 from .subsets import (
     AlmostPeriodSet,
@@ -108,15 +111,6 @@ class RegularityCertificate:
     degenerate: bool
     trace: DoublingTrace | None
 
-    @property
-    def subgroup_to_ball_ratio(self) -> Fraction | None:
-        """|H| / |ell*B|: how much of the doubled ball the extracted subgroup
-        kept.  Recorded so the unspecified extraction-quality constant can be
-        studied empirically; no operation depends on it."""
-        if self.trace is None:
-            return None
-        return Fraction(self.subgroup.size, self.trace.ell_set.size)
-
 
 @dataclasses.dataclass(frozen=True)
 class CertificateCheck:
@@ -140,9 +134,7 @@ def verify_certificate(cert: RegularityCertificate) -> CertificateCheck:
     h = cert.subgroup
     closure_ok = h.verify()
     s_bits = cert.rounded.bits
-    union_ok = all(
-        translate_bits(g, s_bits, x) == s_bits for x in h.ranks()
-    )
+    union_ok = _is_union_of_cosets(g, s_bits, h.bits)
     err = Fraction((cert.base.bits ^ s_bits).bit_count(), g.order)
     error_ok = err == cert.achieved_error and err <= cert.epsilon
     if cert.degenerate or cert.delta_used is None or cert.trace is None:
@@ -171,20 +163,29 @@ def default_delta_schedule(epsilon: Fraction, order: int) -> list[Fraction]:
 @dataclasses.dataclass(frozen=True)
 class PipelineConfig:
     delta_schedule: tuple[Fraction, ...] | None = None
-    k_floor: float = 2.0
     max_index: int | None = None
     caps: Caps = DEFAULT_CAPS
 
 
-def _pipeline_step(a: GroupSubset, delta: Fraction, config: PipelineConfig
-                   ) -> tuple[AlmostPeriodSet, DoublingTrace, Subgroup, GroupSubset, Fraction]:
-    b = almost_periods(a, delta)
-    trace = iterated_doubling(b.members, DoublingConfig.from_delta(delta, config.k_floor))
+def _pipeline_step(a: GroupSubset, ball: AlmostPeriodSet, caps: Caps
+                   ) -> tuple[DoublingTrace, Subgroup, GroupSubset, Fraction]:
+    """One delta of the pipeline from its almost-period ball: the doubling
+    trace, the subgroup H, the rounded set S and its error |A xor S|/|G|."""
+    trace = iterated_doubling(ball.members, DoublingConfig.from_delta(ball.delta))
     spread = difference_set(trace.double_set, trace.double_set)
-    h = max_subgroup_within(spread, caps=config.caps)
+    h = max_subgroup_within(spread, caps=caps)
     s = coset_round(a, h)
     err = Fraction((a.bits ^ s.bits).bit_count(), a.group.order)
-    return b, trace, h, s, err
+    return trace, h, s, err
+
+
+def _certificate(a: GroupSubset, epsilon: Fraction, delta: Fraction,
+                 trace: DoublingTrace, h: Subgroup, s: GroupSubset,
+                 err: Fraction) -> RegularityCertificate:
+    return RegularityCertificate(
+        base=a, epsilon=epsilon, delta_used=delta, subgroup=h, rounded=s,
+        achieved_error=err, index=h.index, degenerate=False, trace=trace,
+    )
 
 
 def _degenerate_certificate(a: GroupSubset, epsilon: Fraction) -> RegularityCertificate:
@@ -214,8 +215,8 @@ def regularize(a: GroupSubset, epsilon, config: PipelineConfig | None = None
     best: RegularityCertificate | None = None
     best_key = None
     for pos, delta in enumerate(schedule):
-        d = _to_fraction(delta)
-        _, trace, h, s, err = _pipeline_step(a, d, cfg)
+        ball = almost_periods(a, delta)
+        trace, h, s, err = _pipeline_step(a, ball, cfg.caps)
         if err > eps:
             continue
         if cfg.max_index is not None and h.index > cfg.max_index:
@@ -223,11 +224,7 @@ def regularize(a: GroupSubset, epsilon, config: PipelineConfig | None = None
         key = (h.index, h.bits, pos)
         if best_key is None or key < best_key:
             best_key = key
-            best = RegularityCertificate(
-                base=a, epsilon=eps, delta_used=d, subgroup=h, rounded=s,
-                achieved_error=err, index=h.index, degenerate=False,
-                trace=trace,
-            )
+            best = _certificate(a, eps, ball.delta, trace, h, s, err)
     return best if best is not None else _degenerate_certificate(a, eps)
 
 
@@ -279,7 +276,6 @@ class RobustConfig:
     c_constant: float = 8.0
     trials: int = 50
     delta_schedule: tuple[Fraction, ...] | None = None
-    k_floor: float = 2.0
     caps: Caps = DEFAULT_CAPS
 
 
@@ -332,7 +328,6 @@ def robust_pipeline(a: GroupSubset, epsilon, d: int,
         raise ValueError("d must be >= 1")
     cfg = config or RobustConfig()
     g = a.group
-    pipeline_cfg = PipelineConfig(k_floor=cfg.k_floor, caps=cfg.caps)
     schedule = (list(cfg.delta_schedule) if cfg.delta_schedule is not None
                 else default_delta_schedule(eps, g.order))
     steps: list[RobustStep] = []
@@ -351,16 +346,12 @@ def robust_pipeline(a: GroupSubset, epsilon, d: int,
             report = sampled_vc(a, x_size, y_size, cfg.trials, d, rng_seed,
                                 caps=cfg.caps)
             return RobustOutcome("high_vc", d, report, None, tuple(steps))
-        _, trace, h, s, err = _pipeline_step(a, dd, pipeline_cfg)
+        trace, h, s, err = _pipeline_step(a, ball, cfg.caps)
         # the appended stabilizer delta decides even for a negative epsilon
         if err <= eps or pos == len(deltas) - 1:
             steps.append(RobustStep(dd, m_raw, m_eff, threshold, ball.size,
                                     "certificate"))
-            cert = RegularityCertificate(
-                base=a, epsilon=eps, delta_used=dd, subgroup=h, rounded=s,
-                achieved_error=err, index=h.index, degenerate=False,
-                trace=trace,
-            )
+            cert = _certificate(a, eps, dd, trace, h, s, err)
             return RobustOutcome("certificate", d, None, cert, tuple(steps))
         steps.append(RobustStep(dd, m_raw, m_eff, threshold, ball.size,
                                 "continue"))

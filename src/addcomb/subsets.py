@@ -235,8 +235,8 @@ class DoublingConfig:
         return max(math.exp(math.log(ratio) ** 0.2), self.k_floor)
 
     @classmethod
-    def from_delta(cls, delta, k_floor: float = 2.0) -> "DoublingConfig":
-        return cls(k=None, delta=_to_fraction(delta), k_floor=k_floor)
+    def from_delta(cls, delta) -> "DoublingConfig":
+        return cls(delta=_to_fraction(delta))
 
 
 @dataclasses.dataclass(frozen=True)

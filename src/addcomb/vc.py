@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
-from .groups import GroupDescriptor, GroupElement, negate_bits, translate_bits, _bit_ranks
+from .groups import GroupDescriptor, GroupElement, negate_bits, translate_bits
 from .stats import binomial_sigma, wilson_interval
 from .subsets import GroupSubset, _to_fraction, almost_periods
 
@@ -266,7 +266,9 @@ def sampled_vc(a: GroupSubset, x_size: int, y_size: int, trials: int, d: int,
                rng_seed: int, caps: Caps = DEFAULT_CAPS) -> SampledVcReport:
     """Draw X and Y uniformly (without replacement) and measure how often the
     restricted translate system has VC dimension exceeding d.  With
-    x_size = y_size = |G| and one trial this is exactly set_vc_dimension > d."""
+    x_size = y_size = |G| and one trial this is exactly set_vc_dimension > d.
+    Each trial is a vc_dimension threshold query, so caps.vc_ground_cap
+    bounds y_size."""
     g = a.group
     n = g.order
     if not (1 <= x_size <= n and 1 <= y_size <= n):
@@ -277,12 +279,9 @@ def sampled_vc(a: GroupSubset, x_size: int, y_size: int, trials: int, d: int,
     hits = 0
     everything = range(n)
     for _ in range(trials):
-        xs = sorted(rng.sample(everything, x_size))
-        y_bits = 0
-        for r in rng.sample(everything, y_size):
-            y_bits |= 1 << r
-        traces = sorted({translate_bits(g, a.bits, x) & y_bits for x in xs})
-        if len(_shattered_witness(traces, _bit_ranks(y_bits), d + 1)) > d:
+        xs = GroupSubset.from_ranks(g, rng.sample(everything, x_size))
+        ys = GroupSubset.from_ranks(g, rng.sample(everything, y_size))
+        if vc_dimension(TranslateSystem(a, ys, xs), max_d=d, caps=caps) > d:
             hits += 1
     lo, hi = wilson_interval(hits, trials)
     return SampledVcReport(x_size, y_size, d, trials, hits, hits / trials, lo, hi)
@@ -400,28 +399,25 @@ def separated_sample_bound_check(a: GroupSubset, delta, m: int, d: int,
     probability that its restriction to a random m-element ground sample has
     VC dimension at most d, and test the contrapositive: when that probability
     (minus 3 sigma) still reaches 3 m^(2d) (1-delta)^m, the family must have
-    at most 2 m^d members."""
+    at most 2 m^d members.  Each trial is a vc_dimension threshold query on
+    the family's translate system, so caps.vc_ground_cap bounds m."""
     dd = _to_fraction(delta)
     g = a.group
     if not 1 <= m <= g.order:
         raise ValueError("m must be in 1..|G|")
     pack = greedy_packing(a, dd)
-    fam = [translate_bits(g, a.bits, c.rank) for c in pack.centers]
+    centers = GroupSubset.from_ranks(g, [c.rank for c in pack.centers])
     rng = random.Random(rng_seed)
     low = 0
     for _ in range(trials):
-        y_bits = 0
-        positions = rng.sample(range(g.order), m)
-        for r in positions:
-            y_bits |= 1 << r
-        traces = sorted({t & y_bits for t in fam})
-        if len(_shattered_witness(traces, sorted(positions), d + 1)) <= d:
+        ys = GroupSubset.from_ranks(g, rng.sample(range(g.order), m))
+        if vc_dimension(TranslateSystem(a, ys, centers), max_d=d, caps=caps) <= d:
             low += 1
     frac = low / trials
     sigma = binomial_sigma(low, trials)
     threshold = 3 * m ** (2 * d) * float((1 - dd) ** m)
     size_bound = 2 * m**d
     applicable = frac - 3 * sigma >= threshold
-    holds = (not applicable) or len(fam) <= size_bound
-    return SeparatedSampleReport(len(fam), m, d, dd, trials, frac, sigma,
+    holds = (not applicable) or centers.size <= size_bound
+    return SeparatedSampleReport(centers.size, m, d, dd, trials, frac, sigma,
                                  threshold, size_bound, applicable, holds)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -37,6 +39,29 @@ def nonempty_subsets(draw, pool=tuple(MODULI_POOL)):
     g = GroupDescriptor(draw(st.sampled_from(pool)))
     bits = draw(st.integers(min_value=1, max_value=g.full_mask))
     return GroupSubset(g, bits)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(fn) wraps fn at every addcomb module attribute bound to
+    it, since callers import names directly, and returns a one-item list
+    holding the number of calls made since."""
+
+    def install(fn):
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "addcomb" or name.startswith("addcomb."):
+                for key, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, key, counted)
+        return calls
+
+    return install
 
 
 def pytest_runtest_logreport(report):

@@ -16,7 +16,10 @@ find_bi_induced, exhaustive_density, distance_to_free), which translates A
 at every visit and searches every flip set; and the sampled checks as they
 were before the bulk numpy path (bi_induces, sample_tester, densify), one rng
 call per coordinate and one add_rank per pair, the reference for the
-replayed draws and the vectorized predicate.
+replayed draws and the vectorized predicate; and the sampled VC checks as
+they were before they ran through vc_dimension (sampled_vc,
+separated_sample_bound_check), which build each trial's traces by hand and
+search them with shattered_witness.
 """
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ from fractions import Fraction
 from addcomb.caps import DEFAULT_CAPS, CapExceeded
 from addcomb.groups import add_rank, neg_rank, translate_bits
 from addcomb.patterns import BiInducedWitness, DensifyReport, TesterReport
+from addcomb.vc import SampledVcReport, SeparatedSampleReport
 from addcomb.stats import binomial_sigma, wilson_interval
 from addcomb.subsets import GroupSubset
 
@@ -495,3 +499,51 @@ def densify(a, h, f, w, samples: int, rng_seed: int) -> DensifyReport:
     bound = Fraction(1, 2)
     return DensifyReport(samples, hits, frac, sigma, bound,
                          frac >= float(bound) - 3 * sigma)
+
+
+def sampled_vc(a, x_size: int, y_size: int, trials: int, d: int,
+               rng_seed: int) -> SampledVcReport:
+    """sampled_vc's report from hand-built traces: per trial, the translates
+    of A by a sorted X sample, cut to a Y sample, searched unanchored."""
+    g = a.group
+    rng = random.Random(rng_seed)
+    hits = 0
+    everything = range(g.order)
+    for _ in range(trials):
+        xs = sorted(rng.sample(everything, x_size))
+        ys = sorted(rng.sample(everything, y_size))
+        y_bits = sum(1 << r for r in ys)
+        traces = sorted({translate_bits(g, a.bits, x) & y_bits for x in xs})
+        if len(shattered_witness(traces, ys, d + 1)) > d:
+            hits += 1
+    lo, hi = wilson_interval(hits, trials)
+    return SampledVcReport(x_size, y_size, d, trials, hits, hits / trials,
+                           lo, hi)
+
+
+def separated_sample_bound_check(a, delta: Fraction, m: int, d: int,
+                                 trials: int, rng_seed: int
+                                 ) -> SeparatedSampleReport:
+    """separated_sample_bound_check's report from hand-built traces: the
+    translates of A by the pairwise greedy packing's centers, cut to each
+    trial's m-sample, searched unanchored."""
+    g = a.group
+    aset = {g.coords_of(r) for r in a.ranks()}
+    centers = [g.rank_of(c) for c in greedy_packing(g.moduli, aset, delta)]
+    fam = [translate_bits(g, a.bits, c) for c in centers]
+    rng = random.Random(rng_seed)
+    low = 0
+    for _ in range(trials):
+        ys = sorted(rng.sample(range(g.order), m))
+        y_bits = sum(1 << r for r in ys)
+        traces = sorted({t & y_bits for t in fam})
+        if len(shattered_witness(traces, ys, d + 1)) <= d:
+            low += 1
+    frac = low / trials
+    sigma = binomial_sigma(low, trials)
+    threshold = 3 * m ** (2 * d) * float((1 - delta) ** m)
+    size_bound = 2 * m**d
+    applicable = frac - 3 * sigma >= threshold
+    holds = (not applicable) or len(fam) <= size_bound
+    return SeparatedSampleReport(len(fam), m, d, delta, trials, frac, sigma,
+                                 threshold, size_bound, applicable, holds)

@@ -3,6 +3,7 @@ import io as sysio
 import json
 import os
 import random
+import shlex
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from addcomb import (
     regularize,
 )
 from addcomb.caps import Caps
-from addcomb.cli import main
+from addcomb.cli import build_parser, main
 from addcomb.harness import (
     ExperimentConfig,
     generate_family,
@@ -506,8 +507,7 @@ def test_cli_robust_high_vc_exit(files):
         subset_to_json(GroupSubset(g, rng.getrandbits(1024) & g.full_mask)),
     )
     code, out, _ = _run_cli(
-        ["regularize", "--set", big, "--eps", "1/10", "--robust", "1",
-         "--seed", "6"]
+        ["robust", "--set", big, "--eps", "1/10", "--d", "1", "--seed", "6"]
     )
     assert code == 3
     obj = json.loads(out)
@@ -645,6 +645,204 @@ PATTERN_CLI_GOLDENS = [
 def test_cli_pattern_stdout_bytes(files, argv, stdout):
     code, out, err = _run_cli([files.get(w, w) for w in argv.split()])
     assert (code, out, err) == (0, stdout, "")
+
+
+@pytest.fixture
+def gate_files(files):
+    """The files fixture plus the larger inputs of the CLI byte gates."""
+    d = files["dir"]
+    g10 = GroupDescriptor([2] * 10)
+    g64 = GroupDescriptor([4, 4, 4])
+    made = dict(files)
+    made.update({
+        "single": _write_json(d / "single.json",
+                              {"moduli": [2, 2, 2, 2], "bits_hex": "1000"}),
+        "big": _write_json(d / "big.json", subset_to_json(GroupSubset(
+            g10, random.Random(77).getrandbits(1024) & g10.full_mask))),
+        # the cosets of an index-4 subgroup with three ranks flipped
+        "mid": _write_json(d / "mid.json", subset_to_json(
+            GroupSubset.from_ranks(g64, [
+                r for r in range(64) if (r % 4 < 2) != (r in (5, 22, 41))]))),
+        "z5": _write_json(d / "z5.json", {"moduli": [5], "bits_hex": "30"}),
+        "exp_json": _write_json(d / "exp_json.json", {
+            "group": {"moduli": [2, 2, 2, 2]},
+            "family": {"kind": "planted", "index": 4, "cosets": 2,
+                       "noise": "1/16"},
+            "study": "regularize", "sweep": ["1/4", "1/8"], "seeds": [1, 2]}),
+        "exp_csv": _write_json(d / "exp_csv.json", {
+            "group": {"moduli": [4, 4]},
+            "family": {"kind": "random", "density": "1/3"},
+            "study": "packing", "sweep": ["1/4", "1/2"], "seeds": [3],
+            "output": {"path": str(d / "rows.csv"), "format": "csv"}}),
+    })
+    return made
+
+
+# Exit codes and full stdout bytes of the other subcommands, captured before
+# the shared regularity delta step, the removal of regularize --robust and
+# the sampled systems' move onto vc_dimension.  Words naming a gate_files
+# entry are replaced by its path.
+CLI_GOLDENS = [
+    ('vcdim --set interval', 0,
+     '{"vcdim":2}\n'),
+    ('vcdim --set interval --max-d 1', 0,
+     '{"exceeds_threshold":true,"threshold":1,"vcdim":2}\n'),
+    ('vcdim --set union --max-d 2', 0,
+     '{"exceeds_threshold":false,"threshold":2,"vcdim":1}\n'),
+    ('vcdim --set three --ground subgroup --translators union', 0,
+     '{"vcdim":1}\n'),
+    ('vcdim --set mid', 0,
+     '{"vcdim":3}\n'),
+    ('ball --set interval --delta 1/4', 0,
+     '{"delta":"1/4","members":{"bits_hex":"3001","moduli":[13]},"size":3}\n'),
+    ('ball --set mid --delta 1/8', 0,
+     '{"delta":"1/8","members":{"bits_hex":"1111111111111111","moduli":[4,4,'
+     '4]},"size":16}\n'),
+    ('ball --set interval --delta 1/4 --format csv', 0,
+     'delta,members.bits_hex,members.moduli,size\n1/4,3001,[13],3\n'),
+    ('pack --set interval --delta 1/4', 0,
+     '{"centers":[[0],[2],[4],[6],[8],[10]],"certified":true,"delta":"1/4","'
+     'size":6}\n'),
+    ('pack --set mid --delta 1/4', 0,
+     '{"centers":[[0,0,0],[1,0,0],[2,0,0],[3,0,0]],"certified":true,"delta":'
+     '"1/4","size":4}\n'),
+    ('regularize --set union --eps 1/4', 0,
+     '{"achieved_error":"0","degenerate":false,"delta_used":"1/8","epsilon":'
+     '"1/4","index":4,"moduli":[2,2,2,2],"rounded_hex":"f0ff","set_hex":"f0f'
+     'f","subgroup":{"bits_hex":"f000","generators":[3,1],"index":4},"trace"'
+     ':{"ball_hex":"f000","double_set_hex":"f000","ell":1,"ell_set_hex":"f00'
+     '0","k_value":3.1825481031137355,"sizes":[4,4]}}\n'),
+    ('regularize --set mid --eps 1/4', 0,
+     '{"achieved_error":"3/64","degenerate":false,"delta_used":"1/8","epsilo'
+     'n":"1/4","index":4,"moduli":[4,4,4],"rounded_hex":"3333333333333333","'
+     'set_hex":"3133373333133333","subgroup":{"bits_hex":"1111111111111111",'
+     '"generators":[40,16,4],"index":4},"trace":{"ball_hex":"111111111111111'
+     '1","double_set_hex":"1111111111111111","ell":1,"ell_set_hex":"11111111'
+     '11111111","k_value":3.1825481031137355,"sizes":[16,16]}}\n'),
+    ('regularize --set mid --eps 1/2 --schedule 1/4,1/8,1/16', 0,
+     '{"achieved_error":"3/64","degenerate":false,"delta_used":"1/4","epsilo'
+     'n":"1/2","index":4,"moduli":[4,4,4],"rounded_hex":"3333333333333333","'
+     'set_hex":"3133373333133333","subgroup":{"bits_hex":"1111111111111111",'
+     '"generators":[40,16,4],"index":4},"trace":{"ball_hex":"111111111111111'
+     '1","double_set_hex":"1111111111111111","ell":1,"ell_set_hex":"11111111'
+     '11111111","k_value":2.9081230830632694,"sizes":[16,16]}}\n'),
+    ('regularize --set mid --eps 1/2 --max-index 4', 0,
+     '{"achieved_error":"3/64","degenerate":false,"delta_used":"1/4","epsilo'
+     'n":"1/2","index":4,"moduli":[4,4,4],"rounded_hex":"3333333333333333","'
+     'set_hex":"3133373333133333","subgroup":{"bits_hex":"1111111111111111",'
+     '"generators":[40,16,4],"index":4},"trace":{"ball_hex":"111111111111111'
+     '1","double_set_hex":"1111111111111111","ell":1,"ell_set_hex":"11111111'
+     '11111111","k_value":2.9081230830632694,"sizes":[16,16]}}\n'),
+    ('regularize --set three --eps 1/4 --max-index 2', 2,
+     '{"achieved_error":"0","degenerate":true,"delta_used":null,"epsilon":"1'
+     '/4","index":16,"moduli":[2,2,2,2],"rounded_hex":"fff0","set_hex":"fff0'
+     '","subgroup":{"bits_hex":"1000","generators":[],"index":16},"trace":nu'
+     'll}\n'),
+    ('regularize --set single --eps 1/128 --schedule 1/2', 2,
+     '{"achieved_error":"0","degenerate":true,"delta_used":null,"epsilon":"1'
+     '/128","index":16,"moduli":[2,2,2,2],"rounded_hex":"1000","set_hex":"10'
+     '00","subgroup":{"bits_hex":"1000","generators":[],"index":16},"trace":'
+     'null}\n'),
+    ('oracle-best-subgroup --set union --eps 1/4', 0,
+     '{"epsilon":"1/4","frontier":[[1,"1/4"],[2,"1/4"],[4,"0"],[8,"0"],[16,"'
+     '0"]],"max_index":null,"min_index":1}\n'),
+    ('oracle-best-subgroup --set mid --eps 1/4 --max-index 8', 0,
+     '{"epsilon":"1/4","frontier":[[1,"31/64"],[2,"29/64"],[4,"3/64"],[8,"3/'
+     '64"]],"max_index":8,"min_index":4}\n'),
+    ('robust --set union --eps 1/4 --d 1', 0,
+     '{"certificate":{"achieved_error":"0","degenerate":false,"delta_used":"'
+     '1/8","epsilon":"1/4","index":4,"moduli":[2,2,2,2],"rounded_hex":"f0ff"'
+     ',"set_hex":"f0ff","subgroup":{"bits_hex":"f000","generators":[3,1],"in'
+     'dex":4},"trace":{"ball_hex":"f000","double_set_hex":"f000","ell":1,"el'
+     'l_set_hex":"f000","k_value":3.1825481031137355,"sizes":[4,4]}},"d":1,"'
+     'kind":"certificate","steps":[{"ball_size":4,"branch":"certificate","de'
+     'lta":"1/8","m":134,"m_effective":1,"threshold":"4/3"}]}\n'),
+    ('robust --set mid --eps 1/8 --d 2 --trials 10 --c 2 --seed 4', 3,
+     '{"d":2,"kind":"high_vc","report":{"d":2,"frequency":0.0,"hits":0,"tria'
+     'ls":10,"wilson_high":0.2775401687666166,"wilson_low":0.0,"x_size":12,"'
+     'y_size":3},"steps":[{"ball_size":3,"branch":"small_ball","delta":"1/16'
+     '","m":89,"m_effective":1,"threshold":"16/3"}]}\n'),
+    ('robust --set big --eps 1/10 --d 1 --seed 6', 3,
+     '{"d":1,"kind":"high_vc","report":{"d":1,"frequency":1.0,"hits":50,"tri'
+     'als":50,"wilson_high":1.0,"wilson_low":0.9286499658256813,"x_size":504'
+     ',"y_size":42},"steps":[{"ball_size":1,"branch":"small_ball","delta":"1'
+     '/20","m":480,"m_effective":42,"threshold":"128/63"}]}\n'),
+    ('ap-search --set interval --k 2 --half-graph', 0,
+     '{"found":true,"half_graph_witness":{"injective_u":true,"injective_v":t'
+     'rue,"phi_u":[[3],[6]],"phi_v":[[1],[11]]},"k":2,"start":[1],"step":[3]'
+     ',"terms":[[1],[4],[7],[10]]}\n'),
+    ('ap-search --set mid --k 2 --half-graph', 0,
+     '{"found":true,"half_graph_witness":{"injective_u":true,"injective_v":t'
+     'rue,"phi_u":[[1,0,0],[2,0,0]],"phi_v":[[0,0,0],[3,0,0]]},"k":2,"start"'
+     ':[0,0,0],"step":[1,0,0],"terms":[[0,0,0],[1,0,0],[2,0,0],[3,0,0]]}\n'),
+    ('ap-search --set union --k 3', 0,
+     '{"found":false}\n'),
+    ('kneser-check --set z5 --t 3', 0,
+     '{"applies":true,"contains_zero":true,"fills":true,"generates":true,"si'
+     'ze_ok":true,"sumset_size":5,"t":3}\n'),
+    ('kneser-check --set union --t 1', 0,
+     '{"applies":false,"contains_zero":true,"fills":true,"generates":true,"s'
+     'ize_ok":false,"sumset_size":16,"t":1}\n'),
+    ('experiment --config exp_json', 0,
+     'run_id             sweep  seed  error  epsilon  index  achieved_error '
+     ' delta_used  degenerate  ell\nregularize-000-s1  1/4    1     -      1'
+     '/4      16     0               1/8         False       1\nregularize-0'
+     '00-s2  1/4    2     -      1/4      8      0               1/8        '
+     ' False       1\nregularize-001-s1  1/8    1     -      1/8      16    '
+     ' 0               1/16        False       1\nregularize-001-s2  1/8    '
+     '2     -      1/8      8      0               1/16        False       1'
+     '\n{"error":null,"input_hash":"54b23f2884932214","operation":"regulariz'
+     'e","run_id":"regularize-000-s1","schema":1,"seed":1,"sweep":"1/4","val'
+     'ues":{"achieved_error":"0","degenerate":false,"delta_used":"1/8","ell"'
+     ':1,"epsilon":"1/4","index":16}}\n{"error":null,"input_hash":"1b0497a68'
+     '34585bf","operation":"regularize","run_id":"regularize-000-s2","schema'
+     '":1,"seed":2,"sweep":"1/4","values":{"achieved_error":"0","degenerate"'
+     ':false,"delta_used":"1/8","ell":1,"epsilon":"1/4","index":8}}\n{"error'
+     '":null,"input_hash":"54b23f2884932214","operation":"regularize","run_i'
+     'd":"regularize-001-s1","schema":1,"seed":1,"sweep":"1/8","values":{"ac'
+     'hieved_error":"0","degenerate":false,"delta_used":"1/16","ell":1,"epsi'
+     'lon":"1/8","index":16}}\n{"error":null,"input_hash":"1b0497a6834585bf"'
+     ',"operation":"regularize","run_id":"regularize-001-s2","schema":1,"see'
+     'd":2,"sweep":"1/8","values":{"achieved_error":"0","degenerate":false,"'
+     'delta_used":"1/16","ell":1,"epsilon":"1/8","index":8}}\n'),
+    ('experiment --config exp_csv', 0,
+     'run_id          sweep  seed  error  delta  vcdim  packing_size  bound '
+     '   bound_ok\npacking-000-s3  1/4    3     -      1/4    3      16     '
+     '       1728000  True\npacking-001-s3  1/2    3     -      1/2    3    '
+     '  2             216000   True\n'),
+]
+
+
+@pytest.mark.parametrize("argv,code,stdout", CLI_GOLDENS,
+                         ids=[c[0] for c in CLI_GOLDENS])
+def test_cli_stdout_bytes(gate_files, argv, code, stdout):
+    got = _run_cli([gate_files.get(w, w) for w in argv.split()])
+    assert got == (code, stdout, "")
+
+
+def test_cli_experiment_csv_file_bytes(gate_files):
+    assert _run_cli(["experiment", "--config", gate_files["exp_csv"]])[0] == 0
+    with open(gate_files["dir"] / "rows.csv", encoding="utf-8") as fh:
+        assert fh.read() == (
+            "schema,run_id,operation,input_hash,sweep,seed,error,delta,"
+            "vcdim,packing_size,bound,bound_ok\n"
+            "1,packing-000-s3,packing,907269522ad1b0d9,1/4,3,,1/4,3,16,"
+            "1728000,True\n"
+            "1,packing-001-s3,packing,907269522ad1b0d9,1/2,3,,1/2,3,2,"
+            "216000,True\n"
+        )
+
+
+def test_readme_cli_lines_parse():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```")[1]
+    lines = [ln for ln in block.splitlines() if ln.startswith("addcomb ")]
+    assert len(lines) == 13
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line.split(" > ")[0])[1:]
+        assert parser.parse_args(argv).command == argv[0]
 
 
 def test_cli_ap_search(files):

@@ -705,3 +705,41 @@ def test_ap_half_graph_witness():
         f, w = ap_half_graph_witness(interval, ap)
         assert f == half_graph(k)
         assert check_witness(interval, f, w, injectivity="per_side")
+
+
+def _densify_z2_18():
+    # the h8 case of _densify_cases embedded in (Z/2)^18, whose other cosets
+    # of H = <1, 2, 4> are planted at random with one stray element in some
+    g6 = GroupDescriptor([2] * 6)
+    h6 = generated_subgroup(g6, [1, 2, 4])
+    base = h6.bits | translate_bits(g6, h6.bits, 8) | translate_bits(g6, h6.bits, 16)
+    f = half_graph(2)
+    w6 = find_bi_induced(GroupSubset(g6, base), f)
+    g = GroupDescriptor([2] * 18)
+    rng = random.Random(3)
+    bits = base ^ 1
+    for c in range(8, 1 << 15):
+        if rng.random() < 0.5:
+            bits |= 0xFF << (8 * c)
+            if rng.random() < 0.1:
+                bits ^= 1 << (8 * c + rng.randrange(8))
+    w = BiInducedWitness(f, tuple(g.element(e.rank) for e in w6.phi_u),
+                         tuple(g.element(e.rank) for e in w6.phi_v),
+                         True, True)
+    return GroupSubset(g, bits), generated_subgroup(g, [1, 2, 4]), f, w
+
+
+def test_densify_on_z2_18_matches_oracle():
+    a, h, f, w = _densify_z2_18()
+    rep = densify(a, h, f, w, 2000, rng_seed=5)
+    assert rep == oracles.densify(a, h, f, w, 2000, 5)
+    assert rep.hits == 1750 and rep.meets_bound
+
+
+@pytest.mark.parametrize("name,a,h,f", _densify_cases(),
+                         ids=[c[0] for c in _densify_cases()])
+def test_densify_translates_only_the_pair_cosets(name, a, h, f, count_calls):
+    w = find_bi_induced(coset_round(a, h), f)
+    calls = count_calls(translate_bits)
+    densify(a, h, f, w, 100, rng_seed=6)
+    assert calls[0] <= f.u_count * f.v_count

@@ -331,3 +331,22 @@ def test_robust_steps_record_ball_sizes():
         assert step.ball_size == almost_periods(a, step.delta).size
         assert step.m_effective <= step.m
         assert step.threshold == Fraction(64, 12 * step.m_effective**1)
+
+
+def test_robust_pipeline_scans_one_ball_per_step(count_calls):
+    from addcomb import almost_periods
+
+    g = GroupDescriptor([2] * 6)
+    h = generated_subgroup(g, [1, 2, 4, 8])
+    two_cosets = GroupSubset(g, h.bits | translate_bits(g, h.bits, 16))
+    rand = GroupSubset(g, random.Random(0).getrandbits(64))
+    cfg = RobustConfig(delta_schedule=(Fraction(1),))
+    calls = count_calls(almost_periods)
+    for a in (two_cosets, rand):
+        calls[0] = 0
+        out = robust_pipeline(a, 0, 1, cfg, rng_seed=0)
+        # certificate and continue steps run the pipeline on the same ball
+        assert [s.branch for s in out.steps] == (
+            ["continue", "certificate"] if a is two_cosets
+            else ["continue", "small_ball"])
+        assert calls[0] == 2

@@ -456,3 +456,44 @@ def test_restricted_vc_dimension_matches_oracle_seeded(which):
             y_bits = rng.getrandbits(g.order) if which != "translators" else g.full_mask
             x_bits = rng.getrandbits(g.order) if which != "ground" else g.full_mask
             _assert_restricted_matches_oracle(a, y_bits, x_bits)
+
+
+def test_sampled_systems_obey_the_ground_cap():
+    a = GroupSubset.from_ranks(GroupDescriptor([16]), [0, 1, 2, 5, 9])
+    with pytest.raises(CapExceeded):
+        sampled_vc(a, 8, 5, 3, 1, rng_seed=0, caps=Caps(vc_ground_cap=4))
+    assert sampled_vc(a, 8, 5, 3, 1, rng_seed=0, caps=Caps(vc_ground_cap=5)
+                      ) == sampled_vc(a, 8, 5, 3, 1, rng_seed=0)
+    with pytest.raises(CapExceeded):
+        separated_sample_bound_check(a, Fraction(1, 4), 6, 1, 3, rng_seed=0,
+                                     caps=Caps(vc_ground_cap=5))
+    assert separated_sample_bound_check(
+        a, Fraction(1, 4), 6, 1, 3, rng_seed=0, caps=Caps(vc_ground_cap=6)
+    ) == separated_sample_bound_check(a, Fraction(1, 4), 6, 1, 3, rng_seed=0)
+
+
+# sizes up to |G| draw full X and Y too, where the search is anchored
+@given(subsets(), st.data())
+def test_sampled_vc_matches_hand_built_traces(a, data):
+    n = a.group.order
+    x_size = data.draw(st.just(n) | st.integers(1, n))
+    y_size = data.draw(st.just(n) | st.integers(1, n))
+    trials = data.draw(st.integers(1, 4))
+    d = data.draw(st.integers(0, 3))
+    seed = data.draw(st.integers(0, 2**32))
+    assert sampled_vc(a, x_size, y_size, trials, d, seed) == oracles.sampled_vc(
+        a, x_size, y_size, trials, d, seed)
+
+
+@given(subsets(), st.data())
+def test_separated_sample_bound_matches_hand_built_traces(a, data):
+    n = a.group.order
+    delta = data.draw(st.sampled_from([Fraction(0), Fraction(1, 8),
+                                       Fraction(1, 4), Fraction(1, 2)]))
+    m = data.draw(st.just(n) | st.integers(1, n))
+    trials = data.draw(st.integers(1, 4))
+    d = data.draw(st.integers(0, 3))
+    seed = data.draw(st.integers(0, 2**32))
+    assert separated_sample_bound_check(
+        a, delta, m, d, trials, seed
+    ) == oracles.separated_sample_bound_check(a, delta, m, d, trials, seed)
