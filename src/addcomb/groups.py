@@ -337,15 +337,11 @@ def subgroup_from_bits(g: GroupDescriptor, bits: int) -> Subgroup:
     return _make_subgroup(g, bits, gens)
 
 
-_lattice_cache: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-
-
+# 64 lattices hold every group the exhaustive sweeps walk (the 24 abelian
+# groups of order 2..16) with room to spare
+@functools.lru_cache(maxsize=64)
 def _full_lattice(g: GroupDescriptor) -> list[tuple[int, tuple[int, ...]]]:
     """All subgroups as (bits, generator_ranks), sorted by (-size, bits)."""
-    key = g.moduli
-    cached = _lattice_cache.get(key)
-    if cached is not None:
-        return cached
     seen: dict[int, tuple[int, ...]] = {1: ()}
     queue = [1]
     while queue:
@@ -357,10 +353,7 @@ def _full_lattice(g: GroupDescriptor) -> list[tuple[int, tuple[int, ...]]]:
             if grown not in seen:
                 seen[grown] = gens + (x,)
                 queue.append(grown)
-    out = sorted(seen.items(), key=lambda kv: (-kv[0].bit_count(), kv[0]))
-    result = [(bits, gens) for bits, gens in out]
-    _lattice_cache[key] = result
-    return result
+    return sorted(seen.items(), key=lambda kv: (-kv[0].bit_count(), kv[0]))
 
 
 def enumerate_subgroups(

@@ -11,8 +11,11 @@ successful deltas.
 
 robust_pipeline(A, eps, d) sweeps the same deltas but first compares the
 ball's size with |G| / (12 m^d), and answers with a sampled-VC report when it
-is smaller.  Both sweeps compute each ball once and run the same delta step
-on it (_pipeline_step), and build a certificate only for the delta they keep.
+is smaller.  Both sweeps compute A's symmetric-difference profile once, read
+each delta's ball off it, run the same delta step on the ball
+(_pipeline_step), and build a certificate only for the delta they keep.
+verify_certificate and rounding_error_bound_check compute the profile once
+and compare it with their bounds as integers.
 """
 from __future__ import annotations
 
@@ -32,8 +35,8 @@ from .subsets import (
     DoublingConfig,
     DoublingTrace,
     GroupSubset,
+    _ball,
     _to_fraction,
-    almost_periods,
     difference_set,
     iterated_doubling,
     max_subgroup_within,
@@ -91,10 +94,9 @@ def rounding_error_bound_check(a: GroupSubset, h: Subgroup) -> RoundingBoundRepo
     """Verify |A xor coset_round(A, H)| <= (1/|H|) * sum_{x in H} |A xor (A+x)|."""
     s = coset_round(a, h)
     err = (a.bits ^ s.bits).bit_count()
-    prof = symdiff_profile(a)
-    total = sum(prof[x] for x in h.ranks())
-    bound = Fraction(total, h.size)
-    return RoundingBoundReport(err, bound, Fraction(err) <= bound)
+    total = int(symdiff_profile(a)[h.ranks()].sum())
+    return RoundingBoundReport(err, Fraction(total, h.size),
+                               err * h.size <= total)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -142,7 +144,7 @@ def verify_certificate(cert: RegularityCertificate) -> CertificateCheck:
     else:
         prof = symdiff_profile(cert.base)
         limit = 4 * cert.trace.ell * cert.delta_used * g.order
-        bound_ok = all(Fraction(prof[x]) <= limit for x in h.ranks())
+        bound_ok = int(prof[h.ranks()].max()) <= limit
     return CertificateCheck(closure_ok, union_ok, error_ok, bound_ok)
 
 
@@ -212,10 +214,11 @@ def regularize(a: GroupSubset, epsilon, config: PipelineConfig | None = None
     g = a.group
     schedule = (list(cfg.delta_schedule) if cfg.delta_schedule is not None
                 else default_delta_schedule(eps, g.order))
+    prof = symdiff_profile(a)
     best: RegularityCertificate | None = None
     best_key = None
     for pos, delta in enumerate(schedule):
-        ball = almost_periods(a, delta)
+        ball = _ball(a, prof, delta)
         trace, h, s, err = _pipeline_step(a, ball, cfg.caps)
         if err > eps:
             continue
@@ -330,6 +333,7 @@ def robust_pipeline(a: GroupSubset, epsilon, d: int,
     g = a.group
     schedule = (list(cfg.delta_schedule) if cfg.delta_schedule is not None
                 else default_delta_schedule(eps, g.order))
+    prof = symdiff_profile(a)
     steps: list[RobustStep] = []
     deltas = [*schedule, Fraction(1, 2 * g.order)]
     for pos, delta in enumerate(deltas):
@@ -337,7 +341,7 @@ def robust_pipeline(a: GroupSubset, epsilon, d: int,
         m_raw, m_eff = _robust_m(dd, d, g.order, cfg.c_constant)
         denom = 12 * m_eff**d
         threshold = Fraction(g.order, denom)
-        ball = almost_periods(a, dd)
+        ball = _ball(a, prof, dd)
         if ball.size * denom < g.order:
             steps.append(RobustStep(dd, m_raw, m_eff, threshold, ball.size,
                                     "small_ball"))

@@ -215,8 +215,9 @@ def greedy_packing(a: GroupSubset, delta) -> PackingResult:
     That holds exactly when x - w lies outside the almost-period ball
     B_delta(A), i.e. when x is outside the ball translate B + w, so the scan
     is a ball cover: keep x iff it is not yet covered, then add its ball
-    translate to the cover.  This costs one translate per center,
-    O(|centers|) big-int translates in all, and one bit test per rank.  The
+    translate to the cover.  Every rank below the scan point is covered, so
+    the next center is the least uncovered rank, read off the cover in one
+    big-int step.  This costs O(|centers|) big-int translates in all.  The
     result is delta-separated and maximal by construction; both properties
     are re-checked on the ball translates before returning."""
     ball = almost_periods(a, delta)
@@ -224,10 +225,10 @@ def greedy_packing(a: GroupSubset, delta) -> PackingResult:
     g = a.group
     covered = 0
     centers: list[int] = []
-    for x in range(g.order):
-        if not (covered >> x) & 1:
-            centers.append(x)
-            covered |= translate_bits(g, ball_bits, x)
+    while covered != g.full_mask:
+        x = (~covered & (covered + 1)).bit_length() - 1
+        centers.append(x)
+        covered |= translate_bits(g, ball_bits, x)
     _check_packing(g, ball_bits, centers)
     return PackingResult(a, ball.delta, tuple(g.element(r) for r in centers), True)
 
@@ -399,25 +400,29 @@ def separated_sample_bound_check(a: GroupSubset, delta, m: int, d: int,
     probability that its restriction to a random m-element ground sample has
     VC dimension at most d, and test the contrapositive: when that probability
     (minus 3 sigma) still reaches 3 m^(2d) (1-delta)^m, the family must have
-    at most 2 m^d members.  Each trial is a vc_dimension threshold query on
-    the family's translate system, so caps.vc_ground_cap bounds m."""
+    at most 2 m^d members.  A is translated by each center once; each trial
+    cuts those translates to its sample and runs the threshold search on the
+    distinct traces.  caps.vc_ground_cap bounds m, as in vc_dimension."""
     dd = _to_fraction(delta)
     g = a.group
     if not 1 <= m <= g.order:
         raise ValueError("m must be in 1..|G|")
+    if m > caps.vc_ground_cap:
+        raise CapExceeded(f"ground size {m} exceeds vc cap {caps.vc_ground_cap}")
     pack = greedy_packing(a, dd)
-    centers = GroupSubset.from_ranks(g, [c.rank for c in pack.centers])
+    family = [translate_bits(g, a.bits, c.rank) for c in pack.centers]
     rng = random.Random(rng_seed)
     low = 0
     for _ in range(trials):
         ys = GroupSubset.from_ranks(g, rng.sample(range(g.order), m))
-        if vc_dimension(TranslateSystem(a, ys, centers), max_d=d, caps=caps) <= d:
+        traces = sorted({t & ys.bits for t in family})
+        if len(_shattered_witness(traces, ys.ranks(), d + 1)) <= d:
             low += 1
     frac = low / trials
     sigma = binomial_sigma(low, trials)
     threshold = 3 * m ** (2 * d) * float((1 - dd) ** m)
     size_bound = 2 * m**d
     applicable = frac - 3 * sigma >= threshold
-    holds = (not applicable) or centers.size <= size_bound
-    return SeparatedSampleReport(centers.size, m, d, dd, trials, frac, sigma,
+    holds = (not applicable) or len(family) <= size_bound
+    return SeparatedSampleReport(len(family), m, d, dd, trials, frac, sigma,
                                  threshold, size_bound, applicable, holds)

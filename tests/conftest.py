@@ -21,6 +21,13 @@ MODULI_POOL = [
     (8,), (9,), (12,), (2, 2, 3), (2, 8), (4, 4), (2, 2, 2, 2), (13,),
 ]
 
+# Shapes MODULI_POOL lacks, for the bitset kernels: long cyclic factors
+# (wide masks and shifts), mixed moduli, and ten factors of 2.
+KERNEL_SHAPES = [(64,), (1024,), (2, 24), (3, 16, 2), (5, 7, 4), (2,) * 10]
+
+# The benchmark's small-modulus and cyclic shapes.
+BENCH_SHAPES = [(2,) * 12, (3,) * 7, (8,) * 4, (4096,)]
+
 
 @st.composite
 def groups(draw, pool=tuple(MODULI_POOL)):

@@ -1,7 +1,7 @@
 """Brute-force reference implementations for cross-checking.
 
 Everything here works on plain coordinate tuples and element sets, never on
-the library's bitsets or cached profiles, so agreement between the two is
+the library's bitsets or profiles, so agreement between the two is
 meaningful.  Only usable at tiny sizes.  These exceptions work on int
 bitsets: the bitset translation and negation by digit masks (digit_masks,
 rotate_coord, translate_bits_by_digit, negate_bits_by_digit), which build
@@ -19,7 +19,9 @@ call per coordinate and one add_rank per pair, the reference for the
 replayed draws and the vectorized predicate; and the sampled VC checks as
 they were before they ran through vc_dimension (sampled_vc,
 separated_sample_bound_check), which build each trial's traces by hand and
-search them with shattered_witness.
+search them with shattered_witness; and the symmetric-difference profile
+as it was before the transform (symdiff_profile), one big-int translate per
+rank, the reference for the library's FFT autocorrelation.
 """
 from __future__ import annotations
 
@@ -148,6 +150,14 @@ def sumset(mods, aset, bset):
 
 def symdiff_size(aset, bset):
     return len(aset ^ bset)
+
+
+def symdiff_profile(a) -> list[int]:
+    """|A xor (A+x)| for every rank x, from |G| big-int translates."""
+    g = a.group
+    card = a.bits.bit_count()
+    return [2 * (card - (a.bits & translate_bits(g, a.bits, x)).bit_count())
+            for x in range(g.order)]
 
 
 def ball(mods, aset, delta: Fraction):

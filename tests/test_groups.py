@@ -25,11 +25,7 @@ from addcomb.groups import (
     negate_bits,
     translate_bits,
 )
-from conftest import MODULI_POOL, groups
-
-# Shapes MODULI_POOL lacks, for the translation kernel: long cyclic factors
-# (wide masks and shifts), mixed moduli, and ten factors of 2.
-KERNEL_SHAPES = [(64,), (1024,), (2, 24), (3, 16, 2), (5, 7, 4), (2,) * 10]
+from conftest import BENCH_SHAPES, KERNEL_SHAPES, MODULI_POOL, groups
 
 
 def test_descriptor_validation():
@@ -111,8 +107,7 @@ def test_translate_bits_builds_no_digit_masks():
     assert peak < 2**20
 
 
-# The kernel shapes plus the benchmark's small-modulus and cyclic shapes.
-NEGATE_SHAPES = KERNEL_SHAPES + [(2,) * 12, (3,) * 7, (8,) * 4, (4096,)]
+NEGATE_SHAPES = KERNEL_SHAPES + BENCH_SHAPES
 
 
 @pytest.mark.parametrize("mods", NEGATE_SHAPES,
@@ -222,6 +217,16 @@ def test_enumerate_subgroups_cap():
 
     with pytest.raises(CapExceeded):
         enumerate_subgroups(GroupDescriptor([2, 2, 2]), caps=Caps(subgroup_enum_cap=4))
+
+
+def test_lattice_cache_is_bounded():
+    from addcomb.groups import _full_lattice
+
+    # 65 distinct cyclic groups, one more than the cache holds
+    for n in range(2, 67):
+        g = GroupDescriptor([n])
+        assert len(enumerate_subgroups(g)) == sum(n % k == 0 for k in range(1, n + 1))
+    assert _full_lattice.cache_info().currsize <= 64
 
 
 def test_subgroup_count_matches_closure_oracle():

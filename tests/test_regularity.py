@@ -21,9 +21,11 @@ from addcomb import (
     regularize,
     robust_pipeline,
     rounding_error_bound_check,
+    symdiff_profile,
     verify_certificate,
 )
 from addcomb.groups import translate_bits
+from addcomb.subsets import _ball
 from conftest import subsets
 
 
@@ -98,6 +100,15 @@ def test_rounding_error_bound_examples():
 def test_rounding_error_bound_property(a, data):
     h = data.draw(st.sampled_from(enumerate_subgroups(a.group)))
     assert rounding_error_bound_check(a, h).holds
+
+
+@given(subsets(), st.data())
+def test_rounding_error_bound_matches_profile_oracle(a, data):
+    h = data.draw(st.sampled_from(enumerate_subgroups(a.group)))
+    rep = rounding_error_bound_check(a, h)
+    total = sum(oracles.symdiff_profile(a)[x] for x in h.ranks())
+    assert rep.mean_bound == Fraction(total, h.size)
+    assert type(rep.mean_bound.numerator) is int
 
 
 def _planted66(seed, noise=0.05):
@@ -234,6 +245,22 @@ def test_verify_certificate_rejects_tampering():
     assert not verify_certificate(tight).error_ok
 
 
+def test_verify_certificate_translate_bound_is_exact():
+    # the translate bound fails once 4*l*delta*|G| drops below the profile's
+    # largest value on H
+    a, _, _ = _planted66(4)
+    cert = regularize(a, Fraction(1, 5))
+    g = a.group
+    prof = symdiff_profile(a)
+    top = int(prof[cert.subgroup.ranks()].max())
+    assert top > 0
+    scale = 4 * cert.trace.ell * g.order
+    at_top = dataclasses.replace(cert, delta_used=Fraction(top, scale))
+    assert verify_certificate(at_top).translate_bound_ok
+    under = dataclasses.replace(cert, delta_used=Fraction(2 * top - 1, 2 * scale))
+    assert not verify_certificate(under).translate_bound_ok
+
+
 def test_oracle_examples():
     g = GroupDescriptor([2, 2, 2])
     rng = random.Random(5)
@@ -334,19 +361,39 @@ def test_robust_steps_record_ball_sizes():
 
 
 def test_robust_pipeline_scans_one_ball_per_step(count_calls):
-    from addcomb import almost_periods
-
     g = GroupDescriptor([2] * 6)
     h = generated_subgroup(g, [1, 2, 4, 8])
     two_cosets = GroupSubset(g, h.bits | translate_bits(g, h.bits, 16))
     rand = GroupSubset(g, random.Random(0).getrandbits(64))
     cfg = RobustConfig(delta_schedule=(Fraction(1),))
-    calls = count_calls(almost_periods)
+    balls = count_calls(_ball)
+    profiles = count_calls(symdiff_profile)
     for a in (two_cosets, rand):
-        calls[0] = 0
+        balls[0] = profiles[0] = 0
         out = robust_pipeline(a, 0, 1, cfg, rng_seed=0)
         # certificate and continue steps run the pipeline on the same ball
         assert [s.branch for s in out.steps] == (
             ["continue", "certificate"] if a is two_cosets
             else ["continue", "small_ball"])
-        assert calls[0] == 2
+        assert balls[0] == 2
+        assert profiles[0] == 1
+
+
+def test_pipelines_compute_one_profile_per_call(count_calls):
+    a, _, _ = _planted66(2)
+    eps = Fraction(1, 5)
+    balls = count_calls(_ball)
+    profiles = count_calls(symdiff_profile)
+    cert = regularize(a, eps)
+    assert not cert.degenerate
+    assert profiles[0] == 1
+    assert balls[0] == len(default_delta_schedule(eps, a.group.order)) > 1
+    profiles[0] = 0
+    assert verify_certificate(cert).ok
+    assert profiles[0] == 1
+    profiles[0] = 0
+    cfg = RobustConfig(trials=5,
+                       delta_schedule=(Fraction(1), Fraction(1, 2), Fraction(1, 4)))
+    out = robust_pipeline(a, 0, 1, cfg, rng_seed=0)
+    assert len(out.steps) > 1
+    assert profiles[0] == 1

@@ -1,7 +1,11 @@
+import gc
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,8 +28,9 @@ from addcomb import (
     symdiff_size,
     translate,
 )
-from addcomb.groups import add_rank
-from conftest import groups, nonempty_subsets, subsets
+from addcomb.groups import add_rank, translate_bits
+from addcomb.subsets import _ball
+from conftest import BENCH_SHAPES, KERNEL_SHAPES, groups, nonempty_subsets, subsets
 
 
 def _as_set(a: GroupSubset):
@@ -85,6 +90,94 @@ def test_symdiff_profile_matches_oracle(a, data):
         oracles.translate(a.group.moduli, _as_set(a), a.group.coords_of(x)),
     )
     assert prof[x] == want
+
+
+@given(subsets())
+def test_symdiff_profile_equals_translate_oracle(a):
+    prof = symdiff_profile(a)
+    assert prof.dtype == np.int64 and prof.shape == (a.group.order,)
+    assert prof.tolist() == oracles.symdiff_profile(a)
+
+
+@pytest.mark.parametrize("mods", KERNEL_SHAPES + BENCH_SHAPES,
+                         ids=lambda mods: "x".join(map(str, mods)))
+def test_symdiff_profile_matches_oracle_on_large_shapes(mods):
+    g = GroupDescriptor(mods)
+    rng = random.Random(g.order)
+    sparse = sum(1 << r for r in rng.sample(range(g.order), 5))
+    for bits in (0, g.full_mask, 1, sparse, rng.getrandbits(g.order)):
+        a = GroupSubset(g, bits)
+        assert symdiff_profile(a).tolist() == oracles.symdiff_profile(a)
+
+
+# 0.3 breaks the rounding check; 1.0 rounds cleanly but breaks c(0) = |A|
+@pytest.mark.parametrize("offset", [0.3, 1.0])
+def test_symdiff_profile_rejects_an_inexact_transform(monkeypatch, offset):
+    irfftn = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn",
+                        lambda *args, **kw: irfftn(*args, **kw) + offset)
+    a = GroupSubset.from_ranks(GroupDescriptor([3, 4]), [0, 1, 5])
+    with pytest.raises(AssertionError):
+        symdiff_profile(a)
+
+
+def test_almost_periods_on_z2_16_matches_translates():
+    g = GroupDescriptor([2] * 16)
+    rng = random.Random(16)
+    a = GroupSubset(g, rng.getrandbits(g.order))
+    delta = Fraction(1, 2)
+    start = time.perf_counter()
+    ball = almost_periods(a, delta)
+    elapsed = time.perf_counter() - start
+    seen = set()
+    for x in [0, *rng.sample(range(1, g.order), 63)]:
+        dist = (a.bits ^ translate_bits(g, a.bits, x)).bit_count()
+        inside = dist <= delta * g.order
+        assert ball.members.contains_rank(x) == inside
+        seen.add(inside)
+    assert seen == {True, False}
+    # the translate-per-rank profile took 8.5-10 s here
+    assert elapsed < 3.0
+
+
+def test_profiles_leave_no_state_behind():
+    g = GroupDescriptor([4096])
+    rng = random.Random(7)
+    sets = [GroupSubset(g, rng.getrandbits(g.order)) for _ in range(300)]
+    almost_periods(sets[0], Fraction(1, 4))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for a in sets:
+            almost_periods(a, Fraction(1, 4))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**20
+
+
+def test_ball_threshold_is_exact_at_every_profile_value():
+    g = GroupDescriptor([3, 8])
+    a = GroupSubset.from_ranks(g, [0, 1, 4, 9, 10, 17])
+    prof = symdiff_profile(a)
+    for v in set(prof.tolist()) - {0}:
+        at = _ball(a, prof, Fraction(v, g.order)).members
+        below = _ball(a, prof, Fraction(7 * v - 1, 7 * g.order)).members
+        for x in range(g.order):
+            assert at.contains_rank(x) == (prof[x] <= v)
+            assert below.contains_rank(x) == (prof[x] < v)
+
+
+def test_ball_rejects_negative_delta_and_clips_huge_delta():
+    a = GroupSubset.from_ranks(GroupDescriptor([12]), [0, 3, 4])
+    prof = symdiff_profile(a)
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        _ball(a, prof, Fraction(-1, 10**9))
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        almost_periods(a, -1)
+    assert _ball(a, prof, 10**40).members.bits == a.group.full_mask
 
 
 @given(subsets(), st.data())

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,23 @@ def test_greedy_packing_examples():
     assert len(greedy_packing(GroupSubset.empty(z222), Fraction(1, 2)).centers) == 1
 
 
+def test_greedy_packing_on_z_2_20_with_few_centers():
+    # half the cosets of the index-8 subgroup, then 2% noise: the ball is the
+    # subgroup, so the 2^20 ranks hold 8 centers
+    g = GroupDescriptor([1 << 20])
+    rng = random.Random(20)
+    bits = int.from_bytes(bytes([0b01101001]) * (g.order // 8), "little")
+    for r in rng.sample(range(g.order), g.order // 50):
+        bits ^= 1 << r
+    a = GroupSubset(g, bits)
+    start = time.perf_counter()
+    res = greedy_packing(a, Fraction(1, 4))
+    elapsed = time.perf_counter() - start
+    assert [c.rank for c in res.centers] == list(range(8)) and res.certified
+    # a bit test per rank made this about 30 s
+    assert elapsed < 5.0
+
+
 def test_greedy_packing_rejects_negative_delta():
     a = GroupSubset.from_ranks(GroupDescriptor([2, 2]), [0])
     with pytest.raises(ValueError, match="delta must be >= 0"):
@@ -352,6 +370,24 @@ def test_separated_sample_bound_examples():
         GroupSubset.empty(z222), Fraction(1, 2), 3, 1, 50, rng_seed=9
     )
     assert rep.family_size == 1 and rep.holds
+
+
+def test_separated_sample_bound_translates_each_center_once(count_calls):
+    g = GroupDescriptor([2] * 8)
+    a = GroupSubset(g, random.Random(5).getrandbits(g.order))
+    delta = Fraction(1, 4)
+    calls = count_calls(translate_bits)
+    centers = len(greedy_packing(a, delta).centers)
+    packing = calls[0]
+    calls[0] = 0
+    rep = separated_sample_bound_check(a, delta, 16, 2, 50, rng_seed=0)
+    assert rep.family_size == centers > 1
+    assert calls[0] == packing + centers
+    calls[0] = 0
+    with pytest.raises(CapExceeded, match="^ground size 16 exceeds vc cap 15$"):
+        separated_sample_bound_check(a, delta, 16, 2, 50, rng_seed=0,
+                                     caps=Caps(vc_ground_cap=15))
+    assert calls[0] == 0
 
 
 @given(subsets(pool=SMALL_POOL), st.sampled_from([Fraction(1, 2), Fraction(1, 4)]))
