@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .groups import GroupDescriptor, add_rank
+from .groups import GroupDescriptor, _factorize, add_rank
 
 __all__ = [
     "abelian_group_moduli",
@@ -38,22 +38,6 @@ def _partitions(n: int) -> Iterator[tuple[int, ...]]:
             for rest in rec(remaining - part, part):
                 yield (part,) + rest
     yield from rec(n, n)
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e:
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def abelian_group_moduli(n: int) -> list[tuple[int, ...]]:

@@ -6,13 +6,15 @@ are stored as Python ints used as bitsets: bit r set means rank r is in the
 set.  A translate rotates each coordinate with two masked shifts, so it costs
 O(len(moduli) * |G|/wordsize).  Negation is one bit reversal plus one
 translate, also O(len(moduli) * |G|/wordsize).  Both replace O(|G|)
-Python-level bit moves.
+Python-level bit moves.  Subgroups are closed and checked through
+generating sets, with O(log |H|) translates rather than O(|H|).
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
 import math
+import re
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
@@ -207,15 +209,21 @@ def neg_rank(g: GroupDescriptor, a: int) -> int:
     return out
 
 
-def element_order(g: GroupDescriptor, rank: int) -> int:
-    if rank == 0:
-        return 1
-    n = 1
-    r = rank
-    while r != 0:
-        r = add_rank(g, r, rank)
-        n += 1
-    return n
+def _factorize(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) of each prime factor of n, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 def add(g: GroupDescriptor, a: GroupElement, b: GroupElement) -> GroupElement:
@@ -251,28 +259,23 @@ class Subgroup:
         return _bit_ranks(self.bits)
 
     def verify(self) -> bool:
-        """Re-check the subgroup axioms directly from the bitset."""
-        g = self.group
-        if not self.bits & 1:
-            return False
-        return (negate_bits(g, self.bits) == self.bits
-                and _is_union_of_cosets(g, self.bits, self.bits)
-                and g.order % self.size == 0
-                and self.index * self.size == g.order)
+        """Re-check from the bitset alone: its elements generate exactly
+        itself (so it holds 0 and their negations), and index * size = |G|."""
+        return (_closure_walk(self.group, self.bits)[0] == self.bits
+                and self.index * self.size == self.group.order)
 
 
 def _is_union_of_cosets(g: GroupDescriptor, s_bits: int, h_bits: int) -> bool:
-    """True iff S + x = S for every x in H, i.e. S is a union of H-cosets."""
-    return all(translate_bits(g, s_bits, x) == s_bits for x in _bit_ranks(h_bits))
+    """True iff S + x = S for every x in H, i.e. S is a union of H-cosets.
+    Those x form a subgroup, so the generators _closure_walk keeps from H's
+    bits suffice; a certificate's Subgroup.generators are never trusted."""
+    return all(translate_bits(g, s_bits, x) == s_bits
+               for x in _closure_walk(g, h_bits)[1])
 
 
 def _bit_ranks(bits: int) -> list[int]:
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
+    """Ranks of the set bits, ascending, in O(|G|) plus O(1) per rank."""
+    return [m.start() for m in re.finditer("1", format(bits, "b")[::-1])]
 
 
 def _make_subgroup(
@@ -286,14 +289,15 @@ def _make_subgroup(
 
 
 def _closure_with(g: GroupDescriptor, sub_bits: int, x_rank: int) -> int:
-    """Closure of (subgroup given by sub_bits) union {x}: the union of the
-    translates sub + k*x over all multiples of x (valid because the group is
-    abelian)."""
+    """sub + <x> for a subgroup sub (every caller passes one), by doubling:
+    after j steps acc = sub + {0, x, ..., (2^j-1)x}; it stops once 2^j x is
+    in acc, exactly when 2^j >= n, the order of x modulo sub: ceil(log2 n)
+    translates in all."""
     acc = sub_bits
-    r = x_rank
-    while r != 0:
-        acc |= translate_bits(g, sub_bits, r)
-        r = add_rank(g, r, x_rank)
+    step = x_rank
+    while not (acc >> step) & 1:
+        acc |= translate_bits(g, acc, step)
+        step = add_rank(g, step, step)
     return acc
 
 
@@ -314,14 +318,15 @@ def generated_subgroup(
 
 def _closure_walk(g: GroupDescriptor, bits: int) -> tuple[int, list[int]]:
     """Bitset of the subgroup generated by the elements of bits, and the
-    generators kept on the way: each element in rank order joins the
-    closure when the closure so far misses it."""
-    acc = 1
-    gens: list[int] = []
-    for r in _bit_ranks(bits):
-        if not (acc >> r) & 1:
-            gens.append(r)
-            acc = _closure_with(g, acc, r)
+    generators kept on the way: the least rank of bits that the closure so
+    far misses joins it, until the closure holds all of bits."""
+    acc, gens = 1, []
+    rest = bits & ~1
+    while rest:
+        r = (rest & -rest).bit_length() - 1
+        gens.append(r)
+        acc = _closure_with(g, acc, r)
+        rest &= ~acc
     return acc, gens
 
 
@@ -341,18 +346,26 @@ def subgroup_from_bits(g: GroupDescriptor, bits: int) -> Subgroup:
 # groups of order 2..16) with room to spare
 @functools.lru_cache(maxsize=64)
 def _full_lattice(g: GroupDescriptor) -> list[tuple[int, tuple[int, ...]]]:
-    """All subgroups as (bits, generator_ranks), sorted by (-size, bits)."""
+    """All subgroups as (bits, generator_ranks), sorted by (-size, bits).
+
+    A depth-first search grows each subgroup sub by each x outside it in rank
+    order, but skips every y with sub + <y> = sub + <x> once x is done: the
+    y in sub + <x> outside each sub + <p*x>, p a prime dividing the index."""
     seen: dict[int, tuple[int, ...]] = {1: ()}
     queue = [1]
     while queue:
         sub = queue.pop()
-        gens = seen[sub]
         rest = g.full_mask & ~sub
-        for x in _bit_ranks(rest):
+        while rest:
+            x = (rest & -rest).bit_length() - 1
             grown = _closure_with(g, sub, x)
             if grown not in seen:
-                seen[grown] = gens + (x,)
+                seen[grown] = seen[sub] + (x,)
                 queue.append(grown)
+            for p, _ in _factorize(grown.bit_count() // sub.bit_count()):
+                px = g.element_from_coords([p * c for c in g.coords_of(x)])
+                grown &= ~_closure_with(g, sub, px.rank)
+            rest &= ~grown
     return sorted(seen.items(), key=lambda kv: (-kv[0].bit_count(), kv[0]))
 
 

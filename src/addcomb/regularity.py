@@ -338,6 +338,8 @@ def robust_pipeline(a: GroupSubset, epsilon, d: int,
     deltas = [*schedule, Fraction(1, 2 * g.order)]
     for pos, delta in enumerate(deltas):
         dd = _to_fraction(delta)
+        if dd == 0:  # its ball is the appended step's: both thresholds are 0
+            continue
         m_raw, m_eff = _robust_m(dd, d, g.order, cfg.c_constant)
         denom = 12 * m_eff**d
         threshold = Fraction(g.order, denom)

@@ -21,7 +21,14 @@ they were before they ran through vc_dimension (sampled_vc,
 separated_sample_bound_check), which build each trial's traces by hand and
 search them with shattered_witness; and the symmetric-difference profile
 as it was before the transform (symdiff_profile), one big-int translate per
-rank, the reference for the library's FFT autocorrelation.
+rank, the reference for the library's FFT autocorrelation; and the subgroup
+layer as it was before it read generating sets (bit_ranks, closure_with,
+closure_walk, is_union_of_cosets, full_lattice): bits cleared one at a
+time, a closure by every multiple of x, a walk that tests every element, a
+union check over every element of H, and a lattice search that closes every
+(subgroup, element) pair, the references for the bitset-string ranks, the
+closure by doubling, the walk that jumps to the least missing rank, the
+check on generators and the search that skips repeated extensions.
 """
 from __future__ import annotations
 
@@ -557,3 +564,55 @@ def separated_sample_bound_check(a, delta: Fraction, m: int, d: int,
     holds = (not applicable) or len(fam) <= size_bound
     return SeparatedSampleReport(len(fam), m, d, delta, trials, frac, sigma,
                                  threshold, size_bound, applicable, holds)
+
+
+def bit_ranks(bits: int) -> list[int]:
+    """Ranks of the set bits, ascending, clearing the lowest one at a time."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def closure_with(g, sub_bits: int, x_rank: int) -> int:
+    """sub + <x> as the union of sub + k*x over every multiple k*x != 0."""
+    acc = sub_bits
+    r = x_rank
+    while r != 0:
+        acc |= translate_bits(g, sub_bits, r)
+        r = add_rank(g, r, x_rank)
+    return acc
+
+
+def closure_walk(g, bits: int) -> tuple[int, list[int]]:
+    """<bits> and the generators kept: every element in rank order joins the
+    closure when the closure so far misses it."""
+    acc, gens = 1, []
+    for r in bit_ranks(bits):
+        if not (acc >> r) & 1:
+            gens.append(r)
+            acc = closure_with(g, acc, r)
+    return acc, gens
+
+
+def is_union_of_cosets(g, s_bits: int, h_bits: int) -> bool:
+    """S + x = S for every element x of H."""
+    return all(translate_bits(g, s_bits, x) == s_bits for x in bit_ranks(h_bits))
+
+
+def full_lattice(g) -> list[tuple[int, tuple[int, ...]]]:
+    """The subgroup lattice search closing sub + <x> for every subgroup sub
+    and every x outside it, in the same depth-first order."""
+    seen = {1: ()}
+    queue = [1]
+    while queue:
+        sub = queue.pop()
+        gens = seen[sub]
+        for x in bit_ranks(g.full_mask & ~sub):
+            grown = closure_with(g, sub, x)
+            if grown not in seen:
+                seen[grown] = gens + (x,)
+                queue.append(grown)
+    return sorted(seen.items(), key=lambda kv: (-kv[0].bit_count(), kv[0]))

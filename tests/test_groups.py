@@ -18,9 +18,16 @@ from addcomb import (
     negate,
     subgroup_from_bits,
 )
+from addcomb.exhaustive import all_abelian_groups
 from addcomb.groups import (
+    Subgroup,
+    _bit_ranks,
+    _closure_walk,
+    _closure_with,
+    _full_lattice,
+    _is_union_of_cosets,
+    _make_subgroup,
     add_rank,
-    element_order,
     neg_rank,
     negate_bits,
     translate_bits,
@@ -160,14 +167,6 @@ def test_translate_bits_on_kernel_shapes(mods, data):
     tset = {elems[r] for r in range(g.order) if (t >> r) & 1}
     assert tset == oracles.translate(mods, aset, elems[x])
     assert translate_bits(g, t, y) == translate_bits(g, bits, add_rank(g, x, y))
-
-
-def test_element_order():
-    z12 = GroupDescriptor([12])
-    assert element_order(z12, 0) == 1
-    assert element_order(z12, 1) == 12
-    assert element_order(z12, 4) == 3
-    assert element_order(z12, 6) == 2
 
 
 def test_generated_subgroup_examples():
@@ -324,3 +323,80 @@ def test_subgroup_from_bits():
 def test_negate_is_involution(g, data):
     r = data.draw(st.integers(0, g.order - 1))
     assert negate(g, negate(g, g.element(r))).rank == r
+
+
+@given(st.integers(0, 2**300))
+def test_bit_ranks_matches_oracle(bits):
+    assert _bit_ranks(bits) == oracles.bit_ranks(bits)
+
+
+def test_closure_with_matches_oracle_on_every_pair():
+    # every (subgroup, x) pair of every abelian group of order <= 16
+    for g in all_abelian_groups(16):
+        for sub, _ in _full_lattice(g):
+            for x in range(g.order):
+                assert _closure_with(g, sub, x) == oracles.closure_with(g, sub, x)
+
+
+@given(st.sampled_from(MODULI_POOL + KERNEL_SHAPES[:1]), st.data())
+def test_closure_walk_keeps_the_same_generators(mods, data):
+    g = GroupDescriptor(mods)
+    bits = data.draw(st.integers(0, g.full_mask))
+    assert _closure_walk(g, bits) == oracles.closure_walk(g, bits)
+
+
+def test_full_lattice_matches_oracle():
+    # same subgroups and same kept generators, for all 116 groups of order <= 64
+    for g in all_abelian_groups(64):
+        assert _full_lattice.__wrapped__(g) == oracles.full_lattice(g), g
+
+
+@given(st.sampled_from(MODULI_POOL + KERNEL_SHAPES[:3]), st.data())
+def test_is_union_of_cosets_matches_oracle(mods, data):
+    # h_bits need not be a subgroup, nor hold 0; S is drawn as a union of
+    # cosets of <H> about half the time, so both answers occur
+    g = GroupDescriptor(mods)
+    h_bits = data.draw(st.integers(0, g.full_mask))
+    s_bits = data.draw(st.integers(0, g.full_mask))
+    if data.draw(st.booleans()):
+        span = _closure_walk(g, h_bits)[0]
+        s_bits = 0
+        for r in oracles.bit_ranks(data.draw(st.integers(0, g.full_mask))):
+            s_bits |= translate_bits(g, span, r)
+    assert (_is_union_of_cosets(g, s_bits, h_bits)
+            == oracles.is_union_of_cosets(g, s_bits, h_bits))
+
+
+@given(groups(), st.data())
+def test_subgroup_verify_matches_the_axioms(g, data):
+    # any bitset and index, read as a claimed subgroup, against the axioms
+    # checked element by element
+    if data.draw(st.booleans()):
+        bits = data.draw(st.sampled_from([b for b, _ in _full_lattice(g)]))
+    else:
+        bits = data.draw(st.integers(0, g.full_mask))
+    size = bits.bit_count()
+    index = data.draw(st.sampled_from([g.order // max(size, 1), 1, g.order]))
+    want = (bool(bits & 1)
+            and negate_bits(g, bits) == bits
+            and oracles.is_union_of_cosets(g, bits, bits)
+            and g.order % size == 0
+            and index * size == g.order)
+    assert Subgroup(g, bits, (), index).verify() == want
+
+
+def test_subgroup_verify_reads_a_generating_set(count_calls):
+    # index 2 in (Z/2)^16: 15 generators, one translate each
+    g = GroupDescriptor([2] * 16)
+    h = _make_subgroup(g, (1 << 2**15) - 1, ())
+    calls = count_calls(translate_bits)
+    assert h.verify()
+    assert calls[0] <= 16
+
+
+def test_full_lattice_skips_repeated_extensions(count_calls):
+    g = GroupDescriptor([1024])
+    calls = count_calls(translate_bits)
+    lattice = _full_lattice.__wrapped__(g)
+    assert [bits.bit_count() for bits, _ in lattice] == [2**k for k in range(10, -1, -1)]
+    assert calls[0] <= 500

@@ -515,6 +515,16 @@ def test_cli_robust_high_vc_exit(files):
     assert obj["report"]["frequency"] >= 0.9
 
 
+def test_cli_robust_at_zero_epsilon(files):
+    code, out, _ = _run_cli(["robust", "--set", files["union"], "--eps", "0",
+                             "--d", "1"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["kind"] == "certificate"
+    assert [s["delta"] for s in obj["steps"]] == ["1/32"]
+    assert obj["certificate"]["achieved_error"] == "0"
+
+
 def test_cli_oracle_best_subgroup(files):
     code, out, _ = _run_cli(
         ["oracle-best-subgroup", "--set", files["union"], "--eps", "1/4"]

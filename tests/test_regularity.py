@@ -24,8 +24,10 @@ from addcomb import (
     symdiff_profile,
     verify_certificate,
 )
-from addcomb.groups import translate_bits
-from addcomb.subsets import _ball
+from addcomb.groups import _make_subgroup, translate_bits
+from addcomb.io import certificate_from_json, certificate_to_json
+from addcomb.regularity import RegularityCertificate
+from addcomb.subsets import DoublingTrace, _ball
 from conftest import subsets
 
 
@@ -245,6 +247,41 @@ def test_verify_certificate_rejects_tampering():
     assert not verify_certificate(tight).error_ok
 
 
+def test_verify_certificate_reads_the_subgroup_bits_not_its_generators():
+    a, _, _ = _planted66(4)
+    cert = regularize(a, Fraction(1, 5))
+    h = cert.subgroup
+    assert h.size > 2
+    obj = certificate_to_json(cert)
+    # generators that generate nothing, and generators outside H
+    outside = ((~h.bits) & a.group.full_mask).bit_length() - 1
+    for wrong in ([0], [outside], []):
+        obj["subgroup"]["generators"] = wrong
+        assert verify_certificate(certificate_from_json(obj)).ok
+    # same size, holds 0, but not closed: swap one non-zero element of H out
+    inside = h.bits.bit_length() - 1
+    fake = _make_subgroup(a.group, h.bits ^ (1 << inside) ^ (1 << outside),
+                          [e.rank for e in h.generators])
+    chk = verify_certificate(dataclasses.replace(cert, subgroup=fake))
+    assert not chk.closure_ok and not chk.ok
+
+
+def test_verify_certificate_reads_a_generating_set(count_calls):
+    # index 2 in (Z/2)^16: verify walks H's 15 generators, the union check
+    # walks them again and translates S by each, one translate apiece
+    g = GroupDescriptor([2] * 16)
+    h = _make_subgroup(g, (1 << 2**15) - 1, ())
+    a = GroupSubset(g, h.bits ^ 0b110)
+    s = coset_round(a, h)
+    err = Fraction((a.bits ^ s.bits).bit_count(), g.order)
+    trace = DoublingTrace(a, 1.0, 1, a, a, (a.size, a.size))
+    cert = RegularityCertificate(a, err, Fraction(1, 4), h, s, err, 2,
+                                 False, trace)
+    calls = count_calls(translate_bits)
+    assert verify_certificate(cert).ok
+    assert calls[0] <= 3 * 16
+
+
 def test_verify_certificate_translate_bound_is_exact():
     # the translate bound fails once 4*l*delta*|G| drops below the profile's
     # largest value on H
@@ -336,6 +373,20 @@ def test_robust_pipeline_schedule_exhausted_takes_the_stabilizer_delta():
     assert [(s.delta, s.branch) for s in out.steps] == [
         (Fraction(1, 2), "continue"), (Fraction(1, 128), "small_ball")]
     assert out.kind == "high_vc" and out.steps[-1].ball_size == 1
+
+
+def test_robust_pipeline_skips_a_zero_delta():
+    # eps = 0 makes the default schedule [0]; its ball is the ball of the
+    # appended delta 1/(2|G|), which then decides
+    a, _, _ = _planted66(2)
+    assert default_delta_schedule(Fraction(0), 64) == [Fraction(0)]
+    out = robust_pipeline(a, 0, 1, rng_seed=0)
+    assert [s.delta for s in out.steps] == [Fraction(1, 128)]
+    assert out == robust_pipeline(a, 0, 1, RobustConfig(delta_schedule=()),
+                                  rng_seed=0)
+    cfg = RobustConfig(delta_schedule=(Fraction(1, 2), Fraction(0)))
+    out = robust_pipeline(a, 0, 1, cfg, rng_seed=0)
+    assert 0 not in [s.delta for s in out.steps]
 
 
 @given(subsets(), st.sampled_from([1, 2]))
