@@ -5,9 +5,10 @@ c0 + c1*m0 + c2*m0*m1 + ... (little-endian mixed radix).  Subsets of the group
 are stored as Python ints used as bitsets: bit r set means rank r is in the
 set.  A translate rotates each coordinate with two masked shifts, so it costs
 O(len(moduli) * |G|/wordsize).  Negation is one bit reversal plus one
-translate, also O(len(moduli) * |G|/wordsize).  Both replace O(|G|)
-Python-level bit moves.  Subgroups are closed and checked through
-generating sets, with O(log |H|) translates rather than O(|H|).
+translate, also O(len(moduli) * |G|/wordsize), and nothing at all when every
+modulus is 2.  Both replace O(|G|) Python-level bit moves.  Subgroups are
+closed and checked through generating sets, with O(log |H|) translates
+rather than O(|H|).
 """
 from __future__ import annotations
 
@@ -167,8 +168,11 @@ def negate_bits(g: GroupDescriptor, bits: int) -> int:
 
     Reversing the |G| bits sends rank r to |G| - 1 - r, whose digits are
     m_i - 1 - c_i.  So -A = rev(A) + (1, ..., 1): one byte-wise reversal,
-    then one translate by the rank of (1, ..., 1), sum(blocks).
+    then one translate by the rank of (1, ..., 1), sum(blocks).  When every
+    modulus is 2, -a = a and the set is returned as it is.
     """
+    if max(g.moduli) == 2:
+        return bits
     n = g.order
     nb = (n + 7) // 8
     rev = int.from_bytes(bits.to_bytes(nb, "big").translate(_REV8),

@@ -308,11 +308,17 @@ def _robust_m(delta: Fraction, d: int, order: int, c: float) -> tuple[int, int]:
     """m = C * (1/delta) * ln(1/delta), and its desk-scale cap.
 
     The small-ball branch is only meaningful when |G| >= 24 m^d (the sampled
-    sets must fit twice over in G), so m is capped at floor((|G|/24)^(1/d));
-    both the raw and the effective value are reported."""
+    sets must fit twice over in G), so m is capped at the largest m >= 1 with
+    24 m^d <= |G|; both the raw and the effective value are reported."""
     ratio = float(1 / delta)
     m_raw = max(1, math.ceil(c * ratio * math.log(ratio))) if ratio > 1 else 1
+    # the float d-th root falls one short when |G|/24 is an exact d-th power,
+    # so settle the cap in integers
     cap = max(1, math.floor((order / 24) ** (1 / d)))
+    while 24 * (cap + 1) ** d <= order:
+        cap += 1
+    while cap > 1 and 24 * cap**d > order:
+        cap -= 1
     return m_raw, min(m_raw, cap)
 
 

@@ -4,14 +4,34 @@ The set system of a subset A is {A + x : x in X} viewed as subsets of a
 ground set Y (both default to the whole group).  A set U of ground elements
 is shattered when every one of the 2^|U| subsets of U arises as (A+x) & U.
 One exact search serves every query: a depth-first scan over candidate
-ground elements in ascending order, refining the partition of traces by
-their pattern on the chosen elements, that returns a shattered witness set.
-A branch dies as soon as one pattern class fails to split, since shattered
-sets are closed under subsets.  The smallest pattern class also bounds the
-reachable depth (each further element at best halves it), which prunes hard.
-The dimension is the length of the largest witness; a threshold query stops
-at the first witness one longer than the threshold, and a size-k query
-returns the first shattered k-set, the least in lexicographic order.
+ground elements in ascending order that refines a partition of the system by
+its pattern on the chosen elements, and returns a shattered witness.
+
+The partition is kept over translators, not traces.  The search keeps one
+translator per distinct trace, the first in rank order; call the bitset of
+these translators reps.  A class is an int bitset over reps: the
+translators whose traces agree on every chosen element.  The root class is
+reps itself.  The column of a candidate p is (p - A) & reps, the translators
+x with p in A + x: one big-int translate of -A per candidate, built once per
+search.  Choosing p splits each class cls into ones = cls & col and
+zeros = cls ^ ones, and a class's size is its bit count.
+
+A branch dies as soon as one class fails to split, since shattered sets are
+closed under subsets.  The smallest class also bounds the reachable depth
+(each further element at best halves it), which prunes hard.  The split
+applies that bound as it builds the classes: it stops at the first part too
+small for the branch to beat the best witness, so such a branch is neither
+split in full nor entered.  The dimension is the length of the largest
+witness; a threshold query stops at the first witness one longer than the
+threshold, and a size-k query returns the first shattered k-set, the least
+in lexicographic order.
+
+The witnesses are those of the search over Python lists of traces that this
+one replaced (kept as tests/oracles.py:shattered_witness).  A class stands
+for the same traces, one translator each, so every split succeeds or fails
+as it did there and every class has the same size.  The candidates, their
+order, the bounds and the stop rule are unchanged, and a branch is dropped
+early only where that search entered it to prune it at once.
 
 When ground and translators are both the whole group the system is
 invariant under translation: (A+x) & (U+z) = ((A+x-z) & U) + z, so if U is
@@ -32,7 +52,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
-from .groups import GroupDescriptor, GroupElement, negate_bits, translate_bits
+from .groups import (GroupDescriptor, GroupElement, _bit_ranks, negate_bits,
+                     translate_bits)
 from .stats import binomial_sigma, wilson_interval
 from .subsets import GroupSubset, _to_fraction, almost_periods
 
@@ -68,69 +89,26 @@ class TranslateSystem:
     def resolved_translators(self) -> GroupSubset:
         return self.translators if self.translators is not None else GroupSubset.full(self.base.group)
 
+    def trace_translators(self) -> dict[int, int]:
+        """Each distinct trace (A + x) & Y, mapped to the first translator x
+        in rank order that cuts it."""
+        g = self.base.group
+        a = self.base.bits
+        y = self.resolved_ground().bits
+        first: dict[int, int] = {}
+        for x in self.resolved_translators().ranks():
+            first.setdefault(translate_bits(g, a, x) & y, x)
+        return first
+
     def traces(self) -> list[int]:
         """Distinct trace bitsets, sorted ascending."""
-        g = self.base.group
-        y = self.resolved_ground().bits
-        seen = set()
-        for x in self.resolved_translators().ranks():
-            seen.add(translate_bits(g, self.base.bits, x) & y)
-        return sorted(seen)
-
-
-def _shattered_witness(traces: Sequence[int], ground_positions: Sequence[int],
-                       stop_at: int | None, anchored: bool = False) -> list[int]:
-    """A largest shattered subset of the ground positions (ascending), the
-    first one met in the search; with stop_at given, the first shattered set
-    of that size as soon as one is found.  Anchored (only for the full
-    translate system, see the module docstring), depth 0 tries the first
-    candidate alone, which is then position 0."""
-    if len(traces) <= 1:
-        return []
-    t0 = traces[0]
-    diff = 0
-    for t in traces:
-        diff |= t ^ t0
-    cand = [p for p in ground_positions if (diff >> p) & 1]
-    best: list[int] = []
-    chosen: list[int] = []
-
-    def grow(classes: list[list[int]], start: int, end: int) -> bool:
-        nonlocal best
-        depth = len(chosen)
-        if depth > len(best):
-            best = list(chosen)
-            if depth == stop_at:
-                return True
-        if depth + min(len(c) for c in classes).bit_length() - 1 <= len(best):
-            return False
-        for i in range(start, end):
-            if depth + len(cand) - i <= len(best):
-                break
-            bit = 1 << cand[i]
-            split: list[list[int]] | None = []
-            for cls in classes:
-                ones = [t for t in cls if t & bit]
-                if not ones or len(ones) == len(cls):
-                    split = None
-                    break
-                split.append(ones)
-                split.append([t for t in cls if not t & bit])
-            if split is not None:
-                chosen.append(cand[i])
-                if grow(split, i + 1, len(cand)):
-                    return True
-                chosen.pop()
-        return False
-
-    grow([list(traces)], 0, 1 if anchored else len(cand))
-    return best
+        return sorted(self.trace_translators())
 
 
 def _search_input(sys: TranslateSystem, caps: Caps
-                  ) -> tuple[list[int], list[int], bool]:
-    """The system's traces, its ground positions and whether the search may
-    be anchored (ground and translators both the whole group), after the
+                  ) -> tuple[dict[int, int], bool]:
+    """The system's translator per distinct trace, and whether the search
+    may be anchored (ground and translators both the whole group), after the
     ground-size cap."""
     ground = sys.resolved_ground()
     if ground.size > caps.vc_ground_cap:
@@ -139,7 +117,73 @@ def _search_input(sys: TranslateSystem, caps: Caps
         )
     full = sys.base.group.full_mask
     anchored = ground.bits == full and sys.resolved_translators().bits == full
-    return sys.traces(), ground.ranks(), anchored
+    return sys.trace_translators(), anchored
+
+
+def _shattered_witness(a: GroupSubset, first: dict[int, int],
+                       stop_at: int | None, anchored: bool) -> list[int]:
+    """A largest shattered ground set (ascending) of the system whose
+    translator per distinct trace is `first`, the first one met in the
+    search; with stop_at given, the first shattered set of that size as soon
+    as one is found.  Anchored (only for the full translate system, see the
+    module docstring), depth 0 tries the first candidate alone, which is
+    then position 0."""
+    if len(first) <= 1:
+        return []
+    g = a.group
+    reps = diff = 0
+    t0 = next(iter(first))
+    for t, x in first.items():
+        reps |= 1 << x
+        diff |= t ^ t0
+    # the candidates: ground positions where the traces do not all agree
+    cand = _bit_ranks(diff)
+    neg = negate_bits(g, a.bits)
+    cols = [translate_bits(g, neg, p) & reps for p in cand]
+    n = len(cand)
+    best: list[int] = []
+    chosen: list[int] = []
+
+    def grow(classes: list[int], start: int, end: int) -> bool:
+        nonlocal best
+        depth = len(chosen)
+        for i in range(start, end):
+            top = len(best)
+            if depth + n - i <= top:
+                break
+            # A shattered extension is a new best when depth >= len(best);
+            # the child can only beat best if each of its classes holds at
+            # least `need` translators (each further element at best halves
+            # the smallest class), so a smaller part ends the split early.
+            record = depth >= top
+            need = 2 if record else 1 << (top - depth)
+            col = cols[i]
+            split: list[int] = []
+            deeper = True
+            for cls in classes:
+                ones = cls & col
+                if not ones or ones == cls:
+                    break
+                zeros = cls ^ ones
+                if ones.bit_count() < need or zeros.bit_count() < need:
+                    if not record:
+                        break
+                    deeper = False
+                split.append(ones)
+                split.append(zeros)
+            else:
+                chosen.append(cand[i])
+                if record:
+                    best = list(chosen)
+                    if depth + 1 == stop_at:
+                        return True
+                if deeper and grow(split, i + 1, n):
+                    return True
+                chosen.pop()
+        return False
+
+    grow([reps], 0, 1 if anchored else n)
+    return best
 
 
 def vc_dimension(sys: TranslateSystem, max_d: int | None = None,
@@ -150,8 +194,8 @@ def vc_dimension(sys: TranslateSystem, max_d: int | None = None,
     exceeds max_d and returns max_d + 1, meaning "> max_d".  Threshold
     queries are much cheaper than exact computation on large systems."""
     stop_at = None if max_d is None else max_d + 1
-    traces, positions, anchored = _search_input(sys, caps)
-    return len(_shattered_witness(traces, positions, stop_at, anchored))
+    first, anchored = _search_input(sys, caps)
+    return len(_shattered_witness(sys.base, first, stop_at, anchored))
 
 
 def set_vc_dimension(a: GroupSubset, max_d: int | None = None,
@@ -166,10 +210,10 @@ def find_shattered_set(a: GroupSubset, size: int,
     (positions ascending), or None when the VC dimension is smaller."""
     if size == 0:
         return []
-    traces, positions, _ = _search_input(TranslateSystem(a), caps)
-    if len(traces) < 1 << size:
+    first, _ = _search_input(TranslateSystem(a), caps)
+    if len(first) < 1 << size:
         return None
-    got = _shattered_witness(traces, positions, size, True)
+    got = _shattered_witness(a, first, size, True)
     return got if len(got) == size else None
 
 
@@ -188,10 +232,10 @@ class SauerReport:
 def sauer_check(sys: TranslateSystem, caps: Caps = DEFAULT_CAPS) -> SauerReport:
     """Count distinct traces and compare with sum_{i<=d} C(n,i), and with
     2n^d when n >= 2 and d >= 1."""
-    traces, positions, anchored = _search_input(sys, caps)
-    n = len(positions)
-    d = len(_shattered_witness(traces, positions, None, anchored))
-    count = len(traces)
+    first, anchored = _search_input(sys, caps)
+    n = sys.resolved_ground().size
+    d = len(_shattered_witness(sys.base, first, None, anchored))
+    count = len(first)
     binom = sum(math.comb(n, i) for i in range(min(d, n) + 1))
     poly = 2 * n**d if n >= 2 and d >= 1 else None
     holds = count <= binom and (poly is None or count <= poly)
@@ -400,9 +444,9 @@ def separated_sample_bound_check(a: GroupSubset, delta, m: int, d: int,
     probability that its restriction to a random m-element ground sample has
     VC dimension at most d, and test the contrapositive: when that probability
     (minus 3 sigma) still reaches 3 m^(2d) (1-delta)^m, the family must have
-    at most 2 m^d members.  A is translated by each center once; each trial
-    cuts those translates to its sample and runs the threshold search on the
-    distinct traces.  caps.vc_ground_cap bounds m, as in vc_dimension."""
+    at most 2 m^d members.  Each trial is a vc_dimension threshold query on
+    the system of A's translates by the centers, cut to the trial's sample;
+    caps.vc_ground_cap bounds m, checked before the packing is built."""
     dd = _to_fraction(delta)
     g = a.group
     if not 1 <= m <= g.order:
@@ -410,19 +454,18 @@ def separated_sample_bound_check(a: GroupSubset, delta, m: int, d: int,
     if m > caps.vc_ground_cap:
         raise CapExceeded(f"ground size {m} exceeds vc cap {caps.vc_ground_cap}")
     pack = greedy_packing(a, dd)
-    family = [translate_bits(g, a.bits, c.rank) for c in pack.centers]
+    centers = GroupSubset.from_ranks(g, [c.rank for c in pack.centers])
     rng = random.Random(rng_seed)
     low = 0
     for _ in range(trials):
         ys = GroupSubset.from_ranks(g, rng.sample(range(g.order), m))
-        traces = sorted({t & ys.bits for t in family})
-        if len(_shattered_witness(traces, ys.ranks(), d + 1)) <= d:
+        if vc_dimension(TranslateSystem(a, ys, centers), max_d=d, caps=caps) <= d:
             low += 1
     frac = low / trials
     sigma = binomial_sigma(low, trials)
     threshold = 3 * m ** (2 * d) * float((1 - dd) ** m)
     size_bound = 2 * m**d
     applicable = frac - 3 * sigma >= threshold
-    holds = (not applicable) or len(family) <= size_bound
-    return SeparatedSampleReport(len(family), m, d, dd, trials, frac, sigma,
+    holds = (not applicable) or len(pack.centers) <= size_bound
+    return SeparatedSampleReport(len(pack.centers), m, d, dd, trials, frac, sigma,
                                  threshold, size_bound, applicable, holds)

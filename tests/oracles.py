@@ -9,11 +9,12 @@ their own masks, the references for the library's two-shift translation
 kernel and its reversal-plus-translate negation; the hex codec one nibble at
 a time (bits_to_hex_by_nibble, hex_to_bits_by_nibble), the reference for the
 library's format/int codec; shattered_witness, the unanchored shattering
-search the library ran before it anchored the full translate system at 0,
-the reference for the anchored search; the patterns layer as it was before
-its column table, its anchored V-side sweep and its witness reuse (v_sweep,
-find_bi_induced, exhaustive_density, distance_to_free), which translates A
-at every visit and searches every flip set; and the sampled checks as they
+search over lists of traces that the library ran before it anchored the full
+translate system at 0 and split bitsets of translators, the reference for
+both; the patterns layer as it was before its column table, its anchored
+V-side sweep and its witness reuse (v_sweep, find_bi_induced,
+exhaustive_density, distance_to_free), which translates A at every visit
+and searches every flip set; and the sampled checks as they
 were before the bulk numpy path (bi_induces, sample_tester, densify), one rng
 call per coordinate and one add_rank per pair, the reference for the
 replayed draws and the vectorized predicate; and the sampled VC checks as
@@ -249,9 +250,10 @@ def set_vc_dimension(mods, aset) -> int:
 
 def shattered_witness(traces, ground_positions, stop_at):
     """Depth-first search over every candidate position at every depth (no
-    anchor): a largest shattered subset of the ground positions, ascending,
-    the first one met; with stop_at given, the first shattered set of that
-    size.  traces are distinct int bitsets, sorted ascending."""
+    anchor), splitting Python lists of traces: a largest shattered subset of
+    the ground positions, ascending, the first one met; with stop_at given,
+    the first shattered set of that size.  traces are distinct int bitsets,
+    sorted ascending."""
     if len(traces) <= 1:
         return []
     t0 = traces[0]

@@ -130,6 +130,19 @@ def test_negate_bits_matches_digit_oracle(mods):
         assert negate_bits(g, n) == bits
 
 
+@pytest.mark.parametrize("mods", [(2,) * k for k in range(1, 7)] + [(2, 3, 2)],
+                         ids=lambda mods: "x".join(map(str, mods)))
+def test_negate_bits_on_elementary_two_groups_is_the_identity(mods, count_calls):
+    # on (Z/2)^k every element is its own negative, so no translate is taken;
+    # a mixed group with factors 2 still reverses and translates
+    g = GroupDescriptor(mods)
+    calls = count_calls(translate_bits)
+    for bits in range(g.full_mask + 1) if g.order <= 16 else [
+            random.Random(k).getrandbits(g.order) for k in range(64)]:
+        assert negate_bits(g, bits) == oracles.negate_bits_by_digit(mods, bits)
+    assert (calls[0] == 0) == (max(mods) == 2)
+
+
 @pytest.mark.parametrize("mods", KERNEL_SHAPES,
                          ids=lambda mods: "x".join(map(str, mods)))
 def test_repeaters_match_division(mods):

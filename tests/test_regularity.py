@@ -411,6 +411,19 @@ def test_robust_steps_record_ball_sizes():
         assert step.threshold == Fraction(64, 12 * step.m_effective**1)
 
 
+@pytest.mark.parametrize("order,want", [(1536, 4), (3000, 5), (24_000, 10)])
+def test_robust_m_cap_is_an_exact_integer_root(order, want):
+    # 24 m^3 = |G| exactly at these orders, where a float cube root of |G|/24
+    # comes out just below m
+    from addcomb.regularity import _robust_m
+
+    delta = Fraction(1, 1000)
+    m_raw, m_eff = _robust_m(delta, 3, order, 100.0)
+    assert m_raw > want and m_eff == want
+    assert 24 * want**3 <= order < 24 * (want + 1) ** 3
+    assert _robust_m(delta, 3, order - 1, 100.0)[1] == want - 1
+
+
 def test_robust_pipeline_scans_one_ball_per_step(count_calls):
     g = GroupDescriptor([2] * 6)
     h = generated_subgroup(g, [1, 2, 4, 8])

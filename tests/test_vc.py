@@ -173,13 +173,13 @@ def test_sauer_never_fails(a):
 
 def test_sauer_check_computes_the_traces_once(monkeypatch):
     calls = []
-    traces = TranslateSystem.traces
+    traces = TranslateSystem.trace_translators
 
     def counting(self):
         calls.append(self)
         return traces(self)
 
-    monkeypatch.setattr(TranslateSystem, "traces", counting)
+    monkeypatch.setattr(TranslateSystem, "trace_translators", counting)
     z16 = GroupDescriptor([2, 2, 2, 2])
     sys_ = TranslateSystem(GroupSubset.from_ranks(z16, [0, 1, 2, 3, 5, 8]))
     rep = sauer_check(sys_)
@@ -288,9 +288,8 @@ def test_sampled_vc_full_draw_is_exact():
 
 
 def _exact_restricted_exceed_prob(a, x_size, y_size, d):
-    """Enumerate every (X, Y) pair and count restricted vcdim > d."""
-    from addcomb.vc import _shattered_witness
-
+    """Enumerate every (X, Y) pair and count restricted vcdim > d, with the
+    list search of the oracles."""
     g = a.group
     hits = tot = 0
     for xs in itertools.combinations(range(g.order), x_size):
@@ -300,7 +299,7 @@ def _exact_restricted_exceed_prob(a, x_size, y_size, d):
                 y_bits |= 1 << r
             traces = sorted({translate_bits(g, a.bits, x) & y_bits for x in xs})
             tot += 1
-            if len(_shattered_witness(traces, list(ys), d + 1)) > d:
+            if len(oracles.shattered_witness(traces, list(ys), d + 1)) > d:
                 hits += 1
     return Fraction(hits, tot)
 
@@ -372,22 +371,96 @@ def test_separated_sample_bound_examples():
     assert rep.family_size == 1 and rep.holds
 
 
-def test_separated_sample_bound_translates_each_center_once(count_calls):
+def test_separated_sample_bound_runs_one_search_per_trial(count_calls):
     g = GroupDescriptor([2] * 8)
     a = GroupSubset(g, random.Random(5).getrandbits(g.order))
     delta = Fraction(1, 4)
-    calls = count_calls(translate_bits)
+    searches = count_calls(vc.vc_dimension)
+    translates = count_calls(translate_bits)
     centers = len(greedy_packing(a, delta).centers)
-    packing = calls[0]
-    calls[0] = 0
     rep = separated_sample_bound_check(a, delta, 16, 2, 50, rng_seed=0)
     assert rep.family_size == centers > 1
-    assert calls[0] == packing + centers
-    calls[0] = 0
+    assert searches[0] == 50
+    translates[0] = 0
+    # the ground cap is checked before the packing is built
     with pytest.raises(CapExceeded, match="^ground size 16 exceeds vc cap 15$"):
         separated_sample_bound_check(a, delta, 16, 2, 50, rng_seed=0,
                                      caps=Caps(vc_ground_cap=15))
-    assert calls[0] == 0
+    assert translates[0] == 0 and searches[0] == 50
+
+
+def _seeded_set(mods, seed):
+    g = GroupDescriptor(mods)
+    return GroupSubset(g, random.Random(f"sep/{mods}/{seed}").getrandbits(g.order))
+
+
+Z222 = GroupDescriptor([2, 2, 2])
+
+# (set, delta, m, d, trials, seed, the report's repr as the check gave it when
+# it still built each trial's traces from the centers' translates): the cases
+# of the tests above, and three whose low-dimension fraction is strictly
+# between 0 and 1
+SEPARATED_REPORTS = [
+    pytest.param(
+        lambda: GroupSubset(Z222, generated_subgroup(Z222, [1, 2]).bits),
+        Fraction(1, 2), 4, 1, 200, 9,
+        "SeparatedSampleReport(family_size=2, m=4, d=1, delta=Fraction(1, 2), "
+        "trials=200, low_dim_fraction=1.0, sigma=0.0, threshold=3.0, "
+        "size_bound=8, applicable=False, holds=True)",
+        id="z2x3_subgroup"),
+    pytest.param(
+        lambda: GroupSubset.empty(Z222), Fraction(1, 2), 3, 1, 50, 9,
+        "SeparatedSampleReport(family_size=1, m=3, d=1, delta=Fraction(1, 2), "
+        "trials=50, low_dim_fraction=1.0, sigma=0.0, threshold=3.375, "
+        "size_bound=6, applicable=False, holds=True)",
+        id="z2x3_empty"),
+    pytest.param(
+        lambda: GroupSubset.from_ranks(GroupDescriptor([16]), [0, 1, 2, 5, 9]),
+        Fraction(1, 4), 6, 1, 3, 0,
+        "SeparatedSampleReport(family_size=16, m=6, d=1, delta=Fraction(1, 4), "
+        "trials=3, low_dim_fraction=0.0, sigma=0.0, threshold=19.2216796875, "
+        "size_bound=12, applicable=False, holds=True)",
+        id="z16"),
+    pytest.param(
+        lambda: GroupSubset(GroupDescriptor([2] * 8),
+                            random.Random(5).getrandbits(256)),
+        Fraction(1, 4), 16, 2, 50, 0,
+        "SeparatedSampleReport(family_size=256, m=16, d=2, delta=Fraction(1, 4), "
+        "trials=50, low_dim_fraction=0.0, sigma=0.0, "
+        "threshold=1970.5225067138672, size_bound=512, applicable=False, "
+        "holds=True)",
+        id="z2x8"),
+    pytest.param(
+        lambda: _seeded_set((12,), 1), Fraction(1, 8), 6, 2, 40, 1,
+        "SeparatedSampleReport(family_size=12, m=6, d=2, delta=Fraction(1, 8), "
+        "trials=40, low_dim_fraction=0.175, sigma=0.060078074203489575, "
+        "threshold=1744.9161987304688, size_bound=72, applicable=False, "
+        "holds=True)",
+        id="z12"),
+    pytest.param(
+        lambda: _seeded_set((4, 4), 0), Fraction(1, 8), 6, 2, 40, 0,
+        "SeparatedSampleReport(family_size=16, m=6, d=2, delta=Fraction(1, 8), "
+        "trials=40, low_dim_fraction=0.2, sigma=0.0632455532033676, "
+        "threshold=1744.9161987304688, size_bound=72, applicable=False, "
+        "holds=True)",
+        id="z4x4"),
+    pytest.param(
+        lambda: _seeded_set((2, 2, 2, 2), 1), Fraction(1, 8), 8, 2, 40, 1,
+        "SeparatedSampleReport(family_size=8, m=8, d=2, delta=Fraction(1, 8), "
+        "trials=40, low_dim_fraction=0.15, sigma=0.05645794895318108, "
+        "threshold=4222.266357421875, size_bound=128, applicable=False, "
+        "holds=True)",
+        id="z2x4"),
+]
+
+
+@pytest.mark.parametrize("make,delta,m,d,trials,seed,want", SEPARATED_REPORTS)
+def test_separated_sample_bound_reports_are_frozen(make, delta, m, d, trials,
+                                                   seed, want):
+    a = make()
+    rep = separated_sample_bound_check(a, delta, m, d, trials, rng_seed=seed)
+    assert repr(rep) == want
+    assert rep == oracles.separated_sample_bound_check(a, delta, m, d, trials, seed)
 
 
 @given(subsets(pool=SMALL_POOL), st.sampled_from([Fraction(1, 2), Fraction(1, 4)]))
@@ -492,6 +565,28 @@ def test_restricted_vc_dimension_matches_oracle_seeded(which):
             y_bits = rng.getrandbits(g.order) if which != "translators" else g.full_mask
             x_bits = rng.getrandbits(g.order) if which != "ground" else g.full_mask
             _assert_restricted_matches_oracle(a, y_bits, x_bits)
+
+
+@pytest.mark.parametrize("mods", [(2, 2, 2, 2), (12,), (4, 4), (15,)],
+                         ids=lambda mods: "x".join(map(str, mods)))
+def test_restricted_witnesses_match_the_list_search(mods):
+    # the bitset search over translators against the list search over traces:
+    # the same witness for the exact query and for every threshold up to d + 1
+    g = GroupDescriptor(mods)
+    rng = random.Random(f"witness/{mods}")
+    for _ in range(30):
+        a = GroupSubset(g, rng.getrandbits(g.order))
+        ground = GroupSubset(g, rng.getrandbits(g.order))
+        sys_ = TranslateSystem(a, ground, GroupSubset(g, rng.getrandbits(g.order)))
+        first, anchored = vc._search_input(sys_, Caps())
+        traces = sys_.traces()
+        assert traces == sorted(first)
+        positions = ground.ranks()
+        d = len(oracles.shattered_witness(traces, positions, None))
+        for stop_at in [None, *range(1, d + 2)]:
+            want = oracles.shattered_witness(traces, positions, stop_at)
+            got = vc._shattered_witness(a, first, stop_at, anchored)
+            assert got == want, (a, sys_, stop_at)
 
 
 def test_sampled_systems_obey_the_ground_cap():
