@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 
 
 class CapExceeded(Exception):
@@ -24,7 +23,9 @@ class Caps:
         V-side sweep anchored at phi_v(0) = 0: one visit per y tried for a
         V-vertex.
     density_enum_cap: largest |G|**|V(F)| accepted by exhaustive_density.
-    distance_group_cap: largest |G| accepted by distance_to_free.
+    distance_group_cap: largest |G| accepted by distance_to_free, whose
+        search visits other sets than a scan over flip sets would, so a
+        small pattern_visit_cap may trip on other inputs than it did.
     """
 
     order_cap: int = 1 << 20
@@ -42,11 +43,6 @@ class Caps:
         if bad:
             raise ValueError(f"unknown cap names: {sorted(bad)}")
         return cls(**{k: int(v) for k, v in obj.items()})
-
-    @classmethod
-    def load(cls, path: str) -> "Caps":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 DEFAULT_CAPS = Caps()

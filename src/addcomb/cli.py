@@ -19,7 +19,6 @@ from .io import (
     canonical_dumps,
     certificate_to_json,
     frac_str,
-    graph_from_json,
     load_json_file,
     pattern_from_json,
     subset_from_json,

@@ -16,10 +16,9 @@ from typing import Any
 
 from .caps import Caps, DEFAULT_CAPS
 from .groups import GroupDescriptor, Subgroup, _make_subgroup
-from .patterns import BipartitePattern
+from .patterns import BiInducedWitness, BipartitePattern, _make_witness
 from .regularity import RegularityCertificate
 from .subsets import DoublingTrace, GroupSubset, _to_fraction
-from .vc import AdjacencyOracle
 
 __all__ = [
     "bits_to_hex",
@@ -34,7 +33,6 @@ __all__ = [
     "pattern_from_json",
     "witness_to_json",
     "witness_from_json",
-    "graph_from_json",
     "certificate_to_json",
     "certificate_from_json",
     "canonical_dumps",
@@ -136,30 +134,11 @@ def witness_to_json(w) -> dict:
 
 
 def witness_from_json(g: GroupDescriptor, f: BipartitePattern,
-                      obj: dict):
-    from .patterns import BiInducedWitness
-
-    phi_u = tuple(g.element_from_coords(c) for c in obj["phi_u"])
-    phi_v = tuple(g.element_from_coords(c) for c in obj["phi_v"])
-    return BiInducedWitness(
-        f, phi_u, phi_v,
-        len({e.rank for e in phi_u}) == len(phi_u),
-        len({e.rank for e in phi_v}) == len(phi_v),
-    )
-
-
-def graph_from_json(obj: dict, caps: Caps = DEFAULT_CAPS) -> AdjacencyOracle:
-    """Either {"n":..., "edges":[[i,j],...]} with 0-based vertices, or
-    {"cayley_of": <set JSON>} for the Cayley graph generated by the set's
-    nonzero symmetrization."""
-    if "cayley_of" in obj:
-        return AdjacencyOracle.from_cayley(
-            subset_from_json(obj["cayley_of"], caps=caps)
-        )
-    if "n" not in obj or "edges" not in obj:
-        raise ValueError("graph JSON needs n+edges or cayley_of")
-    return AdjacencyOracle.from_edges(
-        int(obj["n"]), [(int(e[0]), int(e[1])) for e in obj["edges"]]
+                      obj: dict) -> BiInducedWitness:
+    return _make_witness(
+        f, g,
+        [g.element_from_coords(c).rank for c in obj["phi_u"]],
+        [g.element_from_coords(c).rank for c in obj["phi_v"]],
     )
 
 

@@ -37,15 +37,17 @@ lexicographically first accepted tuple has phi_v(0) = 0, and the sweep tries
 only y = 0 for the first V-vertex: find_bi_induced returns the same witness,
 and exhaustive_density is |G| times the anchored sum.
 
-Witness reuse.  A copy of F found in a set B lives on the positions
-P = {phi_u(u) + phi_v(v)} and stays a copy in every B' with B' & P == B & P.
-distance_to_free keeps each witness it finds and searches a flip set only
-when none of them survives in it.
+Distance to free.  A copy of F in a set B lives on its sum positions
+P = {phi_u(u) + phi_v(v)} and stays a copy in every B' with B' & P == B & P,
+so a free set within t flips of B flips a position of P.  distance_to_free
+branches on flipping each position of P in rank order, fixing it once its
+branch is done, so the branches are disjoint and the search is exact; the
+tree has at most |P|^t leaves, against C(|G|, t) flip sets.  Each copy
+found is kept, and a set that holds a kept copy needs no new search.
 """
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import random
 from fractions import Fraction
 from typing import Iterator
@@ -65,7 +67,7 @@ from .groups import (
 )
 from .stats import binomial_sigma, wilson_interval
 from .subsets import GroupSubset
-from .vc import find_shattered_set
+from .vc import _cut, _least_shattered
 
 __all__ = [
     "BipartitePattern",
@@ -373,40 +375,21 @@ def witness_from_shattering(a: GroupSubset, f: BipartitePattern,
     VC dimension of A's translate system is too small.
 
     The augmented pattern F+ has all U-neighborhoods distinct; a shattered
-    set of size v_count(F+) supplies phi_v, and for each u the translate
-    realizing u's neighborhood pattern supplies phi_u.  Distinct patterns
-    force distinct phi_u values, so the copy is injective on both sides."""
+    set of size v_count(F+) supplies phi_v, and the search's trace table,
+    cut to the set, the translate realizing each u's pattern for phi_u.
+    Distinct patterns force distinct phi_u, so both maps are injective."""
     fp = augment_f_plus(f)
     g = a.group
-    target = fp.v_count
-    shat = find_shattered_set(a, target, caps=caps)
+    shat, first = _least_shattered(a, fp.v_count, caps)
     if shat is None:
         return None
-    positions = sorted(shat)
-    pos_index = {p: i for i, p in enumerate(positions)}
-    want: dict[int, int] = {}
-    for u in range(fp.u_count):
-        pat = 0
-        for v in fp.u_neighborhood(u):
-            pat |= 1 << v
-        want[u] = pat
-    found: dict[int, int] = {}
-    needed = set(want.values())
-    for x in range(g.order):
-        if not needed:
-            break
-        tr = translate_bits(g, a.bits, x)
-        pat = 0
-        for p in positions:
-            if (tr >> p) & 1:
-                pat |= 1 << pos_index[p]
-        if pat in needed:
-            found[pat] = x
-            needed.discard(pat)
-    if needed:
+    first = _cut(first, sum(1 << p for p in shat))
+    want = [sum(1 << shat[v] for v in fp.u_neighborhood(u))
+            for u in range(fp.u_count)]
+    if any(pat not in first for pat in want):
         raise AssertionError("shattered set failed to realize a pattern")
-    u_ranks = [neg_rank(g, found[want[u]]) for u in range(fp.u_count)]
-    v_ranks = positions[:f.v_count]
+    u_ranks = [neg_rank(g, first[pat]) for pat in want]
+    v_ranks = shat[:f.v_count]
     w = _make_witness(f, g, u_ranks, v_ranks)
     if not check_witness(a, f, w, injectivity="per_side"):
         raise AssertionError("constructed witness failed verification")
@@ -480,10 +463,9 @@ def exhaustive_density(a: GroupSubset, f: BipartitePattern,
 def distance_to_free(a: GroupSubset, f: BipartitePattern,
                      caps: Caps = DEFAULT_CAPS) -> int:
     """Minimum |A xor A'| over A' containing no injective bi-induced copy of
-    f.  Brute force: try flip sets in increasing size.  Each copy found is
-    kept as (P, B & P), P its sum positions; a flip set whose set agrees with
-    a kept copy on its P holds that copy, so only the others are searched.
-    Capped at caps.distance_group_cap group order."""
+    f: the least t for which the search within t flips (see the module
+    docstring) finds a free set.  Capped at caps.distance_group_cap group
+    order."""
     g = a.group
     n = g.order
     if n > caps.distance_group_cap:
@@ -491,23 +473,32 @@ def distance_to_free(a: GroupSubset, f: BipartitePattern,
             f"order {n} exceeds distance cap {caps.distance_group_cap}"
         )
     found: list[tuple[int, int]] = []
-    for t in range(n + 1):
-        for flips in itertools.combinations(range(n), t):
-            b = a.bits
-            for p in flips:
-                b ^= 1 << p
-            if any(b & pos == on for pos, on in found):
-                continue
+
+    def frees(b: int, left: int, fixed: int) -> bool:
+        """Whether a free set lies within `left` flips of b, none in fixed."""
+        pos = next((p for p, on in found if b & p == on), 0)
+        if not pos:
             w = find_bi_induced(GroupSubset(g, b), f, require_injective=True,
                                 caps=caps)
             if w is None:
-                return t
-            pos = 0
+                return True
             for xe in w.phi_u:
                 for ye in w.phi_v:
                     pos |= 1 << add_rank(g, xe.rank, ye.rank)
             found.append((pos, b & pos))
-    raise AssertionError("unreachable: every set was tried, and the empty "
+        rest = pos & ~fixed if left else 0
+        while rest:
+            p = rest & -rest
+            rest ^= p
+            if frees(b ^ p, left - 1, fixed | p):
+                return True
+            fixed |= p
+        return False
+
+    for t in range(n + 1):
+        if frees(a.bits, t, 0):
+            return t
+    raise AssertionError("unreachable: every set was searched, and the empty "
                          "set or the whole group is free of any pattern")
 
 

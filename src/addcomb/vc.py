@@ -42,6 +42,11 @@ unchanged, and so is the lexicographically least shattered k-set, which
 always contains 0.  A restricted system (a proper ground Y or translator set
 X, as in sampled_vc and separated_sample_bound_check) is not invariant, and
 its search tries every first position.
+
+_cut turns a system's table (trace -> first translator) into the table of
+the system on a smaller ground with no translate: witness_from_shattering
+cuts the search's table to the witness, separated_sample_bound_check the
+table of A's translates by the centers to each trial's sample.
 """
 from __future__ import annotations
 
@@ -118,6 +123,15 @@ def _search_input(sys: TranslateSystem, caps: Caps
     full = sys.base.group.full_mask
     anchored = ground.bits == full and sys.resolved_translators().bits == full
     return sys.trace_translators(), anchored
+
+
+def _cut(first: dict[int, int], ground: int) -> dict[int, int]:
+    """The table of first's system on a ground within its own: first lists
+    translators in rank order, so each cut trace keeps its first one."""
+    cut: dict[int, int] = {}
+    for t, x in first.items():
+        cut.setdefault(t & ground, x)
+    return cut
 
 
 def _shattered_witness(a: GroupSubset, first: dict[int, int],
@@ -204,17 +218,21 @@ def set_vc_dimension(a: GroupSubset, max_d: int | None = None,
     return vc_dimension(TranslateSystem(a), max_d=max_d, caps=caps)
 
 
+def _least_shattered(a: GroupSubset, size: int, caps: Caps
+                     ) -> tuple[list[int] | None, dict[int, int]]:
+    """find_shattered_set for size >= 1, with the search's trace table."""
+    first, _ = _search_input(TranslateSystem(a), caps)
+    if len(first) < 1 << size:
+        return None, first
+    got = _shattered_witness(a, first, size, True)
+    return (got if len(got) == size else None), first
+
+
 def find_shattered_set(a: GroupSubset, size: int,
                        caps: Caps = DEFAULT_CAPS) -> list[int] | None:
     """The lexicographically least shattered ground set of the given size
     (positions ascending), or None when the VC dimension is smaller."""
-    if size == 0:
-        return []
-    first, _ = _search_input(TranslateSystem(a), caps)
-    if len(first) < 1 << size:
-        return None
-    got = _shattered_witness(a, first, size, True)
-    return got if len(got) == size else None
+    return [] if size == 0 else _least_shattered(a, size, caps)[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -444,8 +462,8 @@ def separated_sample_bound_check(a: GroupSubset, delta, m: int, d: int,
     probability that its restriction to a random m-element ground sample has
     VC dimension at most d, and test the contrapositive: when that probability
     (minus 3 sigma) still reaches 3 m^(2d) (1-delta)^m, the family must have
-    at most 2 m^d members.  Each trial is a vc_dimension threshold query on
-    the system of A's translates by the centers, cut to the trial's sample;
+    at most 2 m^d members.  Each trial is a threshold search on the traces
+    of A's translates by the centers, made once and cut to its sample;
     caps.vc_ground_cap bounds m, checked before the packing is built."""
     dd = _to_fraction(delta)
     g = a.group
@@ -455,11 +473,13 @@ def separated_sample_bound_check(a: GroupSubset, delta, m: int, d: int,
         raise CapExceeded(f"ground size {m} exceeds vc cap {caps.vc_ground_cap}")
     pack = greedy_packing(a, dd)
     centers = GroupSubset.from_ranks(g, [c.rank for c in pack.centers])
+    first = TranslateSystem(a, translators=centers).trace_translators()
     rng = random.Random(rng_seed)
     low = 0
     for _ in range(trials):
         ys = GroupSubset.from_ranks(g, rng.sample(range(g.order), m))
-        if vc_dimension(TranslateSystem(a, ys, centers), max_d=d, caps=caps) <= d:
+        cut = _cut(first, ys.bits)
+        if len(_shattered_witness(a, cut, d + 1, False)) <= d:
             low += 1
     frac = low / trials
     sigma = binomial_sigma(low, trials)

@@ -12,9 +12,11 @@ library's format/int codec; shattered_witness, the unanchored shattering
 search over lists of traces that the library ran before it anchored the full
 translate system at 0 and split bitsets of translators, the reference for
 both; the patterns layer as it was before its column table, its anchored
-V-side sweep and its witness reuse (v_sweep, find_bi_induced,
-exhaustive_density, distance_to_free), which translates A at every visit
-and searches every flip set; and the sampled checks as they
+V-side sweep and its search over the positions of found copies (v_sweep,
+find_bi_induced, exhaustive_density, distance_to_free), which translates A
+at every visit and searches every flip set; witness_from_shattering as it
+was before it read the shattering search's trace table, which translates A
+again to find each U-vertex's translator; and the sampled checks as they
 were before the bulk numpy path (bi_induces, sample_tester, densify), one rng
 call per coordinate and one add_rank per pair, the reference for the
 replayed draws and the vectorized predicate; and the sampled VC checks as
@@ -40,8 +42,10 @@ from fractions import Fraction
 
 from addcomb.caps import DEFAULT_CAPS, CapExceeded
 from addcomb.groups import add_rank, neg_rank, translate_bits
-from addcomb.patterns import BiInducedWitness, DensifyReport, TesterReport
-from addcomb.vc import SampledVcReport, SeparatedSampleReport
+from addcomb.patterns import (BiInducedWitness, DensifyReport, TesterReport,
+                              augment_f_plus)
+from addcomb.vc import (SampledVcReport, SeparatedSampleReport,
+                        find_shattered_set)
 from addcomb.stats import binomial_sigma, wilson_interval
 from addcomb.subsets import GroupSubset
 
@@ -468,6 +472,43 @@ def distance_to_free(a, f, caps=DEFAULT_CAPS) -> int:
             if find_bi_induced(GroupSubset(g, b), f, caps=caps) is None:
                 return t
     raise AssertionError("every set was tried")
+
+
+def witness_from_shattering(a, f, caps=DEFAULT_CAPS):
+    """witness_from_shattering as it was before it read the shattering
+    search's trace table: the library's least shattered set, then a second
+    scan of A + x for x in rank order, one translate each, until every
+    U-neighborhood pattern on the set has its first translator."""
+    fp = augment_f_plus(f)
+    g = a.group
+    shat = find_shattered_set(a, fp.v_count, caps=caps)
+    if shat is None:
+        return None
+    positions = sorted(shat)
+    pos_index = {p: i for i, p in enumerate(positions)}
+    want = {}
+    for u in range(fp.u_count):
+        pat = 0
+        for v in fp.u_neighborhood(u):
+            pat |= 1 << v
+        want[u] = pat
+    found = {}
+    needed = set(want.values())
+    for x in range(g.order):
+        if not needed:
+            break
+        tr = translate_bits(g, a.bits, x)
+        pat = 0
+        for p in positions:
+            if (tr >> p) & 1:
+                pat |= 1 << pos_index[p]
+        if pat in needed:
+            found[pat] = x
+            needed.discard(pat)
+    if needed:
+        raise AssertionError("shattered set failed to realize a pattern")
+    u_ranks = [neg_rank(g, found[want[u]]) for u in range(fp.u_count)]
+    return _witness(f, g, u_ranks, positions[:f.v_count])
 
 
 def bi_induces(a, f, u_ranks, v_ranks) -> bool:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import oracles
 from addcomb import (
-    AdjacencyOracle,
     GroupDescriptor,
     GroupSubset,
     find_bi_induced,
@@ -38,7 +37,6 @@ from addcomb.io import (
     certificate_to_json,
     frac_parse,
     frac_str,
-    graph_from_json,
     hex_to_bits,
     pattern_from_json,
     pattern_to_json,
@@ -160,19 +158,6 @@ def test_witness_json_round_trip():
     obj = witness_to_json(w)
     back = witness_from_json(z13, half_graph(2), obj)
     assert back == w
-
-
-def test_graph_json():
-    g = graph_from_json({"n": 3, "edges": [[0, 1], [1, 2]]})
-    assert g.n == 3
-    assert g.neighbor_masks[0] == 0b010
-    assert g.neighbor_masks[1] == 0b101
-    cay = graph_from_json(
-        {"cayley_of": {"moduli": [2, 2], "bits_hex": "2"}}
-    )
-    assert isinstance(cay, AdjacencyOracle) and cay.n == 4
-    with pytest.raises(ValueError):
-        graph_from_json({"n": 3})
 
 
 def test_certificate_json_round_trip():

@@ -25,6 +25,7 @@ from addcomb import (
     enumerate_subgroups,
     exhaustive_density,
     find_bi_induced,
+    find_shattered_set,
     generated_subgroup,
     half_graph,
     sample_tester,
@@ -266,6 +267,9 @@ def test_patterns_layer_matches_oracles_on_every_subset(mods):
         for f in ORACLE_PATTERNS:
             _assert_layer_matches_oracles(a, f)
             assert distance_to_free(a, f) == oracles.distance_to_free(a, f)
+        # K22's two U-vertices share a neighborhood, so a copy needs two
+        # distinct candidates in one mask
+        assert distance_to_free(a, K22) == oracles.distance_to_free(a, K22)
 
 
 @given(subsets(), st.sampled_from(ORACLE_PATTERNS))
@@ -371,6 +375,27 @@ def test_witness_from_shattering_examples():
         assert w is not None
         assert w.injective_u and w.injective_v
         assert check_witness(a, f, w, injectivity="per_side")
+
+
+@given(subsets(), st.sampled_from([half_graph(1), half_graph(2), PATH, K22]))
+def test_witness_from_shattering_matches_oracle(a, f):
+    assert witness_from_shattering(a, f) == oracles.witness_from_shattering(
+        a, f)
+
+
+def test_witness_from_shattering_translates_only_in_the_search(
+        count_calls):
+    # the translators come from the search's own trace table, so building
+    # the witness translates nothing beyond finding the shattered set
+    g = GroupDescriptor([64])
+    a = GroupSubset(g, random.Random(4).getrandbits(g.order))
+    f = half_graph(2)
+    calls = count_calls(translate_bits)
+    assert find_shattered_set(a, augment_f_plus(f).v_count) is not None
+    search = calls[0]
+    calls[0] = 0
+    assert witness_from_shattering(a, f) is not None
+    assert calls[0] == search > g.order
 
 
 @given(subsets(pool=TINY_POOL), st.sampled_from([half_graph(1), half_graph(2), PATH]))

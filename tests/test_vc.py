@@ -326,6 +326,10 @@ def test_adjacency_oracle_validation_and_cayley():
         AdjacencyOracle.from_edges(3, [(1, 1)])
     g = AdjacencyOracle.from_edges(4, [(0, 1), (2, 3), (1, 2)])
     assert g.max_degree == 2
+    path = AdjacencyOracle.from_edges(3, [(0, 1), (1, 2)])
+    assert path.n == 3 and path.neighbor_masks[:2] == (0b010, 0b101)
+    z22 = GroupDescriptor([2, 2])
+    assert AdjacencyOracle.from_cayley(GroupSubset(z22, 0b0010)).n == 4
     z64 = GroupDescriptor([2] * 6)
     b = GroupSubset.from_ranks(z64, [0, 1, 2])
     cay = AdjacencyOracle.from_cayley(b)
@@ -372,15 +376,21 @@ def test_separated_sample_bound_examples():
 
 
 def test_separated_sample_bound_runs_one_search_per_trial(count_calls):
+    # A is translated by each center once, not once per trial: beyond the
+    # packing, the check makes one translate per center and the column
+    # translates of its 50 searches, at most m = 16 each
     g = GroupDescriptor([2] * 8)
     a = GroupSubset(g, random.Random(5).getrandbits(g.order))
     delta = Fraction(1, 4)
-    searches = count_calls(vc.vc_dimension)
+    searches = count_calls(vc._shattered_witness)
     translates = count_calls(translate_bits)
     centers = len(greedy_packing(a, delta).centers)
+    packing = translates[0]
+    translates[0] = 0
     rep = separated_sample_bound_check(a, delta, 16, 2, 50, rng_seed=0)
     assert rep.family_size == centers > 1
     assert searches[0] == 50
+    assert translates[0] <= packing + centers + 50 * 16
     translates[0] = 0
     # the ground cap is checked before the packing is built
     with pytest.raises(CapExceeded, match="^ground size 16 exceeds vc cap 15$"):
@@ -587,6 +597,23 @@ def test_restricted_witnesses_match_the_list_search(mods):
             want = oracles.shattered_witness(traces, positions, stop_at)
             got = vc._shattered_witness(a, first, stop_at, anchored)
             assert got == want, (a, sys_, stop_at)
+
+
+@given(subsets(), st.data())
+def test_cut_matches_the_restricted_trace_table(a, data):
+    # cutting a restricted system's table to a smaller ground gives the
+    # table of the system on that ground, with the same translators in the
+    # same (rank) order
+    g = a.group
+    bits = st.integers(0, g.full_mask)
+    x_bits = data.draw(bits)
+    ground = data.draw(bits)
+    sub = ground & data.draw(bits)
+    first = TranslateSystem(a, GroupSubset(g, ground),
+                            GroupSubset(g, x_bits)).trace_translators()
+    want = TranslateSystem(a, GroupSubset(g, sub),
+                           GroupSubset(g, x_bits)).trace_translators()
+    assert list(vc._cut(first, sub).items()) == list(want.items())
 
 
 def test_sampled_systems_obey_the_ground_cap():
