@@ -16,12 +16,9 @@ import dataclasses
 import functools
 import math
 import re
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "GroupDescriptor",
@@ -193,17 +190,6 @@ def add_rank(g: GroupDescriptor, a: int, b: int) -> int:
     return out
 
 
-def add_ranks(g: GroupDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise (broadcast) rank of the sum of the elements with ranks a
-    and b, int64 arrays: one digit decomposition per coordinate.  Array
-    operators only, so this module needs no numpy import."""
-    out = 0
-    for m, blk in zip(g.moduli, g._blocks):
-        s = (a // blk) % m + (b // blk) % m
-        out = out + (s - m * (s >= m)) * blk
-    return out
-
-
 def neg_rank(g: GroupDescriptor, a: int) -> int:
     out = 0
     for m, blk in zip(g.moduli, g._blocks):
@@ -265,16 +251,24 @@ class Subgroup:
     def verify(self) -> bool:
         """Re-check from the bitset alone: its elements generate exactly
         itself (so it holds 0 and their negations), and index * size = |G|."""
-        return (_closure_walk(self.group, self.bits)[0] == self.bits
-                and self.index * self.size == self.group.order)
+        return self._walk()[0]
+
+    def _walk(self) -> tuple[bool, list[int]]:
+        """(verify's answer, ranks that generate the closure of the bits):
+        one _closure_walk gives both, so a caller needing both walks H once.
+        self.generators is never read."""
+        closure, gens = _closure_walk(self.group, self.bits)
+        return (closure == self.bits
+                and self.index * self.size == self.group.order), gens
 
 
-def _is_union_of_cosets(g: GroupDescriptor, s_bits: int, h_bits: int) -> bool:
-    """True iff S + x = S for every x in H, i.e. S is a union of H-cosets.
-    Those x form a subgroup, so the generators _closure_walk keeps from H's
-    bits suffice; a certificate's Subgroup.generators are never trusted."""
-    return all(translate_bits(g, s_bits, x) == s_bits
-               for x in _closure_walk(g, h_bits)[1])
+def _is_union_of_cosets(g: GroupDescriptor, s_bits: int,
+                        h_gens: Sequence[int]) -> bool:
+    """True iff S + x = S for every x in the subgroup H the ranks h_gens
+    generate, i.e. S is a union of H-cosets.  Those x form a subgroup, so
+    H's generators suffice; callers pass the ones _closure_walk keeps from
+    H's bits, since a certificate's Subgroup.generators are never trusted."""
+    return all(translate_bits(g, s_bits, x) == s_bits for x in h_gens)
 
 
 def _bit_ranks(bits: int) -> list[int]:

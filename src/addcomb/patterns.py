@@ -27,9 +27,17 @@ while the value is >= n, and getrandbits(32 * w) returns w such words, the
 first in the lowest bits.  The accepted values are read in order, and those
 left over at the end of one chunk start the next.  The last bulk call may
 draw words no sample uses; that is safe because each function creates its
-own random.Random and discards it when it returns.  Ranks are added by one
-digit decomposition per coordinate, and membership is read from A's packed
-bytes, |G|/8 of them.
+own random.Random and discards it when it returns.
+
+The draws stay in uint32, the dtype of the words, and ranks are held in
+uint32 while |G| <= 2**31, in uint64 beyond.  Ranks are added by one digit
+decomposition per coordinate in that unsigned dtype: a digit sum s < 2m
+wraps to min(s, s - m), which is exact because s - m underflows to a value
+above s exactly when s < m.  The check tests one (u, v) pair at a time and
+keeps only the rows that pass, so each later pair reads only the rows that
+passed every earlier one (about half as many per pair at density 1/2).
+Membership is read from A's packed bytes, |G|/8 of them.  Injectivity, a
+sort of each row, is checked only on the rows that bi-induce f.
 
 Anchor.  The accepted phi_v tuples of the V-side sweep are closed under the
 shift y -> y - z, and the per-u mask sizes do not change under it.  So the
@@ -60,7 +68,6 @@ from .groups import (
     GroupElement,
     Subgroup,
     add_rank,
-    add_ranks,
     cosets,
     neg_rank,
     translate_bits,
@@ -220,16 +227,18 @@ _CHUNK = 4096
 
 def _draw_chunks(rng: random.Random, n: int, samples: int,
                  width: int) -> Iterator[np.ndarray]:
-    """The values of samples * width calls of rng.randrange(n), as arrays of
-    shape (c, width), c = _CHUNK but for the last: row i holds the draws of
-    sample i in call order.  Draws getrandbits(32 * w) in bulk and keeps the
-    top k = n.bit_length() bits of each word below n, as _randbelow does;
-    the rng must not be used afterwards, since the last call may draw more
-    words than the samples use."""
+    """The values of samples * width calls of rng.randrange(n), as uint32
+    arrays of shape (c, width), c = _CHUNK but for the last: row i holds the
+    draws of sample i in call order.  Draws getrandbits(32 * w) in bulk and
+    keeps the top k = n.bit_length() bits of each word below n, as
+    _randbelow does; the rng must not be used afterwards, since the last call
+    may draw more words than the samples use.  The values stay in the
+    words' own unsigned dtype, which holds every n < 2**32, and the
+    leftovers that start the next chunk are a view, not a copy."""
     k = n.bit_length()
     if k > 32:
         raise ValueError("bulk draws need n < 2**32")
-    spare = np.empty(0, np.int64)
+    spare = np.empty(0, np.uint32)
     for start in range(0, samples, _CHUNK):
         c = min(_CHUNK, samples - start)
         need = c * width
@@ -239,36 +248,80 @@ def _draw_chunks(rng: random.Random, n: int, samples: int,
             # a word is accepted with probability n / 2**k > 1/2
             w = ((need - have) << k) // n + 1
             words = np.frombuffer(
-                rng.getrandbits(32 * w).to_bytes(4 * w, "little"), "<u4")
+                rng.getrandbits(32 * w).to_bytes(4 * w, "little"), np.uint32)
             vals = words >> (32 - k)
-            vals = vals[vals < n].astype(np.int64)
+            vals = vals[vals < n]
             parts.append(vals)
             have += vals.size
         got = np.concatenate(parts)
-        spare = got[need:].copy()
+        spare = got[need:]
         yield got[:need].reshape(c, width)
 
 
-class _SampleCheck:
-    """The bi-inducing predicate over rows of sampled maps, for one A and f."""
+def _rank_dtype(g: GroupDescriptor) -> type:
+    """The unsigned dtype the sampled checks hold ranks of g in: uint32 while
+    |G| <= 2**31, which covers every order the default order_cap admits, as
+    every rank is then below 2**31 and every digit sum, at most 2m - 2, below
+    2**32; uint64 beyond."""
+    return np.uint32 if g.order <= 1 << 31 else np.uint64
 
-    __slots__ = ("group", "packed", "edges")
+
+def _add_ranks(g: GroupDescriptor, a: np.ndarray,
+               b: np.ndarray) -> np.ndarray:
+    """Elementwise (broadcast) add_rank of two arrays of ranks of g, in their
+    unsigned dtype, which must be _rank_dtype(g) or wider.
+
+    One digit decomposition per coordinate; the first has block 1 and needs
+    no division, and the last digit needs no modulo, since a rank is below
+    |G|.  A digit sum s < 2m wraps to min(s, s - m): when s < m the
+    subtraction underflows to s - m + 2**bits > s, so min keeps s, and
+    otherwise it is s - m."""
+    last = len(g.moduli) - 1
+    out = None
+    for i, (m, blk) in enumerate(zip(g.moduli, g._blocks)):
+        da, db = (a // blk, b // blk) if i else (a, b)
+        if i < last:
+            da, db = da % m, db % m
+        s = da + db
+        s = np.minimum(s, s - m)
+        out = out + s * blk if i else s
+    return out
+
+
+class _SampleCheck:
+    """The bi-inducing predicate over rows of sampled maps, for one A and f.
+
+    Tests one (u, v) pair at a time, on the rows that passed every earlier
+    pair only: a row that fails one pair cannot bi-induce f, and at density
+    1/2 each pair drops about half the rows left.  Ranks are summed in
+    _rank_dtype(A.group)."""
+
+    __slots__ = ("group", "dtype", "packed", "pairs")
 
     def __init__(self, a: GroupSubset, f: BipartitePattern):
         n = a.group.order
         self.group = a.group
+        self.dtype = _rank_dtype(a.group)
         self.packed = np.frombuffer(a.bits.to_bytes((n + 7) // 8, "little"),
                                     np.uint8)
-        self.edges = np.zeros((f.u_count, f.v_count), np.uint8)
-        for u, v in f.edges:
-            self.edges[u, v] = 1
+        self.pairs = [(u, v, (u, v) in f.edges)
+                      for u in range(f.u_count) for v in range(f.v_count)]
 
     def __call__(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """bi[i] iff row i of xs (shape (c, |U|)) and of ys (shape (c, |V|))
-        bi-induces f."""
-        s = add_ranks(self.group, xs[:, :, None], ys[:, None, :])
-        inside = (self.packed[s >> 3] >> (s & 7)) & 1
-        return (inside == self.edges).all(axis=(1, 2))
+        """The indices i, ascending, for which row i of xs (shape (c, |U|))
+        and of ys (shape (c, |V|)) bi-induces f."""
+        xs = xs.astype(self.dtype, copy=False)
+        ys = ys.astype(self.dtype, copy=False)
+        rows = None
+        for u, v, edge in self.pairs:
+            if rows is None:
+                s = _add_ranks(self.group, xs[:, u], ys[:, v])
+            else:
+                s = _add_ranks(self.group, xs[rows, u], ys[rows, v])
+            inside = (self.packed[s >> 3] >> (s & 7)) & 1
+            keep = np.flatnonzero(inside == edge)
+            rows = keep if rows is None else rows[keep]
+        return rows
 
 
 def _distinct_rows(r: np.ndarray) -> np.ndarray:
@@ -426,9 +479,9 @@ def sample_tester(a: GroupSubset, f: BipartitePattern, samples: int,
         xs = ranks[:, :f.u_count]
         ys = ranks[:, f.u_count:]
         hit = check(xs, ys)
-        bi += int(np.count_nonzero(hit))
-        inj += int(np.count_nonzero(hit & _distinct_rows(xs)
-                                    & _distinct_rows(ys)))
+        bi += hit.size
+        inj += int(np.count_nonzero(_distinct_rows(xs[hit])
+                                    & _distinct_rows(ys[hit])))
     lo, hi = wilson_interval(bi, samples)
     return TesterReport(samples, bi, bi / samples, lo, hi, inj,
                         inj / samples, "YES" if inj else "NO")
@@ -577,15 +630,14 @@ def densify(a: GroupSubset, h: Subgroup, f: BipartitePattern,
             raise ValueError(
                 f"pair coset for (u={u}, v={v}) is bad at eta={eta}"
             )
-    h_ranks = np.array(h.ranks(), np.int64)
-    base = np.array([e.rank for e in w.phi_u + w.phi_v], np.int64)
     check = _SampleCheck(a, f)
+    h_ranks = np.array(h.ranks(), check.dtype)
+    base = np.array([e.rank for e in w.phi_u + w.phi_v], check.dtype)
     hits = 0
     for idx in _draw_chunks(random.Random(rng_seed), size, samples,
                             f.vertex_count):
-        ranks = add_ranks(g, base, h_ranks[idx])
-        hits += int(np.count_nonzero(check(ranks[:, :f.u_count],
-                                           ranks[:, f.u_count:])))
+        ranks = _add_ranks(g, base, h_ranks[idx])
+        hits += check(ranks[:, :f.u_count], ranks[:, f.u_count:]).size
     frac = hits / samples
     sigma = binomial_sigma(hits, samples)
     bound = Fraction(1, 2)

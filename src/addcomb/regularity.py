@@ -134,9 +134,9 @@ def verify_certificate(cert: RegularityCertificate) -> CertificateCheck:
     certificates, which carry no delta)."""
     g = cert.base.group
     h = cert.subgroup
-    closure_ok = h.verify()
+    closure_ok, h_gens = h._walk()
     s_bits = cert.rounded.bits
-    union_ok = _is_union_of_cosets(g, s_bits, h.bits)
+    union_ok = _is_union_of_cosets(g, s_bits, h_gens)
     err = Fraction((cert.base.bits ^ s_bits).bit_count(), g.order)
     error_ok = err == cert.achieved_error and err <= cert.epsilon
     if cert.degenerate or cert.delta_used is None or cert.trace is None:

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +35,7 @@ from addcomb import (
 )
 from addcomb import patterns
 from addcomb.caps import Caps, CapExceeded
-from addcomb.groups import neg_rank, translate_bits
+from addcomb.groups import add_rank, neg_rank, translate_bits
 from addcomb.stats import wilson_interval
 from conftest import MODULI_POOL, subsets
 
@@ -467,9 +468,66 @@ def test_bulk_draws_replay_randrange(n, width):
     samples = 3 * CHUNK + 5
     chunks = list(patterns._draw_chunks(random.Random(n), n, samples, width))
     assert [c.shape for c in chunks] == [(CHUNK, width)] * 3 + [(5, width)]
+    assert all(c.dtype == np.uint32 for c in chunks)
     rng = random.Random(n)
     want = [rng.randrange(n) for _ in range(samples * width)]
     assert np.concatenate(chunks).ravel().tolist() == want
+
+
+def _wrap_pairs(g, rng):
+    """Rank pairs whose digits at one coordinate sum to m - 1, m or 2m - 2,
+    the wrap points of a digit sum, with the other digits random."""
+    pairs = []
+    for i, m in enumerate(g.moduli):
+        for ci, di in ((m - 1, 0), (0, m - 1), (1, m - 1), (m - 1, 1),
+                       (m - 1, m - 1)):
+            c = [rng.randrange(mm) for mm in g.moduli]
+            d = [rng.randrange(mm) for mm in g.moduli]
+            c[i], d[i] = ci, di
+            pairs.append((sum(x * b for x, b in zip(c, g._blocks)),
+                          sum(x * b for x, b in zip(d, g._blocks))))
+    return pairs
+
+
+def _assert_add_ranks(g, pairs, dtype):
+    assert patterns._rank_dtype(g) is dtype
+    a = np.array([x for x, _ in pairs], dtype)
+    b = np.array([y for _, y in pairs], dtype)
+    s = patterns._add_ranks(g, a, b)
+    assert s.dtype == dtype
+    assert s.tolist() == [add_rank(g, x, y) for x, y in pairs]
+
+
+@pytest.mark.parametrize("mods", MODULI_POOL + [(2,) * 20, (2**20,)], ids=str)
+def test_add_ranks_matches_add_rank(mods):
+    # every pair on the small shapes, 5000 random pairs on the two shapes of
+    # order 2**20, and the wrap points of every coordinate on all of them
+    g = GroupDescriptor(mods)
+    rng = random.Random(g.order)
+    n = g.order
+    if n <= 16:
+        pairs = [(x, y) for x in range(n) for y in range(n)]
+    else:
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(5000)]
+    _assert_add_ranks(g, pairs + _wrap_pairs(g, rng), np.uint32)
+
+
+@pytest.mark.parametrize("mods,dtype", [
+    ((2**31,), np.uint32),            # digit sums reach 2**32 - 2
+    ((2**31 + 1,), np.uint64),
+    ((2**32 - 1,), np.uint64),        # the largest n the bulk draws take
+    ((3, 2**31 + 11), np.uint64),     # ranks past 2**32
+])
+def test_add_ranks_is_exact_at_the_dtype_edges(mods, dtype):
+    # a descriptor of these orders would allocate its |G|-bit masks, so a
+    # stub carries what _rank_dtype, _add_ranks and add_rank read
+    blocks = tuple(math.prod(mods[:i]) for i in range(len(mods)))
+    g = types.SimpleNamespace(moduli=mods, _blocks=blocks,
+                              order=math.prod(mods))
+    rng = random.Random(len(mods))
+    pairs = [(rng.randrange(g.order), rng.randrange(g.order))
+             for _ in range(1000)]
+    _assert_add_ranks(g, pairs + _wrap_pairs(g, rng), dtype)
 
 
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
