@@ -19,7 +19,6 @@ from .groups import (
 from .subsets import (
     GroupSubset,
     AlmostPeriodSet,
-    DoublingConfig,
     DoublingTrace,
     KneserReport,
     translate,
@@ -53,9 +52,7 @@ from .regularity import (
     RegularityCertificate,
     CertificateCheck,
     RoundingBoundReport,
-    PipelineConfig,
     OracleReport,
-    RobustConfig,
     RobustOutcome,
     coset_round,
     rounding_error_bound_check,

@@ -37,8 +37,6 @@ from .patterns import (
     witness_from_shattering,
 )
 from .regularity import (
-    PipelineConfig,
-    RobustConfig,
     coset_round,
     oracle_best_subgroup,
     regularize,
@@ -131,9 +129,8 @@ def _robust_payload(outcome) -> dict:
 def _cmd_regularize(args, caps: Caps):
     a = _load_set(args.set, caps)
     schedule = _parse_schedule(args.schedule) if args.schedule else None
-    cfg = PipelineConfig(delta_schedule=schedule, max_index=args.max_index,
-                         caps=caps)
-    cert = regularize(a, _to_fraction(args.eps), cfg)
+    cert = regularize(a, _to_fraction(args.eps), delta_schedule=schedule,
+                      max_index=args.max_index, caps=caps)
     code = EXIT_DEGENERATE if cert.degenerate else EXIT_OK
     return certificate_to_json(cert), code
 
@@ -152,9 +149,9 @@ def _cmd_oracle(args, caps: Caps):
 
 def _cmd_robust(args, caps: Caps):
     a = _load_set(args.set, caps)
-    cfg = RobustConfig(c_constant=args.c, trials=args.trials, caps=caps)
-    outcome = robust_pipeline(a, _to_fraction(args.eps), args.d, cfg,
-                              rng_seed=args.seed)
+    outcome = robust_pipeline(a, _to_fraction(args.eps), args.d,
+                              c_constant=args.c, trials=args.trials,
+                              caps=caps, rng_seed=args.seed)
     code = EXIT_ROBUST_HIGH_VC if outcome.kind == "high_vc" else EXIT_OK
     return _robust_payload(outcome), code
 

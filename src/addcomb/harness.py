@@ -8,14 +8,21 @@ keeping re-runs byte-identical.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import io as _io
+import random
 import time
 from fractions import Fraction
 
 from .caps import Caps, DEFAULT_CAPS
-from .groups import GroupDescriptor, enumerate_subgroups, translate_bits
+from .groups import (
+    GroupDescriptor,
+    coset_representatives,
+    enumerate_subgroups,
+    translate_bits,
+)
 from .io import (
     canonical_dumps,
     frac_str,
@@ -26,10 +33,10 @@ from .io import (
     write_text_atomic,
 )
 from .patterns import exhaustive_density, sample_tester
-from .regularity import PipelineConfig, regularize
+from .regularity import regularize
+from .stats import wilson_interval
 from .subsets import GroupSubset, _to_fraction, almost_periods
 from .vc import greedy_packing, set_vc_dimension
-import random
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -62,6 +69,15 @@ _STUDY_COLUMNS = {
 def split_seed(master: int, label: str) -> int:
     digest = hashlib.sha256(f"{master}|{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def _json_bool(obj: dict, key: str, default: bool) -> bool:
+    """obj[key] when it is a JSON boolean, default when absent; bool() would
+    read the string "false" as true."""
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 @dataclasses.dataclass
@@ -100,8 +116,8 @@ class ExperimentConfig:
             output_path=out.get("path"),
             output_format=out.get("format", "json"),
             pattern=obj.get("pattern"),
-            tester_exact=bool(obj.get("tester_exact", True)),
-            record_wall_time=bool(obj.get("record_wall_time", False)),
+            tester_exact=_json_bool(obj, "tester_exact", True),
+            record_wall_time=_json_bool(obj, "record_wall_time", False),
             caps=caps,
         )
 
@@ -153,8 +169,6 @@ def generate_family(g: GroupDescriptor, spec: dict, seed: int,
         h = hs[0]
         if not 0 <= count <= index:
             raise ValueError(f"coset count {count} out of range 0..{index}")
-        from .groups import coset_representatives
-
         reps = coset_representatives(g, h)
         bits = 0
         for r in sorted(rng.sample(reps, count)):
@@ -193,7 +207,7 @@ def _input_hash(a: GroupSubset) -> str:
 
 def _run_regularize(a: GroupSubset, value, seed: int, caps: Caps) -> dict:
     eps = _to_fraction(value)
-    cert = regularize(a, eps, PipelineConfig(caps=caps))
+    cert = regularize(a, eps, caps=caps)
     return {
         "epsilon": frac_str(eps),
         "index": cert.index,
@@ -249,8 +263,6 @@ def _make_tester_runner(pattern_obj: dict, exact: bool):
         }
         if exact:
             dens = exhaustive_density(a, f, caps=caps)
-            from .stats import wilson_interval
-
             lo, hi = wilson_interval(rep.bi_inducing, samples, z=3.0)
             out["exact_density"] = frac_str(dens)
             out["within_3sigma"] = lo <= float(dens) <= hi
@@ -297,8 +309,6 @@ def rows_to_json_lines(rows: list[ResultRow]) -> str:
 
 
 def rows_to_csv(rows: list[ResultRow], study: str) -> str:
-    import csv
-
     cols = _STUDY_COLUMNS[study]
     buf = _io.StringIO()
     w = csv.writer(buf, lineterminator="\n")

@@ -38,6 +38,7 @@ keeps only the rows that pass, so each later pair reads only the rows that
 passed every earlier one (about half as many per pair at density 1/2).
 Membership is read from A's packed bytes, |G|/8 of them.  Injectivity, a
 sort of each row, is checked only on the rows that bi-induce f.
+check_witness tests its one witness as a single row of the same check.
 
 Anchor.  The accepted phi_v tuples of the V-side sweep are closed under the
 shift y -> y - z, and the per-u mask sizes do not change under it.  So the
@@ -207,20 +208,6 @@ class _Columns(dict):
         return col
 
 
-def _bi_induces(a: GroupSubset, f: BipartitePattern, u_ranks: list[int],
-                v_ranks: list[int]) -> bool:
-    """True iff edge(u,v) <=> x_u + y_v in A for every pair, with x = u_ranks
-    and y = v_ranks."""
-    g = a.group
-    bits = a.bits
-    edges = f.edges
-    for u, xr in enumerate(u_ranks):
-        for v, yr in enumerate(v_ranks):
-            if ((bits >> add_rank(g, xr, yr)) & 1) != ((u, v) in edges):
-                return False
-    return True
-
-
 # Samples tested per numpy pass of sample_tester and densify.
 _CHUNK = 4096
 
@@ -330,18 +317,31 @@ def _distinct_rows(r: np.ndarray) -> np.ndarray:
     return (srt[:, 1:] != srt[:, :-1]).all(axis=1)
 
 
+def _witness_ranks(a: GroupSubset, f: BipartitePattern, w: BiInducedWitness
+                   ) -> tuple[list[int], list[int]]:
+    """The ranks of phi_u and of phi_v; ValueError unless w maps each vertex
+    of f and every image lies in A's group, since a rank means another
+    element in another group."""
+    if (len(w.phi_u), len(w.phi_v)) != (f.u_count, f.v_count):
+        raise ValueError("witness and pattern differ in vertex counts")
+    if any(e.group != a.group for e in w.phi_u + w.phi_v):
+        raise ValueError("witness does not belong to the subset's group")
+    return [e.rank for e in w.phi_u], [e.rank for e in w.phi_v]
+
+
 def check_witness(a: GroupSubset, f: BipartitePattern, w: BiInducedWitness,
                   injectivity: str = "none") -> bool:
-    """True iff edge(u,v) <=> phi_u(u)+phi_v(v) in A for all pairs.
+    """True iff edge(u,v) <=> phi_u(u)+phi_v(v) in A for all pairs, tested as
+    the one row of a _SampleCheck; ValueError for a witness of another group
+    or of another vertex count.
 
     injectivity: "none" checks only the iff condition; "per_side" also
     requires each map injective; "global" requires all u- and v-images
     pairwise distinct as one set."""
     if injectivity not in ("none", "per_side", "global"):
         raise ValueError(f"unknown injectivity mode {injectivity!r}")
-    u_ranks = [e.rank for e in w.phi_u]
-    v_ranks = [e.rank for e in w.phi_v]
-    if not _bi_induces(a, f, u_ranks, v_ranks):
+    u_ranks, v_ranks = _witness_ranks(a, f, w)
+    if not _SampleCheck(a, f)(np.array([u_ranks]), np.array([v_ranks])).size:
         return False
     if injectivity == "per_side":
         return (len(set(u_ranks)) == f.u_count
@@ -615,11 +615,12 @@ def densify(a: GroupSubset, h: Subgroup, f: BipartitePattern,
     g = a.group
     if h.group != g:
         raise ValueError("subgroup does not belong to the subset's group")
+    u_ranks, v_ranks = _witness_ranks(a, f, w)
     size = h.size
     counts = {
-        (u, v): (a.bits & translate_bits(
-            g, h.bits, add_rank(g, xe.rank, ye.rank))).bit_count()
-        for u, xe in enumerate(w.phi_u) for v, ye in enumerate(w.phi_v)
+        (u, v): (a.bits & translate_bits(g, h.bits,
+                                         add_rank(g, xr, yr))).bit_count()
+        for u, xr in enumerate(u_ranks) for v, yr in enumerate(v_ranks)
     }
     if any((2 * c >= size) != (uv in f.edges) for uv, c in counts.items()):
         raise ValueError("witness does not bi-induce the pattern in the "
@@ -632,7 +633,7 @@ def densify(a: GroupSubset, h: Subgroup, f: BipartitePattern,
             )
     check = _SampleCheck(a, f)
     h_ranks = np.array(h.ranks(), check.dtype)
-    base = np.array([e.rank for e in w.phi_u + w.phi_v], check.dtype)
+    base = np.array(u_ranks + v_ranks, check.dtype)
     hits = 0
     for idx in _draw_chunks(random.Random(rng_seed), size, samples,
                             f.vertex_count):

@@ -29,10 +29,10 @@ from .groups import (
     _is_union_of_cosets,
     _make_subgroup,
     cosets,
+    enumerate_subgroups,
 )
 from .subsets import (
     AlmostPeriodSet,
-    DoublingConfig,
     DoublingTrace,
     GroupSubset,
     _ball,
@@ -48,9 +48,7 @@ __all__ = [
     "RegularityCertificate",
     "CertificateCheck",
     "RoundingBoundReport",
-    "PipelineConfig",
     "OracleReport",
-    "RobustConfig",
     "RobustOutcome",
     "coset_round",
     "rounding_error_bound_check",
@@ -162,18 +160,11 @@ def default_delta_schedule(epsilon: Fraction, order: int) -> list[Fraction]:
         d = d / 2
 
 
-@dataclasses.dataclass(frozen=True)
-class PipelineConfig:
-    delta_schedule: tuple[Fraction, ...] | None = None
-    max_index: int | None = None
-    caps: Caps = DEFAULT_CAPS
-
-
 def _pipeline_step(a: GroupSubset, ball: AlmostPeriodSet, caps: Caps
                    ) -> tuple[DoublingTrace, Subgroup, GroupSubset, Fraction]:
     """One delta of the pipeline from its almost-period ball: the doubling
     trace, the subgroup H, the rounded set S and its error |A xor S|/|G|."""
-    trace = iterated_doubling(ball.members, DoublingConfig.from_delta(ball.delta))
+    trace = iterated_doubling(ball.members, ball.delta)
     spread = difference_set(trace.double_set, trace.double_set)
     h = max_subgroup_within(spread, caps=caps)
     s = coset_round(a, h)
@@ -200,29 +191,30 @@ def _degenerate_certificate(a: GroupSubset, epsilon: Fraction) -> RegularityCert
     )
 
 
-def regularize(a: GroupSubset, epsilon, config: PipelineConfig | None = None
+def regularize(a: GroupSubset, epsilon, *, delta_schedule=None,
+               max_index: int | None = None, caps: Caps = DEFAULT_CAPS
                ) -> RegularityCertificate:
-    """Sweep the delta schedule and return the certificate of smallest index
-    among the sweeps whose rounding error meets epsilon (ties broken by
-    subgroup bitset, then by larger delta).  Falls back to the flagged
-    degenerate certificate (H = {0}, S = A, error 0) when no sweep succeeds,
-    so the operation is total even under adversarial schedules."""
+    """Sweep the delta schedule (default_delta_schedule unless given) and
+    return the certificate of smallest index at most max_index among the
+    sweeps whose rounding error meets epsilon (ties broken by subgroup bitset,
+    then by larger delta).  Falls back to the flagged degenerate certificate
+    (H = {0}, S = A, error 0) when no sweep succeeds, so the operation is
+    total even under adversarial schedules."""
     eps = _to_fraction(epsilon)
     if not 0 <= eps <= 1:
         raise ValueError("epsilon must be in [0, 1]")
-    cfg = config or PipelineConfig()
     g = a.group
-    schedule = (list(cfg.delta_schedule) if cfg.delta_schedule is not None
+    schedule = (list(delta_schedule) if delta_schedule is not None
                 else default_delta_schedule(eps, g.order))
     prof = symdiff_profile(a)
     best: RegularityCertificate | None = None
     best_key = None
     for pos, delta in enumerate(schedule):
         ball = _ball(a, prof, delta)
-        trace, h, s, err = _pipeline_step(a, ball, cfg.caps)
+        trace, h, s, err = _pipeline_step(a, ball, caps)
         if err > eps:
             continue
-        if cfg.max_index is not None and h.index > cfg.max_index:
+        if max_index is not None and h.index > max_index:
             continue
         key = (h.index, h.bits, pos)
         if best_key is None or key < best_key:
@@ -256,8 +248,6 @@ def oracle_best_subgroup(a: GroupSubset, epsilon, max_index: int | None = None,
     enumeration cap."""
     eps = _to_fraction(epsilon)
     g = a.group
-    from .groups import enumerate_subgroups
-
     best_by_index: dict[int, Fraction] = {}
     for h in enumerate_subgroups(g, max_index=max_index, caps=caps):
         s = coset_round(a, h)
@@ -272,14 +262,6 @@ def oracle_best_subgroup(a: GroupSubset, epsilon, max_index: int | None = None,
             min_index = idx
             break
     return OracleReport(eps, max_index, min_index, frontier)
-
-
-@dataclasses.dataclass(frozen=True)
-class RobustConfig:
-    c_constant: float = 8.0
-    trials: int = 50
-    delta_schedule: tuple[Fraction, ...] | None = None
-    caps: Caps = DEFAULT_CAPS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -322,8 +304,9 @@ def _robust_m(delta: Fraction, d: int, order: int, c: float) -> tuple[int, int]:
     return m_raw, min(m_raw, cap)
 
 
-def robust_pipeline(a: GroupSubset, epsilon, d: int,
-                    config: RobustConfig | None = None,
+def robust_pipeline(a: GroupSubset, epsilon, d: int, *,
+                    c_constant: float = 8.0, trials: int = 50,
+                    delta_schedule=None, caps: Caps = DEFAULT_CAPS,
                     rng_seed: int = 0) -> RobustOutcome:
     """Dichotomy sweep: at each delta, if the almost-period set is smaller
     than |G| / (12 m^d), random restricted systems must shatter more than d
@@ -331,13 +314,15 @@ def robust_pipeline(a: GroupSubset, epsilon, d: int,
     regularity pipeline at this delta and return its certificate once the
     rounding error meets epsilon.  The sweep always decides: after the
     schedule comes delta = 1/(2|G|), where the ball is the exact stabilizer K
-    of A, so H = K and the rounding error is 0."""
+    of A, so H = K and the rounding error is 0.
+
+    m = c_constant * (1/delta) * ln(1/delta), capped as in _robust_m; the
+    sampled-VC report runs `trials` trials seeded by rng_seed."""
     eps = _to_fraction(epsilon)
     if d < 1:
         raise ValueError("d must be >= 1")
-    cfg = config or RobustConfig()
     g = a.group
-    schedule = (list(cfg.delta_schedule) if cfg.delta_schedule is not None
+    schedule = (list(delta_schedule) if delta_schedule is not None
                 else default_delta_schedule(eps, g.order))
     prof = symdiff_profile(a)
     steps: list[RobustStep] = []
@@ -346,7 +331,7 @@ def robust_pipeline(a: GroupSubset, epsilon, d: int,
         dd = _to_fraction(delta)
         if dd == 0:  # its ball is the appended step's: both thresholds are 0
             continue
-        m_raw, m_eff = _robust_m(dd, d, g.order, cfg.c_constant)
+        m_raw, m_eff = _robust_m(dd, d, g.order, c_constant)
         denom = 12 * m_eff**d
         threshold = Fraction(g.order, denom)
         ball = _ball(a, prof, dd)
@@ -355,10 +340,10 @@ def robust_pipeline(a: GroupSubset, epsilon, d: int,
                                     "small_ball"))
             x_size = min(12 * m_eff**d, g.order)
             y_size = min(max(m_eff, d + 1), g.order)
-            report = sampled_vc(a, x_size, y_size, cfg.trials, d, rng_seed,
-                                caps=cfg.caps)
+            report = sampled_vc(a, x_size, y_size, trials, d, rng_seed,
+                                caps=caps)
             return RobustOutcome("high_vc", d, report, None, tuple(steps))
-        trace, h, s, err = _pipeline_step(a, ball, cfg.caps)
+        trace, h, s, err = _pipeline_step(a, ball, caps)
         # the appended stabilizer delta decides even for a negative epsilon
         if err <= eps or pos == len(deltas) - 1:
             steps.append(RobustStep(dd, m_raw, m_eff, threshold, ball.size,

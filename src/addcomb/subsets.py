@@ -42,7 +42,6 @@ from .groups import (
 __all__ = [
     "GroupSubset",
     "AlmostPeriodSet",
-    "DoublingConfig",
     "DoublingTrace",
     "KneserReport",
     "translate",
@@ -236,35 +235,6 @@ def difference_set(a: GroupSubset, b: GroupSubset) -> GroupSubset:
 
 
 @dataclasses.dataclass(frozen=True)
-class DoublingConfig:
-    """Stop rule for iterated doubling: halt when |2X| <= K|X|.
-
-    K is either given directly or derived from delta via
-    K(delta) = exp((ln(1/delta))**(1/5)), floored at k_floor."""
-
-    k: float | None = None
-    delta: Fraction | None = None
-    k_floor: float = 2.0
-
-    def resolve_k(self) -> float:
-        if self.k is not None:
-            return max(float(self.k), self.k_floor)
-        if self.delta is None:
-            raise ValueError("DoublingConfig needs k or delta")
-        d = _to_fraction(self.delta)
-        if d <= 0:
-            return self.k_floor
-        ratio = 1 / d
-        if ratio <= 1:
-            return self.k_floor
-        return max(math.exp(math.log(ratio) ** 0.2), self.k_floor)
-
-    @classmethod
-    def from_delta(cls, delta) -> "DoublingConfig":
-        return cls(delta=_to_fraction(delta))
-
-
-@dataclasses.dataclass(frozen=True)
 class DoublingTrace:
     """Result of doubling B, 2B, 4B, ... until growth drops below K.
 
@@ -279,12 +249,15 @@ class DoublingTrace:
     sizes: tuple[int, ...]
 
 
-def iterated_doubling(b: GroupSubset, config: DoublingConfig) -> DoublingTrace:
-    """Double b until the K-growth test passes.  Terminates because sizes are
-    bounded by |G| and K >= k_floor >= 1."""
+def iterated_doubling(b: GroupSubset, delta) -> DoublingTrace:
+    """Double b until |2X| <= K|X|, with the stop rule of the almost-period
+    radius delta: K(delta) = exp(ln(1/delta)**(1/5)), and K = 2 when that is
+    smaller or delta is not in (0, 1).  Terminates because sizes are bounded
+    by |G| and K >= 2."""
     if b.size == 0:
         raise ValueError("cannot double the empty set")
-    k = config.resolve_k()
+    d = _to_fraction(delta)
+    k = max(math.exp(math.log(1 / d) ** 0.2), 2.0) if 0 < d < 1 else 2.0
     cur = b
     ell = 1
     sizes = [cur.size]

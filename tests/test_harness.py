@@ -357,18 +357,56 @@ def test_summary_table_lists_rows():
     assert summary_table([]) == "(no rows)\n"
 
 
+_PLANTED_JSON = {
+    "group": {"moduli": [2, 2, 2, 2]},
+    "family": {"kind": "planted", "index": 4, "cosets": 2, "noise": 0},
+    "study": "regularize",
+    "sweep": ["1/4", "1/8", "1/16"],
+    "seeds": [1, 2],
+}
+
+
 def test_config_from_json_round_trip():
-    obj = {
-        "group": {"moduli": [2, 2, 2, 2]},
-        "family": {"kind": "planted", "index": 4, "cosets": 2, "noise": 0},
-        "study": "regularize",
-        "sweep": ["1/4", "1/8", "1/16"],
-        "seeds": [1, 2],
-    }
-    cfg = ExperimentConfig.from_json(obj)
+    cfg = ExperimentConfig.from_json(_PLANTED_JSON)
     assert rows_to_json_lines(run_experiment(cfg)) == rows_to_json_lines(
         run_experiment(_planted_config())
     )
+
+
+def test_config_from_json_tester_exact_false_skips_the_exact_density():
+    obj = {
+        "group": {"moduli": [13]},
+        "family": {"kind": "interval"},
+        "study": "tester",
+        "sweep": [400],
+        "seeds": [3],
+        "pattern": {"u": 1, "v": 1, "edges": [[1, 1]]},
+        "tester_exact": False,
+    }
+    row = run_experiment(ExperimentConfig.from_json(obj))[0]
+    assert row.values["exact_density"] is None
+    assert row.values["within_3sigma"] is None
+    assert row.values["decision"] == "YES"
+    # bool() would read the string "false" as true
+    for bad in ("false", 0, None):
+        with pytest.raises(ValueError, match="tester_exact"):
+            ExperimentConfig.from_json(dict(obj, tester_exact=bad))
+
+
+def test_config_from_json_record_wall_time_adds_only_wall_ms():
+    plain = run_experiment(ExperimentConfig.from_json(_PLANTED_JSON))
+    timed = run_experiment(ExperimentConfig.from_json(
+        dict(_PLANTED_JSON, record_wall_time=True)))
+    assert len(timed) == len(plain) == 6
+    for t, p in zip(timed, plain):
+        assert "wall_ms" not in p.to_json()
+        obj = t.to_json()
+        assert obj.pop("wall_ms") >= 0
+        assert canonical_dumps(obj) == canonical_dumps(p.to_json())
+    for bad in ("false", 1):
+        with pytest.raises(ValueError, match="record_wall_time"):
+            ExperimentConfig.from_json(
+                dict(_PLANTED_JSON, record_wall_time=bad))
 
 
 # ----------------------------------------------------------------------- cli

@@ -121,6 +121,34 @@ def test_check_witness_examples():
         BiInducedWitness(f, (), (z4.element(1),), True, True)
 
 
+def _z8_witness_on_z4():
+    # A = {3} in Z/4 and a Z/8 witness whose rank 7 reads as 3 in Z/4
+    z4, z8 = GroupDescriptor([4]), GroupDescriptor([8])
+    a = GroupSubset.from_ranks(z4, [3])
+    w = BiInducedWitness(half_graph(1), (z8.element(7),), (z8.element(0),),
+                         True, True)
+    return a, w
+
+
+def test_check_witness_rejects_a_witness_of_another_group():
+    a, w = _z8_witness_on_z4()
+    with pytest.raises(ValueError, match="group"):
+        check_witness(a, half_graph(1), w)
+
+
+def test_check_witness_rejects_a_witness_of_another_vertex_count():
+    # half_graph(2) needs images for two vertices per side; this one has one
+    z4 = GroupDescriptor([4])
+    a = GroupSubset.from_ranks(z4, [1])
+    w = BiInducedWitness(half_graph(1), (z4.element(0),), (z4.element(1),),
+                         True, True)
+    with pytest.raises(ValueError, match="vertex counts"):
+        check_witness(a, half_graph(2), w)
+    with pytest.raises(ValueError, match="vertex counts"):
+        densify(a, generated_subgroup(z4, []), half_graph(2), w, 10,
+                rng_seed=0)
+
+
 def test_check_witness_injectivity_modes():
     z4 = GroupDescriptor([4])
     a = GroupSubset.from_ranks(z4, [1])
@@ -276,6 +304,22 @@ def test_patterns_layer_matches_oracles_on_every_subset(mods):
 @given(subsets(), st.sampled_from(ORACLE_PATTERNS))
 def test_patterns_layer_matches_oracles(a, f):
     _assert_layer_matches_oracles(a, f)
+
+
+@given(subsets(), st.sampled_from(ORACLE_PATTERNS), st.data())
+def test_check_witness_matches_oracle(a, f, data):
+    g = a.group
+    u_ranks, v_ranks = (
+        data.draw(st.lists(st.integers(0, g.order - 1), min_size=k, max_size=k))
+        for k in (f.u_count, f.v_count))
+    w = BiInducedWitness(f, tuple(g.element(r) for r in u_ranks),
+                         tuple(g.element(r) for r in v_ranks), True, True)
+    assert check_witness(a, f, w) == oracles.bi_induces(a, f, u_ranks, v_ranks)
+    found = find_bi_induced(a, f, require_injective=False)
+    if found is not None:
+        assert check_witness(a, f, found)
+        assert oracles.bi_induces(a, f, [e.rank for e in found.phi_u],
+                                  [e.rank for e in found.phi_v])
 
 
 # distance to free of half_graph(1) and EDGELESS at order 16 takes the
@@ -727,6 +771,13 @@ def test_densify_rejects_bad_preconditions():
     assert check_witness(coset_round(noisy, h), half_graph(2), wr)
     with pytest.raises(ValueError, match="bad at eta"):
         densify(noisy, h, half_graph(2), wr, 10, rng_seed=0)
+
+
+def test_densify_rejects_a_witness_of_another_group():
+    a, w = _z8_witness_on_z4()
+    h = generated_subgroup(a.group, [])
+    with pytest.raises(ValueError, match="group"):
+        densify(a, h, half_graph(1), w, 100, rng_seed=0)
 
 
 def test_densify_rejects_sample_counts_below_one():

@@ -10,8 +10,6 @@ import oracles
 from addcomb import (
     GroupDescriptor,
     GroupSubset,
-    PipelineConfig,
-    RobustConfig,
     coset_representatives,
     coset_round,
     default_delta_schedule,
@@ -192,8 +190,8 @@ def test_regularize_validates_epsilon():
 def test_regularize_degenerate_only_with_starved_schedule():
     g = GroupDescriptor([2] * 6)
     single = GroupSubset.from_ranks(g, [5])
-    cfg = PipelineConfig(delta_schedule=(Fraction(1, 2),))
-    cert = regularize(single, Fraction(1, 128), cfg)
+    cert = regularize(single, Fraction(1, 128),
+                      delta_schedule=(Fraction(1, 2),))
     assert cert.degenerate and cert.index == 64
     assert cert.achieved_error == 0 and cert.rounded.bits == single.bits
     assert verify_certificate(cert).ok
@@ -204,8 +202,7 @@ def test_regularize_degenerate_only_with_starved_schedule():
 
 def test_regularize_max_index_filter():
     a, _, _ = _planted66(1001, noise=0.0)
-    cfg = PipelineConfig(max_index=4)
-    cert = regularize(a, Fraction(1, 5), cfg)
+    cert = regularize(a, Fraction(1, 5), max_index=4)
     assert cert.degenerate  # every pipeline success has index 8 or more
 
 
@@ -355,21 +352,21 @@ def test_robust_pipeline_schedule_exhausted_takes_the_stabilizer_delta():
     g = GroupDescriptor([2] * 6)
     h = generated_subgroup(g, [1, 2, 4, 8])
     two_cosets = GroupSubset(g, h.bits | translate_bits(g, h.bits, 16))
-    out = robust_pipeline(two_cosets, 0, 1,
-                          RobustConfig(delta_schedule=(Fraction(1),)), rng_seed=0)
+    out = robust_pipeline(two_cosets, 0, 1, delta_schedule=(Fraction(1),),
+                          rng_seed=0)
     assert [(s.delta, s.branch) for s in out.steps] == [
         (Fraction(1), "continue"), (Fraction(1, 128), "certificate")]
     assert out.kind == "certificate" and out.certificate.index == 2
     assert out.certificate.achieved_error == 0
     assert verify_certificate(out.certificate).ok
     # the appended delta decides even when no error can meet epsilon
-    out = robust_pipeline(two_cosets, -1, 1,
-                          RobustConfig(delta_schedule=(Fraction(1),)), rng_seed=0)
+    out = robust_pipeline(two_cosets, -1, 1, delta_schedule=(Fraction(1),),
+                          rng_seed=0)
     assert [s.branch for s in out.steps] == ["continue", "certificate"]
 
     rand = GroupSubset(g, random.Random(0).getrandbits(64))
-    out = robust_pipeline(rand, 0, 1,
-                          RobustConfig(delta_schedule=(Fraction(1, 2),)), rng_seed=0)
+    out = robust_pipeline(rand, 0, 1, delta_schedule=(Fraction(1, 2),),
+                          rng_seed=0)
     assert [(s.delta, s.branch) for s in out.steps] == [
         (Fraction(1, 2), "continue"), (Fraction(1, 128), "small_ball")]
     assert out.kind == "high_vc" and out.steps[-1].ball_size == 1
@@ -382,16 +379,16 @@ def test_robust_pipeline_skips_a_zero_delta():
     assert default_delta_schedule(Fraction(0), 64) == [Fraction(0)]
     out = robust_pipeline(a, 0, 1, rng_seed=0)
     assert [s.delta for s in out.steps] == [Fraction(1, 128)]
-    assert out == robust_pipeline(a, 0, 1, RobustConfig(delta_schedule=()),
-                                  rng_seed=0)
-    cfg = RobustConfig(delta_schedule=(Fraction(1, 2), Fraction(0)))
-    out = robust_pipeline(a, 0, 1, cfg, rng_seed=0)
+    assert out == robust_pipeline(a, 0, 1, delta_schedule=(), rng_seed=0)
+    out = robust_pipeline(a, 0, 1,
+                          delta_schedule=(Fraction(1, 2), Fraction(0)),
+                          rng_seed=0)
     assert 0 not in [s.delta for s in out.steps]
 
 
 @given(subsets(), st.sampled_from([1, 2]))
 def test_robust_pipeline_always_decides(a, d):
-    out = robust_pipeline(a, Fraction(1, 4), d, RobustConfig(trials=5), rng_seed=3)
+    out = robust_pipeline(a, Fraction(1, 4), d, trials=5, rng_seed=3)
     assert out.kind in ("high_vc", "certificate")
     assert (out.report is None) != (out.certificate is None)
     assert out.steps[-1].branch in ("small_ball", "certificate")
@@ -429,12 +426,12 @@ def test_robust_pipeline_scans_one_ball_per_step(count_calls):
     h = generated_subgroup(g, [1, 2, 4, 8])
     two_cosets = GroupSubset(g, h.bits | translate_bits(g, h.bits, 16))
     rand = GroupSubset(g, random.Random(0).getrandbits(64))
-    cfg = RobustConfig(delta_schedule=(Fraction(1),))
     balls = count_calls(_ball)
     profiles = count_calls(symdiff_profile)
     for a in (two_cosets, rand):
         balls[0] = profiles[0] = 0
-        out = robust_pipeline(a, 0, 1, cfg, rng_seed=0)
+        out = robust_pipeline(a, 0, 1, delta_schedule=(Fraction(1),),
+                              rng_seed=0)
         # certificate and continue steps run the pipeline on the same ball
         assert [s.branch for s in out.steps] == (
             ["continue", "certificate"] if a is two_cosets
@@ -456,8 +453,9 @@ def test_pipelines_compute_one_profile_per_call(count_calls):
     assert verify_certificate(cert).ok
     assert profiles[0] == 1
     profiles[0] = 0
-    cfg = RobustConfig(trials=5,
-                       delta_schedule=(Fraction(1), Fraction(1, 2), Fraction(1, 4)))
-    out = robust_pipeline(a, 0, 1, cfg, rng_seed=0)
+    out = robust_pipeline(
+        a, 0, 1, trials=5,
+        delta_schedule=(Fraction(1), Fraction(1, 2), Fraction(1, 4)),
+        rng_seed=0)
     assert len(out.steps) > 1
     assert profiles[0] == 1

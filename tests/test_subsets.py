@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import oracles
 from addcomb import (
-    DoublingConfig,
     GroupDescriptor,
     GroupSubset,
     almost_periods,
@@ -256,56 +255,57 @@ def test_sumset_matches_oracle(g, data):
 def test_iterated_doubling_examples():
     z6 = GroupDescriptor([6])
     h = GroupSubset.from_ranks(z6, [0, 3])
-    tr = iterated_doubling(h, DoublingConfig(k=2.0))
+    tr = iterated_doubling(h, 1)
     assert tr.ell == 1 and tr.double_set.bits == h.bits
     assert tr.sizes == (2, 2)
     # over an exponent-2 group {0, e} is itself closed under doubling
     z2222 = GroupDescriptor([2, 2, 2, 2])
     b = GroupSubset.from_ranks(z2222, [0, 1])
-    tr = iterated_doubling(b, DoublingConfig(k=2.0))
+    tr = iterated_doubling(b, 1)
     assert tr.ell == 1 and tr.sizes == (2, 2)
     # the cyclic analogue genuinely grows: {0,1}+{0,1} = {0,1,2}
     z16 = GroupDescriptor([16])
     b = GroupSubset.from_ranks(z16, [0, 1])
-    tr = iterated_doubling(b, DoublingConfig(k=2.0))
+    tr = iterated_doubling(b, 1)
     assert tr.ell == 1 and tr.sizes == (2, 3)
     full = GroupSubset.full(z16)
-    tr = iterated_doubling(full, DoublingConfig(k=2.0))
+    tr = iterated_doubling(full, 1)
     assert tr.ell == 1
 
 
 def test_iterated_doubling_growth_run():
-    # a tight K forces an interval to keep doubling until it saturates
-    z64 = GroupDescriptor([64])
-    b = GroupSubset.from_ranks(z64, [0, 1])
-    tr = iterated_doubling(b, DoublingConfig(k=1.4, k_floor=1.0))
-    assert tr.k_value == pytest.approx(1.4)
-    assert tr.sizes[0] == 2
-    for i in range(1, len(tr.sizes)):
-        assert tr.sizes[i] == min(2 * tr.sizes[i - 1] - 1, 64)
-    assert tr.sizes[-1] == 64
+    # at K = 2, {0, e_1, ..., e_8} in (Z/2)^8 keeps doubling until it fills
+    # the group: 2^j B is the set of vectors of weight at most 2^j
+    g = GroupDescriptor([2] * 8)
+    b = GroupSubset.from_ranks(g, [0] + [1 << i for i in range(8)])
+    tr = iterated_doubling(b, 1)
+    assert tr.k_value == 2.0
+    assert tr.sizes == (9, 37, 163, 256)
+    for j, size in enumerate(tr.sizes):
+        assert size == sum(math.comb(8, w) for w in range(min(2**j, 8) + 1))
+    assert tr.ell == 4 and tr.ell_set.size == 163
+    assert tr.double_set.bits == g.full_mask
     assert tr.double_set.size <= tr.k_value * tr.ell_set.size
-    assert tr.ell_set.size >= 2 ** (len(tr.sizes) - 2)
 
 
 @given(nonempty_subsets())
 def test_iterated_doubling_stop_rule(a):
-    tr = iterated_doubling(a, DoublingConfig(k=2.0))
+    tr = iterated_doubling(a, 1)
     assert tr.double_set.size <= tr.k_value * tr.ell_set.size
     assert sumset(tr.ell_set, tr.ell_set).bits == tr.double_set.bits
     assert tr.ell & (tr.ell - 1) == 0
 
 
-def test_doubling_config_resolution():
-    assert DoublingConfig(k=3.0).resolve_k() == 3.0
-    assert DoublingConfig(k=1.0).resolve_k() == 2.0
-    d = Fraction(1, 1000)
-    want = math.exp(math.log(1000) ** 0.2)
-    assert abs(DoublingConfig.from_delta(d).resolve_k() - max(want, 2.0)) < 1e-12
+def test_doubling_k_from_delta():
+    # K(delta) = exp(ln(1/delta)^(1/5)), and 2 when delta <= 0 or 1/delta <= 1
+    b = GroupSubset.from_ranks(GroupDescriptor([4]), [0])
+    for delta, want in [(Fraction(1, 1000), math.exp(math.log(1000) ** 0.2)),
+                        (Fraction(1, 2), math.exp(math.log(2) ** 0.2)),
+                        (Fraction(1), 2.0), (Fraction(0), 2.0)]:
+        assert iterated_doubling(b, delta).k_value == want
+    assert iterated_doubling(b, Fraction(1, 2)).k_value > 2.0
     with pytest.raises(ValueError):
-        DoublingConfig().resolve_k()
-    with pytest.raises(ValueError):
-        iterated_doubling(GroupSubset.empty(GroupDescriptor([4])), DoublingConfig(k=2.0))
+        iterated_doubling(GroupSubset.empty(GroupDescriptor([4])), 1)
 
 
 def test_max_subgroup_within_examples():
@@ -405,7 +405,7 @@ def test_doubled_ball_spread_moves_base_set_little():
         prof = symdiff_profile(a)
         for delta in (Fraction(1, 8), Fraction(1, 4)):
             ball = almost_periods(a, delta)
-            tr = iterated_doubling(ball.members, DoublingConfig.from_delta(delta))
+            tr = iterated_doubling(ball.members, delta)
             spread = difference_set(tr.double_set, tr.double_set)
             limit = 4 * tr.ell * delta * order
             assert ball.members.size > 1
