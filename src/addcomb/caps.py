@@ -42,7 +42,12 @@ class Caps:
         bad = set(obj) - known
         if bad:
             raise ValueError(f"unknown cap names: {sorted(bad)}")
-        return cls(**{k: int(v) for k, v in obj.items()})
+        for k, v in obj.items():
+            # bool is an int subclass, and int() would take 1.7 or "12"
+            if type(v) is not int or v < 0:
+                raise ValueError(
+                    f"cap {k} must be a non-negative integer, got {v!r}")
+        return cls(**obj)
 
 
 DEFAULT_CAPS = Caps()

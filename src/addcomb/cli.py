@@ -1,9 +1,14 @@
 """Command line interface.
 
 Each subcommand loads its inputs from JSON files, runs one library operation,
-and prints the result.  Exit codes: 0 success, 2 degenerate certificate,
-3 robust dichotomy resolved to the high-VC branch, 4 resource cap exceeded,
-1 any other error.
+and prints the result as canonical JSON.  A report dataclass is printed as
+io.value_to_json encodes it: an object keyed by its field names, exact
+rationals as "p/q" strings, group elements as coordinate lists.  A handler
+adds or drops a key only where its subcommand's output differs from the
+report; certificates and witnesses print in their file formats.
+
+Exit codes: 0 success, 2 degenerate certificate, 3 robust dichotomy resolved
+to the high-VC branch, 4 resource cap exceeded, 1 any other error.
 """
 from __future__ import annotations
 
@@ -14,7 +19,13 @@ from fractions import Fraction
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .groups import subgroup_from_bits
-from .harness import ExperimentConfig, run_experiment, rows_to_json_lines, summary_table
+from .harness import (
+    ExperimentConfig,
+    rows_to_csv,
+    rows_to_json_lines,
+    run_experiment,
+    summary_table,
+)
 from .io import (
     canonical_dumps,
     certificate_to_json,
@@ -23,6 +34,7 @@ from .io import (
     pattern_from_json,
     subset_from_json,
     subset_to_json,
+    value_to_json,
     witness_from_json,
     witness_to_json,
 )
@@ -93,34 +105,16 @@ def _cmd_pack(args, caps: Caps):
     return {
         "delta": frac_str(pack.delta),
         "size": len(pack.centers),
-        "centers": [list(e.coords) for e in pack.centers],
+        "centers": value_to_json(pack.centers),
         "certified": pack.certified,
     }, EXIT_OK
 
 
 def _robust_payload(outcome) -> dict:
-    out = {
-        "kind": outcome.kind,
-        "d": outcome.d,
-        "steps": [
-            {
-                "delta": frac_str(s.delta),
-                "m": s.m,
-                "m_effective": s.m_effective,
-                "threshold": frac_str(s.threshold),
-                "ball_size": s.ball_size,
-                "branch": s.branch,
-            }
-            for s in outcome.steps
-        ],
-    }
+    out = {"kind": outcome.kind, "d": outcome.d,
+           "steps": value_to_json(outcome.steps)}
     if outcome.report is not None:
-        r = outcome.report
-        out["report"] = {
-            "x_size": r.x_size, "y_size": r.y_size, "d": r.d,
-            "trials": r.trials, "hits": r.hits, "frequency": r.frequency,
-            "wilson_low": r.wilson_low, "wilson_high": r.wilson_high,
-        }
+        out["report"] = value_to_json(outcome.report)
     if outcome.certificate is not None:
         out["certificate"] = certificate_to_json(outcome.certificate)
     return out
@@ -139,12 +133,7 @@ def _cmd_oracle(args, caps: Caps):
     a = _load_set(args.set, caps)
     rep = oracle_best_subgroup(a, _to_fraction(args.eps),
                                max_index=args.max_index, caps=caps)
-    return {
-        "epsilon": frac_str(rep.epsilon),
-        "max_index": rep.max_index,
-        "min_index": rep.min_index,
-        "frontier": [[idx, frac_str(err)] for idx, err in rep.frontier],
-    }, EXIT_OK
+    return value_to_json(rep), EXIT_OK
 
 
 def _cmd_robust(args, caps: Caps):
@@ -166,24 +155,14 @@ def _cmd_pattern_find(args, caps: Caps):
                             caps=caps)
     if w is None:
         return {"found": False}, EXIT_OK
-    out = {"found": True}
-    out.update(witness_to_json(w))
-    return out, EXIT_OK
+    return {"found": True, **witness_to_json(w)}, EXIT_OK
 
 
 def _cmd_pattern_test(args, caps: Caps):
     a = _load_set(args.set, caps)
     f = _load_pattern(args.pattern)
-    rep = sample_tester(a, f, args.samples, args.seed)
-    out = {
-        "samples": rep.samples,
-        "bi_inducing": rep.bi_inducing,
-        "bi_fraction": rep.bi_fraction,
-        "wilson_low": rep.wilson_low,
-        "wilson_high": rep.wilson_high,
-        "injective_bi_inducing": rep.injective_bi_inducing,
-        "decision": rep.decision,
-    }
+    out = value_to_json(sample_tester(a, f, args.samples, args.seed))
+    del out["injective_fraction"]
     if args.exact:
         out["exact_density"] = frac_str(exhaustive_density(a, f, caps=caps))
     return out, EXIT_OK
@@ -210,15 +189,7 @@ def _cmd_densify(args, caps: Caps):
             raise ValueError("no witness found in the rounded set; "
                              "provide one with --witness")
     rep = densify(a, h, f, w, args.samples, args.seed)
-    return {
-        "samples": rep.samples,
-        "hits": rep.hits,
-        "fraction": rep.fraction,
-        "sigma": rep.sigma,
-        "bound": frac_str(rep.bound),
-        "meets_bound": rep.meets_bound,
-        "witness": witness_to_json(w),
-    }, EXIT_OK
+    return {**value_to_json(rep), "witness": witness_to_json(w)}, EXIT_OK
 
 
 def _cmd_ap_search(args, caps: Caps):
@@ -226,13 +197,7 @@ def _cmd_ap_search(args, caps: Caps):
     ap = ap_search(a, args.k)
     if ap is None:
         return {"found": False}, EXIT_OK
-    out = {
-        "found": True,
-        "start": list(ap.start.coords),
-        "step": list(ap.step.coords),
-        "k": ap.k,
-        "terms": [list(e.coords) for e in ap.terms],
-    }
+    out = {"found": True, **value_to_json(ap)}
     if args.half_graph:
         _, w = ap_half_graph_witness(a, ap)
         out["half_graph_witness"] = witness_to_json(w)
@@ -241,23 +206,16 @@ def _cmd_ap_search(args, caps: Caps):
 
 def _cmd_kneser(args, caps: Caps):
     a = _load_set(args.set, caps)
-    rep = kneser_fill_check(a, args.t)
-    return {
-        "t": rep.t,
-        "generates": rep.generates,
-        "size_ok": rep.size_ok,
-        "contains_zero": rep.contains_zero,
-        "applies": rep.applies,
-        "sumset_size": rep.sumset_size,
-        "fills": rep.fills,
-    }, EXIT_OK
+    return value_to_json(kneser_fill_check(a, args.t)), EXIT_OK
 
 
 def _cmd_experiment(args, caps: Caps):
     config = ExperimentConfig.from_json(load_json_file(args.config), caps=caps)
     rows = run_experiment(config)
     sys.stdout.write(summary_table(rows))
-    if config.output_path is None and args.format == "json":
+    if config.output_path is None and args.format == "csv":
+        sys.stdout.write(rows_to_csv(rows, config.study))
+    elif config.output_path is None:
         sys.stdout.write(rows_to_json_lines(rows))
     return None, EXIT_OK
 
@@ -302,6 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--caps", metavar="FILE",
                         help="JSON file overriding resource caps")
+    with_set = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_set.add_argument("--set", required=True)
+    with_pattern = argparse.ArgumentParser(add_help=False,
+                                           parents=[with_set])
+    with_pattern.add_argument("--pattern", required=True)
 
     p = argparse.ArgumentParser(
         prog="addcomb",
@@ -311,44 +274,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("vcdim", parents=[common],
+    q = sub.add_parser("vcdim", parents=[with_set],
                        help="VC dimension of a translate system")
-    q.add_argument("--set", required=True)
     q.add_argument("--ground", help="restrict traces to this set file")
     q.add_argument("--translators", help="restrict translates to this set file")
     q.add_argument("--max-d", type=int, default=None,
                    help="threshold query: stop once dimension exceeds this")
     q.set_defaults(handler=_cmd_vcdim)
 
-    q = sub.add_parser("ball", parents=[common], help="almost-period set")
-    q.add_argument("--set", required=True)
+    q = sub.add_parser("ball", parents=[with_set], help="almost-period set")
     q.add_argument("--delta", required=True)
     q.set_defaults(handler=_cmd_ball)
 
-    q = sub.add_parser("pack", parents=[common],
+    q = sub.add_parser("pack", parents=[with_set],
                        help="greedy separated translate packing")
-    q.add_argument("--set", required=True)
     q.add_argument("--delta", required=True)
     q.set_defaults(handler=_cmd_pack)
 
-    q = sub.add_parser("regularize", parents=[common],
+    q = sub.add_parser("regularize", parents=[with_set],
                        help="subgroup approximation certificate")
-    q.add_argument("--set", required=True)
     q.add_argument("--eps", required=True)
     q.add_argument("--max-index", type=int, default=None)
     q.add_argument("--schedule", help="comma separated delta values")
     q.set_defaults(handler=_cmd_regularize)
 
-    q = sub.add_parser("oracle-best-subgroup", parents=[common],
+    q = sub.add_parser("oracle-best-subgroup", parents=[with_set],
                        help="exhaustive best rounding subgroup")
-    q.add_argument("--set", required=True)
     q.add_argument("--eps", required=True)
     q.add_argument("--max-index", type=int, default=None)
     q.set_defaults(handler=_cmd_oracle)
 
-    q = sub.add_parser("robust", parents=[common],
+    q = sub.add_parser("robust", parents=[with_set],
                        help="high-VC report or regularity certificate")
-    q.add_argument("--set", required=True)
     q.add_argument("--eps", required=True)
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--trials", type=int, default=50)
@@ -356,34 +313,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="constant in m = C (1/delta) ln(1/delta)")
     q.set_defaults(handler=_cmd_robust)
 
-    q = sub.add_parser("pattern-find", parents=[common],
+    q = sub.add_parser("pattern-find", parents=[with_pattern],
                        help="search for a bi-induced pattern copy")
-    q.add_argument("--set", required=True)
-    q.add_argument("--pattern", required=True)
     q.add_argument("--no-injective", action="store_true")
     q.add_argument("--via-shattering", action="store_true",
                    help="construct the copy from a shattered set instead")
     q.set_defaults(handler=_cmd_pattern_find)
 
-    q = sub.add_parser("pattern-test", parents=[common],
+    q = sub.add_parser("pattern-test", parents=[with_pattern],
                        help="sampled bi-inducing tester")
-    q.add_argument("--set", required=True)
-    q.add_argument("--pattern", required=True)
     q.add_argument("--samples", type=int, required=True)
     q.add_argument("--exact", action="store_true",
                    help="also compute the exhaustive density")
     q.set_defaults(handler=_cmd_pattern_test)
 
-    q = sub.add_parser("distance", parents=[common],
+    q = sub.add_parser("distance", parents=[with_pattern],
                        help="edit distance to a pattern-free set")
-    q.add_argument("--set", required=True)
-    q.add_argument("--pattern", required=True)
     q.set_defaults(handler=_cmd_distance)
 
-    q = sub.add_parser("densify", parents=[common],
+    q = sub.add_parser("densify", parents=[with_pattern],
                        help="coset perturbation survival rate of a witness")
-    q.add_argument("--set", required=True)
-    q.add_argument("--pattern", required=True)
     q.add_argument("--subgroup", required=True,
                    help="set file whose bitset is the subgroup")
     q.add_argument("--witness", help="witness JSON file (default: search the "
@@ -391,17 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--samples", type=int, default=10000)
     q.set_defaults(handler=_cmd_densify)
 
-    q = sub.add_parser("ap-search", parents=[common],
+    q = sub.add_parser("ap-search", parents=[with_set],
                        help="progression half in, half out of the set")
-    q.add_argument("--set", required=True)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--half-graph", action="store_true",
                    help="also emit the derived half-graph witness")
     q.set_defaults(handler=_cmd_ap_search)
 
-    q = sub.add_parser("kneser-check", parents=[common],
+    q = sub.add_parser("kneser-check", parents=[with_set],
                        help="2t-fold sumset filling check")
-    q.add_argument("--set", required=True)
     q.add_argument("--t", type=int, required=True)
     q.set_defaults(handler=_cmd_kneser)
 

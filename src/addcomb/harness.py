@@ -30,6 +30,7 @@ from .io import (
     pattern_from_json,
     subset_from_json,
     subset_to_json,
+    value_to_json,
     write_text_atomic,
 )
 from .patterns import exhaustive_density, sample_tester
@@ -212,8 +213,7 @@ def _run_regularize(a: GroupSubset, value, seed: int, caps: Caps) -> dict:
         "epsilon": frac_str(eps),
         "index": cert.index,
         "achieved_error": frac_str(cert.achieved_error),
-        "delta_used": (None if cert.delta_used is None
-                       else frac_str(cert.delta_used)),
+        "delta_used": value_to_json(cert.delta_used),
         "degenerate": cert.degenerate,
         "ell": None if cert.trace is None else cert.trace.ell,
     }
@@ -228,7 +228,7 @@ def _run_packing(a: GroupSubset, value, seed: int, caps: Caps) -> dict:
         "delta": frac_str(delta),
         "vcdim": d,
         "packing_size": len(pack.centers),
-        "bound": None if bound is None else frac_str(bound),
+        "bound": value_to_json(bound),
         "bound_ok": None if bound is None else len(pack.centers) <= bound,
     }
 

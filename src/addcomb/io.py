@@ -3,11 +3,17 @@
 Set files carry either a hex bitset or an explicit element list; hex is
 canonical on output.  The hex string is little-endian by nibble: character j
 encodes bits 4j..4j+3, so bit i of the group bitset (= rank i) is bit (i & 3)
-of nibble i >> 2.  Patterns are 1-based on disk, 0-based in memory.  All
-rationals serialize as exact "p/q" strings, never floats.
+of nibble i >> 2.  Patterns are 1-based on disk, 0-based in memory.
+
+value_to_json is the one encoding of a library result: a Fraction becomes
+its exact "p/q" string (never a float), a group element its coordinate
+list, a tuple or list a list of encoded items, and a dataclass an object of
+its encoded fields, keyed by field name.  Anything else is already JSON.
+The certificate and witness formats, which have readers, stay explicit.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -15,7 +21,7 @@ from fractions import Fraction
 from typing import Any
 
 from .caps import Caps, DEFAULT_CAPS
-from .groups import GroupDescriptor, Subgroup, _make_subgroup
+from .groups import GroupDescriptor, GroupElement, Subgroup, _make_subgroup
 from .patterns import BiInducedWitness, BipartitePattern, _make_witness
 from .regularity import RegularityCertificate
 from .subsets import DoublingTrace, GroupSubset, _to_fraction
@@ -25,6 +31,7 @@ __all__ = [
     "hex_to_bits",
     "frac_str",
     "frac_parse",
+    "value_to_json",
     "group_to_json",
     "group_from_json",
     "subset_to_json",
@@ -71,6 +78,20 @@ def frac_str(x: Fraction) -> str:
 
 def frac_parse(s: Any) -> Fraction:
     return _to_fraction(s)
+
+
+def value_to_json(value: Any) -> Any:
+    """The JSON form of a library value, by the module docstring's rule."""
+    if isinstance(value, Fraction):
+        return frac_str(value)
+    if isinstance(value, GroupElement):
+        return list(value.coords)
+    if isinstance(value, (tuple, list)):
+        return [value_to_json(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: value_to_json(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    return value
 
 
 def group_to_json(g: GroupDescriptor) -> dict:
@@ -126,8 +147,8 @@ def pattern_from_json(obj: dict) -> BipartitePattern:
 
 def witness_to_json(w) -> dict:
     return {
-        "phi_u": [list(e.coords) for e in w.phi_u],
-        "phi_v": [list(e.coords) for e in w.phi_v],
+        "phi_u": value_to_json(w.phi_u),
+        "phi_v": value_to_json(w.phi_v),
         "injective_u": w.injective_u,
         "injective_v": w.injective_v,
     }
@@ -186,7 +207,7 @@ def certificate_to_json(c: RegularityCertificate) -> dict:
         "moduli": list(g.moduli),
         "set_hex": bits_to_hex(c.base.bits, g.order),
         "epsilon": frac_str(c.epsilon),
-        "delta_used": None if c.delta_used is None else frac_str(c.delta_used),
+        "delta_used": value_to_json(c.delta_used),
         "subgroup": _subgroup_to_json(c.subgroup),
         "rounded_hex": bits_to_hex(c.rounded.bits, g.order),
         "achieved_error": frac_str(c.achieved_error),
@@ -216,7 +237,7 @@ def certificate_from_json(obj: dict, caps: Caps = DEFAULT_CAPS
 
 def canonical_dumps(obj: Any) -> str:
     """Deterministic JSON: sorted keys, no whitespace, exact fractions only
-    (the caller converts Fraction to "p/q" strings before this point)."""
+    (the caller encodes library values with value_to_json first)."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 

@@ -127,18 +127,22 @@ class CertificateCheck:
 
 def verify_certificate(cert: RegularityCertificate) -> CertificateCheck:
     """Re-verify a certificate from raw bitsets, independently of how it was
-    built: subgroup axioms, S a union of H-cosets, the error value, and the
-    4*l*delta translate bound on every element of H (skipped for degenerate
-    certificates, which carry no delta)."""
+    built: subgroup axioms with the claimed index equal to H's, S a union of
+    H-cosets, the error value, and the 4*l*delta translate bound on every
+    element of H.  The bound is skipped only for the degenerate form (the
+    flag set, H = {0}, no delta and no trace); any other certificate that
+    lacks a delta or a trace fails it."""
     g = cert.base.group
     h = cert.subgroup
     closure_ok, h_gens = h._walk()
+    closure_ok = closure_ok and cert.index == h.index
     s_bits = cert.rounded.bits
     union_ok = _is_union_of_cosets(g, s_bits, h_gens)
     err = Fraction((cert.base.bits ^ s_bits).bit_count(), g.order)
     error_ok = err == cert.achieved_error and err <= cert.epsilon
-    if cert.degenerate or cert.delta_used is None or cert.trace is None:
-        bound_ok = True
+    if cert.delta_used is None or cert.trace is None:
+        bound_ok = (cert.degenerate and h.bits == 1
+                    and cert.delta_used is None and cert.trace is None)
     else:
         prof = symdiff_profile(cert.base)
         limit = 4 * cert.trace.ell * cert.delta_used * g.order

@@ -338,7 +338,13 @@ def kneser_fill_check(a: GroupSubset, t: int) -> KneserReport:
     is genuinely needed: {1} in Z_2 generates and has |A| >= |G|/2, but its
     4-fold sumset is {0}.  Without 0, iterated sumsets of A can stay trapped
     in cosets of the subgroup generated by A - A.  The intended inputs are
-    almost-period balls, which always contain 0."""
+    almost-period balls, which always contain 0.
+
+    The loop stops at the first sumset that does not grow.  Once
+    |X + A| = |X|, X + A contains each translate X + a at the same size, so
+    X + A = X + a for every a in A; every later sumset is then a translate
+    of X + A, and its size (hence whether it fills G) is already known.  So
+    at most |G| sumsets are formed, whatever t is."""
     if t < 1:
         raise ValueError("t must be >= 1")
     g = a.group
@@ -349,12 +355,10 @@ def kneser_fill_check(a: GroupSubset, t: int) -> KneserReport:
     contains_zero = bool(a.bits & 1)
     cur = a
     for _ in range(2 * t - 1):
-        cur = sumset(cur, a)
-        if cur.bits == g.full_mask:
+        nxt = sumset(cur, a)
+        if nxt.size == cur.size:
             break
-    # note: early break is sound, iterated sumsets of a set containing any
-    # element can only keep covering G once they reach it
-    fills = cur.bits == g.full_mask
+        cur = nxt
     return KneserReport(t, generates, size_ok, contains_zero,
                         generates and size_ok and contains_zero,
-                        cur.size, fills)
+                        cur.size, cur.size == g.order)

@@ -31,7 +31,9 @@ time, a closure by every multiple of x, a walk that tests every element, a
 union check over every element of H, and a lattice search that closes every
 (subgroup, element) pair, the references for the bitset-string ranks, the
 closure by doubling, the walk that jumps to the least missing rank, the
-check on generators and the search that skips repeated extensions.
+check on generators and the search that skips repeated extensions; and
+kneser_fill_check as it was before it stopped at the first sumset that did
+not grow, 2t - 1 library sumsets whatever t is.
 """
 from __future__ import annotations
 
@@ -47,7 +49,7 @@ from addcomb.patterns import (BiInducedWitness, DensifyReport, TesterReport,
 from addcomb.vc import (SampledVcReport, SeparatedSampleReport,
                         find_shattered_set)
 from addcomb.stats import binomial_sigma, wilson_interval
-from addcomb.subsets import GroupSubset
+from addcomb.subsets import GroupSubset, KneserReport, sumset as bits_sumset
 
 
 def elements(mods) -> list[tuple[int, ...]]:
@@ -659,3 +661,23 @@ def full_lattice(g) -> list[tuple[int, tuple[int, ...]]]:
                 seen[grown] = gens + (x,)
                 queue.append(grown)
     return sorted(seen.items(), key=lambda kv: (-kv[0].bit_count(), kv[0]))
+
+
+def kneser_fill_check(a, t: int) -> KneserReport:
+    """Up to 2t - 1 sumsets X + A from X = A, stopping only once X = G."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    g = a.group
+    if a.size == 0:
+        return KneserReport(t, False, False, False, False, 0, False)
+    generates = closure_walk(g, a.bits)[0] == g.full_mask
+    size_ok = a.size * t >= g.order
+    contains_zero = bool(a.bits & 1)
+    cur = a
+    for _ in range(2 * t - 1):
+        cur = bits_sumset(cur, a)
+        if cur.bits == g.full_mask:
+            break
+    return KneserReport(t, generates, size_ok, contains_zero,
+                        generates and size_ok and contains_zero,
+                        cur.size, cur.bits == g.full_mask)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io as sysio
 import json
@@ -42,10 +43,12 @@ from addcomb.io import (
     pattern_to_json,
     subset_from_json,
     subset_to_json,
+    value_to_json,
     witness_from_json,
     witness_to_json,
     write_text_atomic,
 )
+from addcomb.regularity import OracleReport
 from conftest import subsets
 
 
@@ -110,6 +113,21 @@ def test_frac_str_parse():
     assert frac_parse("3/8") == Fraction(3, 8)
     assert frac_parse("0.1") == Fraction(1, 10)
     assert frac_parse(0.1) == Fraction(1, 10)
+
+
+def test_value_to_json_encodes_by_type():
+    g = GroupDescriptor([4, 4])
+    e = g.element(6)
+    coords = list(g.coords_of(6))
+    assert value_to_json(Fraction(6, 4)) == "3/2"
+    assert value_to_json(e) == coords
+    assert value_to_json((1, [Fraction(1, 2), e], None, 0.5, "x")) == [
+        1, ["1/2", coords], None, 0.5, "x"]
+    rep = OracleReport(Fraction(1, 4), None, 4,
+                       ((1, Fraction(1, 2)), (4, Fraction(0))))
+    assert value_to_json(rep) == {"epsilon": "1/4", "max_index": None,
+                                  "min_index": 4,
+                                  "frontier": [[1, "1/2"], [4, "0"]]}
 
 
 def test_subset_json_round_trip_examples():
@@ -652,6 +670,10 @@ PATTERN_CLI_GOLDENS = [
      '{"bi_fraction":0.1125,"bi_inducing":45,"decision":"YES",'
      '"exact_density":"3/32","injective_bi_inducing":45,"samples":400,'
      '"wilson_high":0.14722427637608715,"wilson_low":0.0851480200886654}\n'),
+    ("pattern-test --set three --pattern hg2 --samples 400 --seed 3",
+     '{"bi_fraction":0.1125,"bi_inducing":45,"decision":"YES",'
+     '"injective_bi_inducing":45,"samples":400,'
+     '"wilson_high":0.14722427637608715,"wilson_low":0.0851480200886654}\n'),
     ("pattern-test --set interval --pattern hg2 --samples 400 --seed 5 --exact",
      '{"bi_fraction":0.0425,"bi_inducing":17,"decision":"YES",'
      '"exact_density":"70/2197","injective_bi_inducing":17,"samples":400,'
@@ -843,6 +865,21 @@ CLI_GOLDENS = [
      '   bound_ok\npacking-000-s3  1/4    3     -      1/4    3      16     '
      '       1728000  True\npacking-001-s3  1/2    3     -      1/2    3    '
      '  2             216000   True\n'),
+    # with no output path, --format csv prints the rows as CSV
+    ('experiment --config exp_json --format csv', 0,
+     'run_id             sweep  seed  error  epsilon  index  achieved_error '
+     ' delta_used  degenerate  ell\nregularize-000-s1  1/4    1     -      1/'
+     '4      16     0               1/8         False       1\nregularize-000'
+     '-s2  1/4    2     -      1/4      8      0               1/8         F'
+     'alse       1\nregularize-001-s1  1/8    1     -      1/8      16     0 '
+     '              1/16        False       1\nregularize-001-s2  1/8    2   '
+     '  -      1/8      8      0               1/16        False       1\nsch'
+     'ema,run_id,operation,input_hash,sweep,seed,error,epsilon,index,achieve'
+     'd_error,delta_used,degenerate,ell\n1,regularize-000-s1,regularize,54b23'
+     'f2884932214,1/4,1,,1/4,16,0,1/8,False,1\n1,regularize-000-s2,regularize'
+     ',1b0497a6834585bf,1/4,2,,1/4,8,0,1/8,False,1\n1,regularize-001-s1,regul'
+     'arize,54b23f2884932214,1/8,1,,1/8,16,0,1/16,False,1\n1,regularize-001-s'
+     '2,regularize,1b0497a6834585bf,1/8,2,,1/8,8,0,1/16,False,1\n'),
 ]
 
 
@@ -851,6 +888,13 @@ CLI_GOLDENS = [
 def test_cli_stdout_bytes(gate_files, argv, code, stdout):
     got = _run_cli([gate_files.get(w, w) for w in argv.split()])
     assert got == (code, stdout, "")
+
+
+def test_cli_goldens_cover_every_subcommand():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    covered = {c[0].split()[0] for c in CLI_GOLDENS + PATTERN_CLI_GOLDENS}
+    assert sorted(set(sub.choices) - covered) == []
 
 
 def test_cli_experiment_csv_file_bytes(gate_files):
@@ -921,6 +965,18 @@ def test_cli_caps_file_override(files):
         ["vcdim", "--set", files["interval"], "--caps", bad]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("bad", [True, 1.7, "12", -5])
+def test_caps_from_json_rejects_a_value_that_is_not_a_count(files, bad):
+    with pytest.raises(ValueError, match="vc_ground_cap"):
+        Caps.from_json({"vc_ground_cap": bad})
+    caps = _write_json(files["dir"] / "caps.json", {"vc_ground_cap": bad})
+    code, out, err = _run_cli(
+        ["vcdim", "--set", files["interval"], "--caps", caps])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "ValueError"
+    assert "vc_ground_cap" in json.loads(err)["detail"]
 
 
 def test_cli_experiment_rerun_byte_identical(files):

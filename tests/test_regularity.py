@@ -295,6 +295,52 @@ def test_verify_certificate_translate_bound_is_exact():
     assert not verify_certificate(under).translate_bound_ok
 
 
+def _mid_certificate():
+    # the cosets of an index-4 subgroup of (Z/4)^3 with three ranks flipped
+    g = GroupDescriptor([4, 4, 4])
+    a = GroupSubset.from_ranks(
+        g, [r for r in range(64) if (r % 4 < 2) != (r in (5, 22, 41))])
+    cert = regularize(a, Fraction(1, 4))
+    assert cert.index == 4 and not cert.degenerate
+    assert verify_certificate(cert).ok
+    return cert
+
+
+def test_verify_certificate_checks_the_claimed_index():
+    cert = _mid_certificate()
+    for wrong in (1, 2, 8, 64):
+        chk = verify_certificate(dataclasses.replace(cert, index=wrong))
+        assert not chk.closure_ok and not chk.ok
+    # the top-level index of a certificate file is checked the same way
+    obj = certificate_to_json(cert)
+    obj["index"] = 1
+    assert not verify_certificate(certificate_from_json(obj)).ok
+
+
+def test_verify_certificate_skips_the_bound_only_for_the_degenerate_form():
+    cert = _mid_certificate()
+    tiny = dataclasses.replace(cert, delta_used=Fraction(1, 10**6))
+    assert not verify_certificate(tiny).translate_bound_ok
+    # the flag alone does not excuse a delta and a trace that fail the bound
+    flagged = dataclasses.replace(tiny, degenerate=True)
+    assert not verify_certificate(flagged).translate_bound_ok
+    # a missing delta or trace is excused only with the flag and H = {0}
+    for changes in ({"delta_used": None}, {"trace": None},
+                    {"delta_used": None, "trace": None},
+                    {"delta_used": None, "trace": None, "degenerate": True},
+                    {"delta_used": None, "degenerate": True}):
+        chk = verify_certificate(dataclasses.replace(cert, **changes))
+        assert not chk.translate_bound_ok and not chk.ok, changes
+    g = cert.base.group
+    trivial = _make_subgroup(g, 1, ())
+    degenerate = dataclasses.replace(
+        cert, subgroup=trivial, rounded=cert.base, achieved_error=Fraction(0),
+        index=g.order, degenerate=True, delta_used=None, trace=None)
+    assert verify_certificate(degenerate).ok
+    assert not verify_certificate(
+        dataclasses.replace(degenerate, degenerate=False)).ok
+
+
 def test_oracle_examples():
     g = GroupDescriptor([2, 2, 2])
     rng = random.Random(5)

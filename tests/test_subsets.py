@@ -377,6 +377,25 @@ def test_kneser_corollary_on_random_sets(a, t):
         assert rep.fills
 
 
+@given(subsets(), st.integers(1, 6))
+def test_kneser_matches_oracle(a, t):
+    assert kneser_fill_check(a, t) == oracles.kneser_fill_check(a, t)
+
+
+def test_kneser_stops_once_the_sumset_stops_growing():
+    # 2t - 1 = 2 * 10**9 - 1 sumsets would take hours; each run below stops
+    # at its first sumset that does not grow
+    z2, z13 = GroupDescriptor([2]), GroupDescriptor([13])
+    cases = [(GroupSubset.from_ranks(z2, [1]), 1, False),
+             (GroupSubset.from_ranks(z13, [0, 1]), 13, True),
+             (GroupSubset.from_ranks(z13, [1]), 1, False)]
+    for a, size, fills in cases:
+        start = time.perf_counter()
+        rep = kneser_fill_check(a, 10**9)
+        assert time.perf_counter() - start < 1
+        assert (rep.sumset_size, rep.fills) == (size, fills)
+
+
 def _planted(mods, gen_ranks, noise, seed):
     """Union of random cosets of span(gen_ranks), with a few flipped bits."""
     g = GroupDescriptor(mods)
