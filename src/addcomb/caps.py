@@ -1,4 +1,6 @@
-"""Resource caps shared by every operation that can blow up combinatorially."""
+"""Resource caps shared by every operation that can blow up combinatorially,
+and the strict readers of JSON scalars that the cap file and every other
+input file share."""
 from __future__ import annotations
 
 import dataclasses
@@ -6,6 +8,23 @@ import dataclasses
 
 class CapExceeded(Exception):
     """An operation was asked to exceed a configured resource cap."""
+
+
+def _json_int(value, name: str) -> int:
+    """value when it is a JSON integer; int() would take true as 1, 1.7 as 1
+    and "12" as 12, and bool is an int subclass."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_bool(obj: dict, key: str, default: bool | None) -> bool:
+    """obj[key] when it is a JSON boolean, default when absent (a default of
+    None makes the key required); bool() would read "false" as true."""
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,8 +62,7 @@ class Caps:
         if bad:
             raise ValueError(f"unknown cap names: {sorted(bad)}")
         for k, v in obj.items():
-            # bool is an int subclass, and int() would take 1.7 or "12"
-            if type(v) is not int or v < 0:
+            if _json_int(v, f"cap {k}") < 0:
                 raise ValueError(
                     f"cap {k} must be a non-negative integer, got {v!r}")
         return cls(**obj)

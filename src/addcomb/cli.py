@@ -1,11 +1,13 @@
 """Command line interface.
 
 Each subcommand loads its inputs from JSON files, runs one library operation,
-and prints the result as canonical JSON.  A report dataclass is printed as
-io.value_to_json encodes it: an object keyed by its field names, exact
-rationals as "p/q" strings, group elements as coordinate lists.  A handler
-adds or drops a key only where its subcommand's output differs from the
-report; certificates and witnesses print in their file formats.
+and prints the result as canonical JSON.  A handler returns library values,
+a report dataclass or a dict of Fractions, group elements and reports, and
+_emit encodes them once with io.value_to_json: an object keyed by field
+names, exact rationals as "p/q" strings, group elements as coordinate lists.
+Certificates and witnesses print in their file formats.  --format csv prints
+a header line and one row through csv.writer, as experiment rows are
+written: nested objects flatten to dotted keys, a list cell is canonical JSON.
 
 Exit codes: 0 success, 2 degenerate certificate, 3 robust dichotomy resolved
 to the high-VC branch, 4 resource cap exceeded, 1 any other error.
@@ -13,7 +15,7 @@ to the high-VC branch, 4 resource cap exceeded, 1 any other error.
 from __future__ import annotations
 
 import argparse
-import json
+import csv
 import sys
 from fractions import Fraction
 
@@ -29,7 +31,6 @@ from .harness import (
 from .io import (
     canonical_dumps,
     certificate_to_json,
-    frac_str,
     load_json_file,
     pattern_from_json,
     subset_from_json,
@@ -93,7 +94,7 @@ def _cmd_ball(args, caps: Caps):
     a = _load_set(args.set, caps)
     ball = almost_periods(a, _to_fraction(args.delta))
     return {
-        "delta": frac_str(ball.delta),
+        "delta": ball.delta,
         "size": ball.size,
         "members": subset_to_json(ball.members),
     }, EXIT_OK
@@ -103,18 +104,17 @@ def _cmd_pack(args, caps: Caps):
     a = _load_set(args.set, caps)
     pack = greedy_packing(a, _to_fraction(args.delta))
     return {
-        "delta": frac_str(pack.delta),
+        "delta": pack.delta,
         "size": len(pack.centers),
-        "centers": value_to_json(pack.centers),
+        "centers": pack.centers,
         "certified": pack.certified,
     }, EXIT_OK
 
 
 def _robust_payload(outcome) -> dict:
-    out = {"kind": outcome.kind, "d": outcome.d,
-           "steps": value_to_json(outcome.steps)}
+    out = {"kind": outcome.kind, "d": outcome.d, "steps": outcome.steps}
     if outcome.report is not None:
-        out["report"] = value_to_json(outcome.report)
+        out["report"] = outcome.report
     if outcome.certificate is not None:
         out["certificate"] = certificate_to_json(outcome.certificate)
     return out
@@ -133,7 +133,7 @@ def _cmd_oracle(args, caps: Caps):
     a = _load_set(args.set, caps)
     rep = oracle_best_subgroup(a, _to_fraction(args.eps),
                                max_index=args.max_index, caps=caps)
-    return value_to_json(rep), EXIT_OK
+    return rep, EXIT_OK
 
 
 def _cmd_robust(args, caps: Caps):
@@ -164,7 +164,7 @@ def _cmd_pattern_test(args, caps: Caps):
     out = value_to_json(sample_tester(a, f, args.samples, args.seed))
     del out["injective_fraction"]
     if args.exact:
-        out["exact_density"] = frac_str(exhaustive_density(a, f, caps=caps))
+        out["exact_density"] = exhaustive_density(a, f, caps=caps)
     return out, EXIT_OK
 
 
@@ -206,7 +206,7 @@ def _cmd_ap_search(args, caps: Caps):
 
 def _cmd_kneser(args, caps: Caps):
     a = _load_set(args.set, caps)
-    return value_to_json(kneser_fill_check(a, args.t)), EXIT_OK
+    return kneser_fill_check(a, args.t), EXIT_OK
 
 
 def _cmd_experiment(args, caps: Caps):
@@ -223,10 +223,13 @@ def _cmd_experiment(args, caps: Caps):
 def _emit(payload, fmt: str) -> None:
     if payload is None:
         return
+    payload = value_to_json(payload)
     if fmt == "csv":
         flat = _flatten(payload)
-        print(",".join(k for k, _ in flat))
-        print(",".join(_csv_cell(v) for _, v in flat))
+        w = csv.writer(sys.stdout, lineterminator="\n")
+        w.writerow(k for k, _ in flat)
+        w.writerow(canonical_dumps(v) if isinstance(v, list) else v
+                   for _, v in flat)
     else:
         print(canonical_dumps(payload))
 
@@ -239,18 +242,6 @@ def _flatten(obj, prefix: str = "") -> list[tuple[str, object]]:
     else:
         out.append((prefix.rstrip("."), obj))
     return out
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, (list, tuple, dict)):
-        text = json.dumps(v, sort_keys=True, separators=(",", ":"))
-    elif v is None:
-        text = ""
-    else:
-        text = str(v)
-    if any(c in text for c in ",\"\n"):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def build_parser() -> argparse.ArgumentParser:

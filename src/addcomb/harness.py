@@ -5,6 +5,11 @@ an RNG directly: each randomized stage derives its own stream seed as the
 first 8 bytes of sha256("{master}|{label}"), so adding a stage never shifts
 the randomness of existing ones.  Wall time is not recorded unless asked,
 keeping re-runs byte-identical.
+
+A study's value columns are named once, in _STUDY_COLUMNS.  Its runner
+returns one library value per column, in column order (a Fraction, a bool,
+an int, ...), and run_experiment encodes them with io.value_to_json, so
+ResultRow.values holds JSON values keyed by column.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ import random
 import time
 from fractions import Fraction
 
-from .caps import Caps, DEFAULT_CAPS
+from .caps import Caps, DEFAULT_CAPS, _json_bool, _json_int
 from .groups import (
     GroupDescriptor,
     coset_representatives,
@@ -25,7 +30,6 @@ from .groups import (
 )
 from .io import (
     canonical_dumps,
-    frac_str,
     group_from_json,
     pattern_from_json,
     subset_from_json,
@@ -54,9 +58,8 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-STUDIES = ("regularize", "packing", "ball", "tester")
-
-# fixed, versioned CSV value columns per study
+# fixed, versioned value columns per study: the keys of ResultRow.values,
+# the CSV value columns and the summary table's value columns
 _STUDY_COLUMNS = {
     "regularize": ("epsilon", "index", "achieved_error", "delta_used",
                    "degenerate", "ell"),
@@ -66,19 +69,12 @@ _STUDY_COLUMNS = {
                "within_3sigma", "decision"),
 }
 
+STUDIES = tuple(_STUDY_COLUMNS)
+
 
 def split_seed(master: int, label: str) -> int:
     digest = hashlib.sha256(f"{master}|{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def _json_bool(obj: dict, key: str, default: bool) -> bool:
-    """obj[key] when it is a JSON boolean, default when absent; bool() would
-    read the string "false" as true."""
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
-    return value
 
 
 @dataclasses.dataclass
@@ -113,7 +109,7 @@ class ExperimentConfig:
             family=dict(obj["family"]),
             study=obj["study"],
             sweep=list(obj["sweep"]),
-            seeds=[int(s) for s in obj["seeds"]],
+            seeds=[_json_int(s, "seeds") for s in obj["seeds"]],
             output_path=out.get("path"),
             output_format=out.get("format", "json"),
             pattern=obj.get("pattern"),
@@ -161,8 +157,8 @@ def generate_family(g: GroupDescriptor, spec: dict, seed: int,
     kind = spec.get("kind")
     rng = random.Random(split_seed(seed, f"family:{kind}"))
     if kind == "planted":
-        index = int(spec["index"])
-        count = int(spec["cosets"])
+        index = _json_int(spec["index"], "index")
+        count = _json_int(spec["cosets"], "cosets")
         noise = float(_to_fraction(spec.get("noise", 0)))
         hs = [h for h in enumerate_subgroups(g, caps=caps) if h.index == index]
         if not hs:
@@ -180,7 +176,7 @@ def generate_family(g: GroupDescriptor, spec: dict, seed: int,
                     bits ^= 1 << r
         return GroupSubset(g, bits)
     if kind == "interval":
-        length = int(spec.get("length", g.order // 2))
+        length = _json_int(spec.get("length", g.order // 2), "length")
         if not 0 <= length < g.order:
             raise ValueError(f"interval length {length} out of range")
         return GroupSubset.from_ranks(g, range(1, length + 1))
@@ -206,67 +202,42 @@ def _input_hash(a: GroupSubset) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _run_regularize(a: GroupSubset, value, seed: int, caps: Caps) -> dict:
+def _run_regularize(a: GroupSubset, value, seed: int, caps: Caps) -> tuple:
     eps = _to_fraction(value)
     cert = regularize(a, eps, caps=caps)
-    return {
-        "epsilon": frac_str(eps),
-        "index": cert.index,
-        "achieved_error": frac_str(cert.achieved_error),
-        "delta_used": value_to_json(cert.delta_used),
-        "degenerate": cert.degenerate,
-        "ell": None if cert.trace is None else cert.trace.ell,
-    }
+    return (eps, cert.index, cert.achieved_error, cert.delta_used,
+            cert.degenerate, None if cert.trace is None else cert.trace.ell)
 
 
-def _run_packing(a: GroupSubset, value, seed: int, caps: Caps) -> dict:
+def _run_packing(a: GroupSubset, value, seed: int, caps: Caps) -> tuple:
     delta = _to_fraction(value)
     d = set_vc_dimension(a, caps=caps)
-    pack = greedy_packing(a, delta)
+    size = len(greedy_packing(a, delta).centers)
     bound = (Fraction(30) / delta) ** d if delta > 0 else None
-    return {
-        "delta": frac_str(delta),
-        "vcdim": d,
-        "packing_size": len(pack.centers),
-        "bound": value_to_json(bound),
-        "bound_ok": None if bound is None else len(pack.centers) <= bound,
-    }
+    return (delta, d, size, bound, None if bound is None else size <= bound)
 
 
-def _run_ball(a: GroupSubset, value, seed: int, caps: Caps) -> dict:
+def _run_ball(a: GroupSubset, value, seed: int, caps: Caps) -> tuple:
     delta = _to_fraction(value)
     d = set_vc_dimension(a, caps=caps)
-    ball = almost_periods(a, delta)
+    size = almost_periods(a, delta).size
     lower = (delta / 30) ** d * a.group.order
-    return {
-        "delta": frac_str(delta),
-        "vcdim": d,
-        "ball_size": ball.size,
-        "lower_bound": frac_str(lower),
-        "lower_ok": ball.size >= lower,
-    }
+    return (delta, d, size, lower, size >= lower)
 
 
 def _make_tester_runner(pattern_obj: dict, exact: bool):
     f = pattern_from_json(pattern_obj)
 
-    def run(a: GroupSubset, value, seed: int, caps: Caps) -> dict:
+    def run(a: GroupSubset, value, seed: int, caps: Caps) -> tuple:
         samples = int(value)
         rep = sample_tester(a, f, samples, split_seed(seed, "tester"))
-        out = {
-            "samples": samples,
-            "bi_inducing": rep.bi_inducing,
-            "bi_fraction": rep.bi_fraction,
-            "exact_density": None,
-            "within_3sigma": None,
-            "decision": rep.decision,
-        }
+        dens = within = None
         if exact:
             dens = exhaustive_density(a, f, caps=caps)
             lo, hi = wilson_interval(rep.bi_inducing, samples, z=3.0)
-            out["exact_density"] = frac_str(dens)
-            out["within_3sigma"] = lo <= float(dens) <= hi
-        return out
+            within = lo <= float(dens) <= hi
+        return (samples, rep.bi_inducing, rep.bi_fraction, dens, within,
+                rep.decision)
 
     return run
 
@@ -276,6 +247,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
     Module errors are captured per row (error code set, values empty) and the
     run continues.  When output_path is set, rows are written atomically."""
+    columns = _STUDY_COLUMNS[config.study]
     if config.study == "tester":
         runner = _make_tester_runner(config.pattern, config.tester_exact)
     else:
@@ -289,7 +261,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
             run_id = f"{config.study}-{i:03d}-s{seed}"
             start = time.perf_counter() if config.record_wall_time else None
             try:
-                values = runner(a, value, seed, config.caps)
+                result = runner(a, value, seed, config.caps)
+                values = dict(zip(columns, value_to_json(result), strict=True))
                 err = None
             except Exception as exc:  # per-row capture keeps the sweep going
                 values = {}
@@ -336,7 +309,7 @@ def summary_table(rows: list[ResultRow]) -> str:
     """Plain text table: one line per row, aligned columns."""
     if not rows:
         return "(no rows)\n"
-    keys = list(rows[0].values.keys())
+    keys = list(_STUDY_COLUMNS[rows[0].operation])
     header = ["run_id", "sweep", "seed", "error"] + keys
     table = [header]
     for r in rows:

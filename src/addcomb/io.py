@@ -7,9 +7,11 @@ of nibble i >> 2.  Patterns are 1-based on disk, 0-based in memory.
 
 value_to_json is the one encoding of a library result: a Fraction becomes
 its exact "p/q" string (never a float), a group element its coordinate
-list, a tuple or list a list of encoded items, and a dataclass an object of
-its encoded fields, keyed by field name.  Anything else is already JSON.
+list, a tuple or list a list of encoded items, a dict an object of its
+encoded values under the same keys, and a dataclass an object of its
+encoded fields, keyed by field name.  Anything else is already JSON.
 The certificate and witness formats, which have readers, stay explicit.
+A count read from a file must be a JSON integer, a flag a JSON boolean.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import tempfile
 from fractions import Fraction
 from typing import Any
 
-from .caps import Caps, DEFAULT_CAPS
+from .caps import Caps, DEFAULT_CAPS, _json_bool, _json_int
 from .groups import GroupDescriptor, GroupElement, Subgroup, _make_subgroup
 from .patterns import BiInducedWitness, BipartitePattern, _make_witness
 from .regularity import RegularityCertificate
@@ -88,6 +90,8 @@ def value_to_json(value: Any) -> Any:
         return list(value.coords)
     if isinstance(value, (tuple, list)):
         return [value_to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: value_to_json(v) for k, v in value.items()}
     if dataclasses.is_dataclass(value):
         return {f.name: value_to_json(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
@@ -101,7 +105,8 @@ def group_to_json(g: GroupDescriptor) -> dict:
 def group_from_json(obj: dict, caps: Caps = DEFAULT_CAPS) -> GroupDescriptor:
     if "moduli" not in obj:
         raise ValueError("group JSON needs a 'moduli' field")
-    return GroupDescriptor(obj["moduli"], order_cap=caps.order_cap)
+    return GroupDescriptor([_json_int(m, "moduli") for m in obj["moduli"]],
+                           order_cap=caps.order_cap)
 
 
 def subset_to_json(a: GroupSubset) -> dict:
@@ -135,10 +140,10 @@ def pattern_from_json(obj: dict) -> BipartitePattern:
     for key in ("u", "v", "edges"):
         if key not in obj:
             raise ValueError(f"pattern JSON needs a {key!r} field")
-    u_count, v_count = int(obj["u"]), int(obj["v"])
+    u_count, v_count = _json_int(obj["u"], "u"), _json_int(obj["v"], "v")
     edges = set()
     for e in obj["edges"]:
-        u, v = int(e[0]), int(e[1])
+        u, v = _json_int(e[0], "edge end"), _json_int(e[1], "edge end")
         if not (1 <= u <= u_count and 1 <= v <= v_count):
             raise ValueError(f"edge {e} out of range (1-based)")
         edges.add((u - 1, v - 1))
@@ -173,8 +178,8 @@ def _subgroup_to_json(h: Subgroup) -> dict:
 
 def _subgroup_from_json(g: GroupDescriptor, obj: dict) -> Subgroup:
     h = _make_subgroup(g, hex_to_bits(obj["bits_hex"], g.order),
-                       [int(r) for r in obj["generators"]])
-    if h.index != int(obj["index"]):
+                       [_json_int(r, "generators") for r in obj["generators"]])
+    if h.index != _json_int(obj["index"], "subgroup index"):
         raise ValueError("subgroup index does not match its bitset")
     return h
 
@@ -194,10 +199,10 @@ def _trace_from_json(g: GroupDescriptor, obj: dict) -> DoublingTrace:
     return DoublingTrace(
         base=GroupSubset(g, hex_to_bits(obj["ball_hex"], g.order)),
         k_value=float(obj["k_value"]),
-        ell=int(obj["ell"]),
+        ell=_json_int(obj["ell"], "ell"),
         ell_set=GroupSubset(g, hex_to_bits(obj["ell_set_hex"], g.order)),
         double_set=GroupSubset(g, hex_to_bits(obj["double_set_hex"], g.order)),
-        sizes=tuple(int(s) for s in obj["sizes"]),
+        sizes=tuple(_json_int(s, "sizes") for s in obj["sizes"]),
     )
 
 
@@ -228,8 +233,8 @@ def certificate_from_json(obj: dict, caps: Caps = DEFAULT_CAPS
         subgroup=_subgroup_from_json(g, obj["subgroup"]),
         rounded=GroupSubset(g, hex_to_bits(obj["rounded_hex"], g.order)),
         achieved_error=frac_parse(obj["achieved_error"]),
-        index=int(obj["index"]),
-        degenerate=bool(obj["degenerate"]),
+        index=_json_int(obj["index"], "index"),
+        degenerate=_json_bool(obj, "degenerate", None),
         trace=(None if obj["trace"] is None
                else _trace_from_json(g, obj["trace"])),
     )

@@ -4,6 +4,7 @@ import io as sysio
 import json
 import os
 import random
+import runpy
 import shlex
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from addcomb.io import (
     certificate_to_json,
     frac_parse,
     frac_str,
+    group_from_json,
     hex_to_bits,
     pattern_from_json,
     pattern_to_json,
@@ -128,6 +130,8 @@ def test_value_to_json_encodes_by_type():
     assert value_to_json(rep) == {"epsilon": "1/4", "max_index": None,
                                   "min_index": 4,
                                   "frontier": [[1, "1/2"], [4, "0"]]}
+    assert value_to_json({"x": Fraction(1, 2), "e": [e], "rep": rep}) == {
+        "x": "1/2", "e": [coords], "rep": value_to_json(rep)}
 
 
 def test_subset_json_round_trip_examples():
@@ -190,6 +194,19 @@ def test_certificate_json_round_trip():
     bad["subgroup"] = dict(obj["subgroup"], index=cert.subgroup.index + 1)
     with pytest.raises(ValueError):
         certificate_from_json(bad)
+
+
+@pytest.mark.parametrize("bad", ["false", 0, None])
+def test_certificate_from_json_reads_degenerate_as_a_json_boolean(bad):
+    # bool() read the string "false" as true
+    g = GroupDescriptor([2, 2, 2, 2])
+    obj = certificate_to_json(regularize(GroupSubset(g, 0xFF0F),
+                                         Fraction(1, 4)))
+    with pytest.raises(ValueError, match="degenerate"):
+        certificate_from_json(dict(obj, degenerate=bad))
+    del obj["degenerate"]
+    with pytest.raises(ValueError, match="degenerate"):
+        certificate_from_json(obj)
 
 
 def test_canonical_dumps_is_deterministic():
@@ -373,6 +390,19 @@ def test_summary_table_lists_rows():
     assert text.splitlines()[0].startswith("run_id")
     assert "regularize-000-s1" in text
     assert summary_table([]) == "(no rows)\n"
+
+
+def test_summary_table_keeps_the_study_columns_when_the_first_row_failed():
+    # epsilon 2 is out of range, so the first row has an error and no values
+    rows = run_experiment(_planted_config(sweep=["2", "1/4"], seeds=[1]))
+    assert [r.error for r in rows] == ["ValueError", None]
+    lines = summary_table(rows).splitlines()
+    assert lines[0].split() == [
+        "run_id", "sweep", "seed", "error", "epsilon", "index",
+        "achieved_error", "delta_used", "degenerate", "ell"]
+    assert lines[2].split() == [
+        "regularize-001-s1", "1/4", "1", "-", "1/4", "2", "0", "1/8",
+        "False", "1"]
 
 
 _PLANTED_JSON = {
@@ -922,6 +952,42 @@ def test_readme_cli_lines_parse():
         assert parser.parse_args(argv).command == argv[0]
 
 
+def test_readme_experiment_config_parses():
+    # the strict count readers accept the documented example
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read().split("Experiment config:", 1)[1]
+    cfg = ExperimentConfig.from_json(
+        json.loads(text.split("```json", 1)[1].split("```", 1)[0]))
+    assert cfg.group == GroupDescriptor([2] * 6)
+    assert (cfg.study, cfg.seeds) == ("regularize", [1, 2, 3])
+    assert (cfg.output_path, cfg.output_format) == ("rows.jsonl", "json")
+
+
+# each script with the arguments of the CI smoke run, and the words of the
+# aggregate table's header line
+SCRIPT_RUNS = [
+    ("index_vs_eps.py", "--moduli 2,2,2,2 --seeds 1 --eps 1/4",
+     "eps mean index max err degenerate"),
+    ("packing_vs_delta.py", "--moduli 2,2,2,2 --count 2 --deltas 1/4",
+     "delta mean dim mean pack pack/cap max mean ball ball/floor min"),
+    ("tester_accuracy.py", "--moduli 2,2,2 --budgets 50 --trials 2",
+     "budget mean |err| max |err| coverage"),
+]
+
+
+@pytest.mark.parametrize("script,argv,header", SCRIPT_RUNS,
+                         ids=[c[0] for c in SCRIPT_RUNS])
+def test_script_prints_its_aggregate_table(capsys, script, argv, header):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                        script)
+    assert runpy.run_path(path)["main"](argv.split()) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the header, then one aggregate line for the one sweep value
+    assert [ln.split() for ln in lines[:1]] == [header.split()]
+    assert len(lines) == 2
+
+
 def test_cli_ap_search(files):
     code, out, _ = _run_cli(
         ["ap-search", "--set", files["interval"], "--k", "2", "--half-graph"]
@@ -977,6 +1043,61 @@ def test_caps_from_json_rejects_a_value_that_is_not_a_count(files, bad):
     assert (code, out) == (1, "")
     assert json.loads(err)["error"] == "ValueError"
     assert "vc_ground_cap" in json.loads(err)["detail"]
+
+
+def _assert_cli_rejects(argv, field):
+    code, out, err = _run_cli(argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "ValueError"
+    assert field in json.loads(err)["detail"]
+
+
+@pytest.mark.parametrize("bad", [True, 1.7, "12"])
+def test_config_from_json_rejects_a_seed_that_is_not_an_integer(files, bad):
+    obj = dict(_PLANTED_JSON, seeds=[1, bad])
+    with pytest.raises(ValueError, match="seeds"):
+        ExperimentConfig.from_json(obj)
+    cfg = _write_json(files["dir"] / "cfg.json", obj)
+    _assert_cli_rejects(["experiment", "--config", cfg], "seeds")
+
+
+@pytest.mark.parametrize("field,spec", [
+    ("index", {"kind": "planted", "index": "4", "cosets": 2}),
+    ("cosets", {"kind": "planted", "index": 4, "cosets": 2.0}),
+    ("length", {"kind": "interval", "length": True}),
+])
+def test_generate_family_rejects_a_count_that_is_not_an_integer(
+        files, field, spec):
+    with pytest.raises(ValueError, match=field):
+        generate_family(GroupDescriptor([2, 2, 2, 2]), spec, 0)
+    cfg = _write_json(files["dir"] / "cfg.json", dict(_PLANTED_JSON,
+                                                       family=spec))
+    _assert_cli_rejects(["experiment", "--config", cfg], field)
+
+
+@pytest.mark.parametrize("field,obj", [
+    ("u", {"u": "2", "v": 1, "edges": [[1, 1]]}),
+    ("v", {"u": 2, "v": 1.9, "edges": [[1, 1]]}),
+    ("edge", {"u": 2, "v": 1, "edges": [[True, 1]]}),
+    ("edge", {"u": 2, "v": 1, "edges": [[1, "1"]]}),
+])
+def test_pattern_from_json_rejects_a_count_that_is_not_an_integer(
+        files, field, obj):
+    with pytest.raises(ValueError, match=field):
+        pattern_from_json(obj)
+    f = _write_json(files["dir"] / "f.json", obj)
+    _assert_cli_rejects(
+        ["distance", "--set", files["interval"], "--pattern", f], field)
+
+
+@pytest.mark.parametrize("moduli", [["4", 2], [4, 2.0]])
+def test_group_from_json_rejects_a_modulus_that_is_not_an_integer(
+        files, moduli):
+    with pytest.raises(ValueError, match="moduli"):
+        group_from_json({"moduli": moduli})
+    a = _write_json(files["dir"] / "a.json",
+                    {"moduli": moduli, "bits_hex": "ff"})
+    _assert_cli_rejects(["vcdim", "--set", a], "moduli")
 
 
 def test_cli_experiment_rerun_byte_identical(files):
