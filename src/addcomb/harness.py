@@ -229,7 +229,7 @@ def _make_tester_runner(pattern_obj: dict, exact: bool):
     f = pattern_from_json(pattern_obj)
 
     def run(a: GroupSubset, value, seed: int, caps: Caps) -> tuple:
-        samples = int(value)
+        samples = _json_int(value, "samples")
         rep = sample_tester(a, f, samples, split_seed(seed, "tester"))
         dens = within = None
         if exact:

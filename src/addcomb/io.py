@@ -11,7 +11,8 @@ list, a tuple or list a list of encoded items, a dict an object of its
 encoded values under the same keys, and a dataclass an object of its
 encoded fields, keyed by field name.  Anything else is already JSON.
 The certificate and witness formats, which have readers, stay explicit.
-A count read from a file must be a JSON integer, a flag a JSON boolean.
+A count or a coordinate read from a file must be a JSON integer, a flag a
+JSON boolean.
 """
 from __future__ import annotations
 
@@ -109,6 +110,13 @@ def group_from_json(obj: dict, caps: Caps = DEFAULT_CAPS) -> GroupDescriptor:
                            order_cap=caps.order_cap)
 
 
+def _element_rank(g: GroupDescriptor, coords) -> int:
+    """The rank of the element with these JSON coordinates, each read as a
+    JSON integer; element_from_coords alone would take 1.5 as 1."""
+    return g.element_from_coords([_json_int(c, "coordinate")
+                                  for c in coords]).rank
+
+
 def subset_to_json(a: GroupSubset) -> dict:
     return {
         "moduli": list(a.group.moduli),
@@ -124,7 +132,7 @@ def subset_from_json(obj: dict, caps: Caps = DEFAULT_CAPS) -> GroupSubset:
         raise ValueError("set JSON needs exactly one of bits_hex, elements")
     if has_hex:
         return GroupSubset(g, hex_to_bits(obj["bits_hex"], g.order))
-    ranks = [g.element_from_coords(c).rank for c in obj["elements"]]
+    ranks = [_element_rank(g, c) for c in obj["elements"]]
     return GroupSubset.from_ranks(g, ranks)
 
 
@@ -163,8 +171,8 @@ def witness_from_json(g: GroupDescriptor, f: BipartitePattern,
                       obj: dict) -> BiInducedWitness:
     return _make_witness(
         f, g,
-        [g.element_from_coords(c).rank for c in obj["phi_u"]],
-        [g.element_from_coords(c).rank for c in obj["phi_v"]],
+        [_element_rank(g, c) for c in obj["phi_u"]],
+        [_element_rank(g, c) for c in obj["phi_v"]],
     )
 
 

@@ -23,21 +23,24 @@ _CHUNK samples at a time, so memory stays bounded whatever the sample count.
 They replay the draws of rng.randrange(n) and rng.choice(seq) with
 len(seq) = n in bulk: both call CPython's _randbelow(n), which takes the top
 k = n.bit_length() bits of one 32-bit Mersenne Twister word and draws again
-while the value is >= n, and getrandbits(32 * w) returns w such words, the
-first in the lowest bits.  The accepted values are read in order, and those
-left over at the end of one chunk start the next.  The last bulk call may
-draw words no sample uses; that is safe because each function creates its
-own random.Random and discards it when it returns.
+while the value is >= n.  The words come from numpy's MT19937 with the
+generator's state copied in: it is the same Mersenne Twister, so random_raw
+continues the stream word for word, as the generator's own draws would.  The
+accepted values are read in order, and those left over at the end of one
+chunk start the next.  The last bulk call may draw words no sample uses;
+they are drawn from the copy, so the random.Random itself is not advanced.
 
-The draws stay in uint32, the dtype of the words, and ranks are held in
+The draws are held in uint32, the width of a word, and ranks are held in
 uint32 while |G| <= 2**31, in uint64 beyond.  Ranks are added by one digit
 decomposition per coordinate in that unsigned dtype: a digit sum s < 2m
 wraps to min(s, s - m), which is exact because s - m underflows to a value
 above s exactly when s < m.  The check tests one (u, v) pair at a time and
 keeps only the rows that pass, so each later pair reads only the rows that
 passed every earlier one (about half as many per pair at density 1/2).
-Membership is read from A's packed bytes, |G|/8 of them.  Injectivity, a
-sort of each row, is checked only on the rows that bi-induce f.
+Membership is read from two tables of |G| booleans, A and its complement,
+unpacked once per check: a pair reads the table of its edge bit at the row
+sums and keeps the rows where it holds.  Injectivity, a sort of each row, is
+checked only on the rows that bi-induce f.
 check_witness tests its one witness as a single row of the same check.
 
 Anchor.  The accepted phi_v tuples of the V-side sweep are closed under the
@@ -216,15 +219,21 @@ def _draw_chunks(rng: random.Random, n: int, samples: int,
                  width: int) -> Iterator[np.ndarray]:
     """The values of samples * width calls of rng.randrange(n), as uint32
     arrays of shape (c, width), c = _CHUNK but for the last: row i holds the
-    draws of sample i in call order.  Draws getrandbits(32 * w) in bulk and
-    keeps the top k = n.bit_length() bits of each word below n, as
-    _randbelow does; the rng must not be used afterwards, since the last call
-    may draw more words than the samples use.  The values stay in the
-    words' own unsigned dtype, which holds every n < 2**32, and the
-    leftovers that start the next chunk are a view, not a copy."""
+    draws of sample i in call order.  Copies rng's Mersenne Twister state
+    into one numpy MT19937, whose random_raw words continue rng's stream
+    word for word, draws them in bulk and keeps the top k = n.bit_length()
+    bits of each word below n, as _randbelow does.  rng itself is not
+    advanced: it stays where it was, whatever the copy drew.  The values
+    are held in uint32, which holds every n < 2**32, and the leftovers that
+    start the next chunk are a view, not a copy."""
     k = n.bit_length()
     if k > 32:
         raise ValueError("bulk draws need n < 2**32")
+    words = rng.getstate()[1]  # 624 key words, then the position
+    mt = np.random.MT19937()
+    # a tuple key is read word by word; an array key would box each word
+    mt.state = {"bit_generator": "MT19937",
+                "state": {"key": words[:624], "pos": words[624]}}
     spare = np.empty(0, np.uint32)
     for start in range(0, samples, _CHUNK):
         c = min(_CHUNK, samples - start)
@@ -234,10 +243,8 @@ def _draw_chunks(rng: random.Random, n: int, samples: int,
         while have < need:
             # a word is accepted with probability n / 2**k > 1/2
             w = ((need - have) << k) // n + 1
-            words = np.frombuffer(
-                rng.getrandbits(32 * w).to_bytes(4 * w, "little"), np.uint32)
-            vals = words >> (32 - k)
-            vals = vals[vals < n]
+            vals = mt.random_raw(w).astype(np.uint32) >> (32 - k)
+            vals = np.compress(vals < n, vals)
             parts.append(vals)
             have += vals.size
         got = np.concatenate(parts)
@@ -281,16 +288,20 @@ class _SampleCheck:
     Tests one (u, v) pair at a time, on the rows that passed every earlier
     pair only: a row that fails one pair cannot bi-induce f, and at density
     1/2 each pair drops about half the rows left.  Ranks are summed in
-    _rank_dtype(A.group)."""
+    _rank_dtype(A.group).  tables[1][s] is whether rank s is in A and
+    tables[0][s] whether it is not, so a pair reads the table of its edge
+    bit."""
 
-    __slots__ = ("group", "dtype", "packed", "pairs")
+    __slots__ = ("group", "dtype", "tables", "pairs")
 
     def __init__(self, a: GroupSubset, f: BipartitePattern):
         n = a.group.order
         self.group = a.group
         self.dtype = _rank_dtype(a.group)
-        self.packed = np.frombuffer(a.bits.to_bytes((n + 7) // 8, "little"),
-                                    np.uint8)
+        packed = np.frombuffer(a.bits.to_bytes((n + 7) // 8, "little"),
+                               np.uint8)
+        inside = np.unpackbits(packed, count=n, bitorder="little").view(bool)
+        self.tables = (~inside, inside)
         self.pairs = [(u, v, (u, v) in f.edges)
                       for u in range(f.u_count) for v in range(f.v_count)]
 
@@ -305,8 +316,7 @@ class _SampleCheck:
                 s = _add_ranks(self.group, xs[:, u], ys[:, v])
             else:
                 s = _add_ranks(self.group, xs[rows, u], ys[rows, v])
-            inside = (self.packed[s >> 3] >> (s & 7)) & 1
-            keep = np.flatnonzero(inside == edge)
+            keep = np.flatnonzero(self.tables[edge][s])
             rows = keep if rows is None else rows[keep]
         return rows
 

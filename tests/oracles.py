@@ -19,7 +19,10 @@ was before it read the shattering search's trace table, which translates A
 again to find each U-vertex's translator; and the sampled checks as they
 were before the bulk numpy path (bi_induces, sample_tester, densify), one rng
 call per coordinate and one add_rank per pair, the reference for the
-replayed draws and the vectorized predicate; and the sampled VC checks as
+replayed draws and the vectorized predicate; the bulk draws as they were
+before they ran on numpy's MT19937 (draw_chunks), getrandbits words read
+through to_bytes, which advance the random.Random they read, the reference
+for the copied Mersenne Twister stream; and the sampled VC checks as
 they were before they ran through vc_dimension (sampled_vc,
 separated_sample_bound_check), which build each trial's traces by hand and
 search them with shattered_witness; and the symmetric-difference profile
@@ -42,10 +45,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from addcomb.caps import DEFAULT_CAPS, CapExceeded
 from addcomb.groups import add_rank, neg_rank, translate_bits
-from addcomb.patterns import (BiInducedWitness, DensifyReport, TesterReport,
-                              augment_f_plus)
+from addcomb.patterns import (_CHUNK, BiInducedWitness, DensifyReport,
+                              TesterReport, augment_f_plus)
 from addcomb.vc import (SampledVcReport, SeparatedSampleReport,
                         find_shattered_set)
 from addcomb.stats import binomial_sigma, wilson_interval
@@ -521,6 +526,32 @@ def bi_induces(a, f, u_ranks, v_ranks) -> bool:
             if ((a.bits >> add_rank(g, xr, yr)) & 1) != ((u, v) in f.edges):
                 return False
     return True
+
+
+def draw_chunks(rng: random.Random, n: int, samples: int, width: int):
+    """patterns._draw_chunks on rng's own words: getrandbits(32 * w) read as
+    w little-endian uint32 words, the top k = n.bit_length() bits of each
+    kept below n, in uint32 chunks of _CHUNK rows.  Advances rng."""
+    k = n.bit_length()
+    if k > 32:
+        raise ValueError("bulk draws need n < 2**32")
+    spare = np.empty(0, np.uint32)
+    for start in range(0, samples, _CHUNK):
+        c = min(_CHUNK, samples - start)
+        need = c * width
+        parts = [spare]
+        have = spare.size
+        while have < need:
+            w = ((need - have) << k) // n + 1
+            words = np.frombuffer(
+                rng.getrandbits(32 * w).to_bytes(4 * w, "little"), np.uint32)
+            vals = words >> (32 - k)
+            vals = vals[vals < n]
+            parts.append(vals)
+            have += vals.size
+        got = np.concatenate(parts)
+        spare = got[need:]
+        yield got[:need].reshape(c, width)
 
 
 def sample_tester(a, f, samples: int, rng_seed: int) -> TesterReport:

@@ -1100,6 +1100,44 @@ def test_group_from_json_rejects_a_modulus_that_is_not_an_integer(
     _assert_cli_rejects(["vcdim", "--set", a], "moduli")
 
 
+@pytest.mark.parametrize("bad", [1.5, "2", True])
+def test_subset_from_json_rejects_a_coordinate_that_is_not_an_integer(
+        files, bad):
+    obj = {"moduli": [13], "elements": [[1], [bad]]}
+    with pytest.raises(ValueError, match="coordinate"):
+        subset_from_json(obj)
+    a = _write_json(files["dir"] / "a.json", obj)
+    _assert_cli_rejects(["vcdim", "--set", a], "coordinate")
+
+
+@pytest.mark.parametrize("side", ["phi_u", "phi_v"])
+@pytest.mark.parametrize("bad", [1.5, "1", True])
+def test_witness_from_json_rejects_a_coordinate_that_is_not_an_integer(
+        files, side, bad):
+    g = GroupDescriptor([2, 2, 2, 2])
+    obj = {"phi_u": [[0, 0, 0, 0], [1, 0, 0, 0]],
+           "phi_v": [[0, 0, 0, 0], [0, 1, 0, 0]]}
+    obj[side][1][0] = bad
+    with pytest.raises(ValueError, match="coordinate"):
+        witness_from_json(g, half_graph(2), obj)
+    w = _write_json(files["dir"] / "w.json", obj)
+    _assert_cli_rejects(
+        ["densify", "--set", files["union"], "--pattern", files["hg2"],
+         "--subgroup", files["subgroup"], "--witness", w], "coordinate")
+
+
+def test_tester_study_reads_each_sweep_value_as_an_integer():
+    # int() would run 1.7 and true as 1 sample and "40" as 40
+    cfg = ExperimentConfig(
+        group=GroupDescriptor([13]), family={"kind": "interval"},
+        study="tester", sweep=[1.7, "40", True, 40], seeds=[3],
+        pattern={"u": 1, "v": 1, "edges": [[1, 1]]})
+    rows = run_experiment(cfg)
+    assert [(r.error, r.values) for r in rows[:3]] == [("ValueError", {})] * 3
+    assert rows[3].error is None
+    assert rows[3].values["samples"] == 40
+
+
 def test_cli_experiment_rerun_byte_identical(files):
     out1 = str(files["dir"] / "rows1.jsonl")
     out2 = str(files["dir"] / "rows2.jsonl")

@@ -518,6 +518,43 @@ def test_bulk_draws_replay_randrange(n, width):
     assert np.concatenate(chunks).ravel().tolist() == want
 
 
+@pytest.mark.parametrize("n", [2**31, 2**31 + 1, 2**32 - 1])
+def test_bulk_draws_match_the_oracle_drawer_at_the_word_edges(n):
+    # k = 32 at all three orders, so each word is a value and no bits are
+    # shifted out; a multi-word seed, and 2500 draws of up to two words each
+    # (n / 2**32 is 1/2 at n = 2**31), cross several 624-word refills
+    samples, width = 500, 5
+    rng = random.Random(2**70 + 5)
+    before = rng.getstate()
+    chunks = list(patterns._draw_chunks(rng, n, samples, width))
+    assert rng.getstate() == before
+    assert [c.shape for c in chunks] == [(samples, width)]
+    want = list(oracles.draw_chunks(random.Random(2**70 + 5), n, samples,
+                                    width))
+    assert np.array_equal(chunks[0], want[0])
+    rng = random.Random(2**70 + 5)
+    assert chunks[0].ravel().tolist() == [rng.randrange(n)
+                                          for _ in range(samples * width)]
+
+
+@pytest.mark.parametrize("n", [13, 48, 2**20])
+def test_bulk_draws_continue_a_used_generator(n):
+    # the state is copied mid-stream, at a word position other than the
+    # fresh 624, and the generator stays where it was
+    rng = random.Random(12345)
+    for _ in range(700):
+        rng.randrange(n)
+    before = rng.getstate()
+    samples = 2 * CHUNK + 3
+    got = np.concatenate(list(patterns._draw_chunks(rng, n, samples, 3)))
+    assert rng.getstate() == before
+    assert np.array_equal(got, np.concatenate(list(
+        oracles.draw_chunks(rng, n, samples, 3))))
+    rng.setstate(before)
+    assert got.ravel().tolist() == [rng.randrange(n)
+                                    for _ in range(samples * 3)]
+
+
 def _wrap_pairs(g, rng):
     """Rank pairs whose digits at one coordinate sum to m - 1, m or 2m - 2,
     the wrap points of a digit sum, with the other digits random."""
@@ -582,6 +619,18 @@ def test_sample_tester_matches_oracle_at_chunk_edges(f, samples):
     a = GroupSubset(g, random.Random(4).getrandbits(g.order))
     assert sample_tester(a, f, samples, rng_seed=9) == oracles.sample_tester(
         a, f, samples, 9)
+
+
+@pytest.mark.parametrize("mods", [(13,), (3, 5)], ids=str)
+@pytest.mark.parametrize("f", ORACLE_PATTERNS,
+                         ids=["hg1", "hg2", "hg3", "path", "edgeless"])
+def test_sample_tester_matches_oracle_at_odd_orders(f, mods):
+    # |G| is not a multiple of 8, so A's last packed byte is unpacked in part
+    g = GroupDescriptor(mods)
+    for seed in range(3):
+        a = GroupSubset(g, random.Random(seed).getrandbits(g.order))
+        assert sample_tester(a, f, CHUNK + 1, seed) == oracles.sample_tester(
+            a, f, CHUNK + 1, seed)
 
 
 @given(subsets(), st.sampled_from(ORACLE_PATTERNS),
