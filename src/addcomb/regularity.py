@@ -12,8 +12,11 @@ successful deltas.
 robust_pipeline(A, eps, d) sweeps the same deltas but first compares the
 ball's size with |G| / (12 m^d), and answers with a sampled-VC report when it
 is smaller.  Both sweeps compute A's symmetric-difference profile once, read
-each delta's ball off it, run the same delta step on the ball
-(_pipeline_step), and build a certificate only for the delta they keep.
+each delta's ball off it, run the delta step on the ball through one step
+function per call (_pipeline_steps), and build a certificate only for the
+delta they keep.  Across a schedule the ball often recurs; the step function
+doubles each distinct ball once per call and spreads and rounds each
+(ball, ell) once, and every result is the one a fresh step per delta gives.
 verify_certificate and rounding_error_bound_check compute the profile once
 and compare it with their bounds as integers.
 """
@@ -36,9 +39,10 @@ from .subsets import (
     DoublingTrace,
     GroupSubset,
     _ball,
+    _double_until,
+    _doubling_k,
     _to_fraction,
     difference_set,
-    iterated_doubling,
     max_subgroup_within,
     symdiff_profile,
 )
@@ -164,16 +168,32 @@ def default_delta_schedule(epsilon: Fraction, order: int) -> list[Fraction]:
         d = d / 2
 
 
-def _pipeline_step(a: GroupSubset, ball: AlmostPeriodSet, caps: Caps
-                   ) -> tuple[DoublingTrace, Subgroup, GroupSubset, Fraction]:
-    """One delta of the pipeline from its almost-period ball: the doubling
-    trace, the subgroup H, the rounded set S and its error |A xor S|/|G|."""
-    trace = iterated_doubling(ball.members, ball.delta)
-    spread = difference_set(trace.double_set, trace.double_set)
-    h = max_subgroup_within(spread, caps=caps)
-    s = coset_round(a, h)
-    err = Fraction((a.bits ^ s.bits).bit_count(), a.group.order)
-    return trace, h, s, err
+def _pipeline_steps(a: GroupSubset, caps: Caps):
+    """One sweep's step function: ball -> (doubling trace, subgroup H,
+    rounded set S, error |A xor S|/|G|) for the ball's delta.
+
+    It keeps each ball's doubling chain B, 2B, 4B, ... and the (H, S, error)
+    of each (ball, ell), so a ball that recurs across the schedule is
+    doubled, spread and rounded once per call.  K comes from each delta
+    (_doubling_k), and each trace stops where iterated_doubling would."""
+    chains: dict[int, list[GroupSubset]] = {}
+    rounds: dict[tuple[int, int], tuple[Subgroup, GroupSubset, Fraction]] = {}
+
+    def step(ball: AlmostPeriodSet
+             ) -> tuple[DoublingTrace, Subgroup, GroupSubset, Fraction]:
+        b = ball.members
+        trace = _double_until(chains.setdefault(b.bits, [b]),
+                              _doubling_k(ball.delta))
+        key = (b.bits, trace.ell)
+        if key not in rounds:
+            spread = difference_set(trace.double_set, trace.double_set)
+            h = max_subgroup_within(spread, caps=caps)
+            s = coset_round(a, h)
+            rounds[key] = h, s, Fraction((a.bits ^ s.bits).bit_count(),
+                                         a.group.order)
+        return (trace, *rounds[key])
+
+    return step
 
 
 def _certificate(a: GroupSubset, epsilon: Fraction, delta: Fraction,
@@ -211,11 +231,12 @@ def regularize(a: GroupSubset, epsilon, *, delta_schedule=None,
     schedule = (list(delta_schedule) if delta_schedule is not None
                 else default_delta_schedule(eps, g.order))
     prof = symdiff_profile(a)
+    step = _pipeline_steps(a, caps)
     best: RegularityCertificate | None = None
     best_key = None
     for pos, delta in enumerate(schedule):
         ball = _ball(a, prof, delta)
-        trace, h, s, err = _pipeline_step(a, ball, caps)
+        trace, h, s, err = step(ball)
         if err > eps:
             continue
         if max_index is not None and h.index > max_index:
@@ -329,6 +350,7 @@ def robust_pipeline(a: GroupSubset, epsilon, d: int, *,
     schedule = (list(delta_schedule) if delta_schedule is not None
                 else default_delta_schedule(eps, g.order))
     prof = symdiff_profile(a)
+    step = _pipeline_steps(a, caps)
     steps: list[RobustStep] = []
     deltas = [*schedule, Fraction(1, 2 * g.order)]
     for pos, delta in enumerate(deltas):
@@ -347,7 +369,7 @@ def robust_pipeline(a: GroupSubset, epsilon, d: int, *,
             report = sampled_vc(a, x_size, y_size, trials, d, rng_seed,
                                 caps=caps)
             return RobustOutcome("high_vc", d, report, None, tuple(steps))
-        trace, h, s, err = _pipeline_step(a, ball, caps)
+        trace, h, s, err = step(ball)
         # the appended stabilizer delta decides even for a negative epsilon
         if err <= eps or pos == len(deltas) - 1:
             steps.append(RobustStep(dd, m_raw, m_eff, threshold, ball.size,

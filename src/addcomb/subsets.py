@@ -3,22 +3,60 @@
 Everything here is exact: cardinality thresholds are compared as integers
 after cross-multiplying with the rational parameter, never as floats.
 
-The almost-period ball B_delta(A) = {x : |A xor (A+x)| <= delta|G|} is a
-threshold of the symmetric-difference profile |A xor (A+x)| =
-2(|A| - c(x)), where c is the autocorrelation of A's indicator.
-symdiff_profile computes c with one real FFT over the array of shape
-reversed(moduli), whose C-order flat index is the rank, in O(|G| log |G|).
-Its values are integers of at most |G| <= 2^20 and the float64 error is
-about 1e-9, so rounding is exact; each result is checked (every value
-within 1/4 of an integer, c(0) = |A| and sum c = |A|^2) and an
-AssertionError is raised otherwise.  A profile costs less than the scans
-that use it, so nothing caches it: a caller that reads several balls of
-one set (the regularity sweeps) computes the profile once and passes it
-to _ball.
+One kernel, _convolve, counts the ways to write each z as x + y (or x - y)
+with x in X and y in Y.  It unpacks the sets' bits (np.unpackbits with
+count = |G|, so any order works) into float64 arrays of shape
+reversed(moduli), whose C-order flat index is the rank, transforms them with
+one rfftn (one operand when X = Y), multiplies, and transforms back with
+irfftn: O(|G| log |G|).  The counts are integers of at most |G| <= 2^20 and
+the float64 error is about 1e-9, so rounding is exact; each result is
+checked (every value within 1/4 of an integer, and the counts summing to
+|X| |Y|) and an AssertionError is raised otherwise.  Three readings use it:
+
+- symdiff_profile: |A xor (A+x)| = 2(|A| - c(x)) with c the autocorrelation
+  of A's indicator, one forward transform with |F|^2 (and c(0) = |A|
+  checked too).  The almost-period ball B_delta(A) = {x : |A xor (A+x)| <=
+  delta|G|} is a threshold of it.  A profile costs less than the scans that
+  use it, so nothing caches it: a caller that reads several balls of one set
+  (the regularity sweeps) computes the profile once and passes it to _ball.
+- sumset: A + B is the support of 1_A * 1_B.
+- difference_set: A - B is the support of the correlation of 1_A with 1_B;
+  X - X is the support of X's autocorrelation, with no negation.
+
+A sum with a small side is cheaper as a union of translates of the larger
+set (groups.translate_bits), which also stops once the union is G.  The size
+rule (_translate_limit) weighs the two with a cost model of the shape,
+fitted once by least squares (relative error) to the best-of-40 times of
+both paths on 58 shapes of order 4 to 65536 (2-core x86-64, Python 3.11.7,
+numpy 2.4.6), in microseconds, for k axes and w = ceil(|G|/64) words:
+
+    translate = 0.95 + 0.32 k + 0.009 k w
+    transform = 32.5 + sum over the axes, of length m, of
+                30.8 + 0.25 |G|/m + 0.003 |G| log2 m
+                     + 0.017 |G| max(0, log2 m - 12)
+
+An axis costs a fixed overhead, |G|/m one-dimensional transforms, the
+butterflies, and more per element once it is longer than 4096.  The model's
+crossover (transform / translate) is 0.70 to 1.7 times the measured one, so
+a sum translates while its smaller side has fewer elements than 1.5 times
+the model's crossover (_TRANSFORM_MARGIN), and the transform is taken only
+where it measured cheaper on every fitted shape.  The limit is 75 on Z/8
+and Z/64, 100 on Z/1024 (crossover measured at 66), 171 on Z/4096 (110),
+270 on (Z/8)^4 (105), 444 on (Z/3)^7 (250), 443 on (Z/2)^10 (335), 858 on
+(Z/2)^12 (676), 1097 on Z/65536 (763) and 1316 on (Z/2)^16 (1252): length-2
+axes make a transform dear.  No group of order <= 64 transforms, since a
+side past |G|/2 makes the sum G.  Past the limit a union that is filling G
+would still stop early, so the first _PROBE translates decide: if the
+share of the uncovered ranks that the last half of them cover per
+translate would not fill G within the limit, the sum comes from the
+kernel; otherwise the translates go on.  A union of cosets of a subgroup
+stops growing after a few translates and goes to the kernel; a random
+dense set keeps translating.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -38,6 +76,14 @@ from .groups import (
     negate_bits,
     translate_bits,
 )
+
+# The size rule's cost model in microseconds, fitted once (module docstring).
+_TR_FIXED, _TR_AXIS, _TR_WORD_AXIS = 0.95, 0.32, 0.009
+_FFT_FIXED, _FFT_AXIS, _FFT_LINE = 32.5, 30.8, 0.25
+_FFT_ELEM_BIT, _FFT_ELEM_BIT_OUT = 0.003, 0.017
+_TRANSFORM_MARGIN = 1.5
+# translates a large sumset makes before judging whether its union fills G
+_PROBE = 8
 
 __all__ = [
     "GroupSubset",
@@ -137,26 +183,64 @@ def symdiff_size(a: GroupSubset, b: GroupSubset) -> int:
     return (a.bits ^ b.bits).bit_count()
 
 
+def _indicators(g: GroupDescriptor, shape: tuple[int, ...], *sets: int
+                ) -> np.ndarray:
+    """The sets' 0/1 indicators as float64, reshaped to `shape`: the flat
+    index is the set's row and then the rank."""
+    nb = (g.order + 7) // 8
+    packed = np.frombuffer(b"".join([s.to_bytes(nb, "little") for s in sets]),
+                           np.uint8).reshape(len(sets), nb)
+    ind = np.unpackbits(packed, axis=1, count=g.order, bitorder="little")
+    return ind.reshape(shape).astype(np.float64)
+
+
+def _convolve(g: GroupDescriptor, x_bits: int, y_bits: int, *,
+              reflect: bool = False) -> np.ndarray:
+    """Exact counts c(z) = #{(x, y) in X x Y : x + y = z}, or x - y = z with
+    reflect, as an int64 numpy array indexed by rank.
+
+    One rfftn over the group's axes transforms X's indicator, or X's and
+    Y's stacked; the spectra are multiplied (by the conjugate for reflect)
+    and transformed back.  Every value must lie within 1/4 of an integer and
+    the counts must sum to |X| |Y|; otherwise AssertionError."""
+    shape = tuple(reversed(g.moduli))
+    axes = tuple(range(len(shape)))
+    if x_bits == y_bits:
+        fx = fy = np.fft.rfftn(_indicators(g, shape, x_bits))
+    else:
+        fx, fy = np.fft.rfftn(_indicators(g, (2,) + shape, x_bits, y_bits),
+                              axes=tuple(a + 1 for a in axes))
+    if not reflect:
+        prod = fx * fy
+    elif fx is fy:
+        prod = fx.real**2 + fx.imag**2
+    else:
+        prod = fx * fy.conj()
+    out = np.fft.irfftn(prod, s=shape, axes=axes).ravel()
+    c = np.rint(out)
+    counts = c.astype(np.int64)
+    if not (np.abs(out - c).max() < 0.25 and int(counts.sum())
+            == x_bits.bit_count() * y_bits.bit_count()):
+        raise AssertionError("convolution counts are not exact")
+    return counts
+
+
+def _support(counts: np.ndarray) -> int:
+    """The bitset of the ranks with a nonzero count."""
+    return int.from_bytes(np.packbits(counts > 0, bitorder="little").tobytes(),
+                          "little")
+
+
 def symdiff_profile(a: GroupSubset) -> np.ndarray:
     """g(x) = |A xor (A+x)| for every rank x, as an int64 numpy array
     indexed by rank (earlier versions returned a tuple).  The workhorse of
     the almost-period ball, greedy packing and certificate verification.
 
-    g(x) = 2(|A| - c(x)) with c the autocorrelation of A's indicator, taken
-    as an exact real-FFT autocorrelation; g is symmetric in x -> -x."""
-    g = a.group
+    g(x) = 2(|A| - c(x)) with c the autocorrelation of A's indicator, one
+    forward transform in _convolve; g is symmetric in x -> -x."""
     card = a.size
-    shape = tuple(reversed(g.moduli))
-    packed = np.frombuffer(a.bits.to_bytes((g.order + 7) // 8, "little"),
-                           np.uint8)
-    ind = np.unpackbits(packed, count=g.order, bitorder="little")
-    spec = np.fft.rfftn(ind.reshape(shape).astype(np.float64))
-    corr = np.fft.irfftn(spec.real**2 + spec.imag**2, s=shape,
-                         axes=tuple(range(len(shape)))).ravel()
-    c = np.rint(corr)
-    counts = c.astype(np.int64)
-    if not (np.abs(corr - c).max() < 0.25 and counts[0] == card
-            and int(counts.sum()) == card * card):
+    counts = _convolve(a.group, a.bits, a.bits, reflect=True)
+    if counts[0] != card:
         raise AssertionError("autocorrelation of A is not exact")
     return 2 * (card - counts)
 
@@ -212,26 +296,79 @@ def almost_periods(a: GroupSubset, delta) -> AlmostPeriodSet:
     return _ball(a, symdiff_profile(a), delta)
 
 
-def sumset(a: GroupSubset, b: GroupSubset) -> GroupSubset:
-    """A + B, by translating the larger set over the smaller one's elements.
+@functools.lru_cache(maxsize=256)
+def _translate_limit(moduli: tuple[int, ...]) -> float:
+    """The size rule: a sumset translates when its smaller side has fewer
+    elements than this, the number of translates that cost as much as
+    _TRANSFORM_MARGIN transforms by the cost model in the module docstring."""
+    n = math.prod(moduli)
+    axes = len(moduli)
+    translate = _TR_FIXED + _TR_AXIS * axes + _TR_WORD_AXIS * axes * ((n + 63) // 64)
+    transform = _FFT_FIXED
+    for m in moduli:
+        bits = math.log2(m)
+        transform += (_FFT_AXIS + _FFT_LINE * (n // m) + _FFT_ELEM_BIT * n * bits
+                      + _FFT_ELEM_BIT_OUT * n * max(0.0, bits - 12))
+    return _TRANSFORM_MARGIN * transform / translate
 
-    Stops early once the accumulator reaches the whole group."""
-    g = _same_group(a, b)
-    if a.size == 0 or b.size == 0:
-        return GroupSubset.empty(g)
-    small, large = (a, b) if a.size <= b.size else (b, a)
-    acc = 0
+
+def _sum_bits(g: GroupDescriptor, x_bits: int, y_bits: int,
+              reflect: bool = False) -> int:
+    """The bitset of X + Y, or X - Y with reflect.
+
+    When |X| + |Y| > |G| every z has z - Y meeting X, so the sum is G.
+    Otherwise the larger of X and Y (or -Y) is translated by the smaller
+    one's elements, stopping once the union is G, while the smaller side
+    has fewer than _translate_limit elements (the size rule).  With more,
+    the union is judged after _PROBE translates: each of the last half has
+    covered a share of the ranks still uncovered, and if at that rate the
+    union would not fill G within the limit, or it has stopped growing, the
+    sum is the support of _convolve instead."""
     full = g.full_mask
-    for r in small.ranks():
-        acc |= translate_bits(g, large.bits, r)
+    kx, ky = x_bits.bit_count(), y_bits.bit_count()
+    if kx == 0 or ky == 0:
+        return 0
+    if kx + ky > g.order:
+        return full
+    z_bits = negate_bits(g, y_bits) if reflect else y_bits
+    if kx <= ky:
+        small, large, k = x_bits, z_bits, kx
+    else:
+        small, large, k = z_bits, x_bits, ky
+    acc = 0
+    if k > _PROBE and k >= (limit := _translate_limit(g.moduli)):
+        n = g.order
+        half = _PROBE // 2
+        for i in range(1, _PROBE + 1):
+            low = small & -small
+            small ^= low
+            acc |= translate_bits(g, large, low.bit_length() - 1)
+            if i == half:
+                mid = n - acc.bit_count()
+        left = n - acc.bit_count()
+        if left and (left == mid or _PROBE + half * math.log(left)
+                     / math.log(mid / left) > limit):
+            return _support(_convolve(g, x_bits, y_bits, reflect=reflect))
+    for r in _bit_ranks(small):
         if acc == full:
             break
-    return GroupSubset(g, acc)
+        acc |= translate_bits(g, large, r)
+    return acc
+
+
+def sumset(a: GroupSubset, b: GroupSubset) -> GroupSubset:
+    """A + B: the support of the convolution 1_A * 1_B, or, under the size
+    rule, the union of translates (_sum_bits)."""
+    g = _same_group(a, b)
+    return GroupSubset(g, _sum_bits(g, a.bits, b.bits))
 
 
 def difference_set(a: GroupSubset, b: GroupSubset) -> GroupSubset:
-    """A - B = A + (-B)."""
-    return sumset(a, b.negated())
+    """A - B: the support of the correlation of 1_A with 1_B (for A = B,
+    A's autocorrelation), or, under the size rule, the union of translates
+    of -B (_sum_bits)."""
+    g = _same_group(a, b)
+    return GroupSubset(g, _sum_bits(g, a.bits, b.bits, reflect=True))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -249,25 +386,46 @@ class DoublingTrace:
     sizes: tuple[int, ...]
 
 
+def _doubling_k(delta) -> float:
+    """K(delta) = exp(ln(1/delta)**(1/5)), and 2 when that is smaller or
+    delta is not in (0, 1).  ln(1/delta) is the log of the float 1/delta
+    (the correctly rounded quotient of its integers) when that is finite, so
+    K is the float expression's; past the floats it is the difference of the
+    exact integer logs of 1/delta's numerator and denominator."""
+    d = _to_fraction(delta)
+    num, den = d.numerator, d.denominator
+    if not 0 < num < den:
+        return 2.0
+    try:
+        ln = math.log(den / num)
+    except OverflowError:
+        ln = math.log(den) - math.log(num)
+    return max(math.exp(ln ** 0.2), 2.0)
+
+
+def _double_until(chain: list[GroupSubset], k: float) -> DoublingTrace:
+    """The doubling of chain[0] stopped at growth K = k.  chain holds
+    B, 2B, 4B, ... as far as it has been computed; the walk reads it and
+    appends the sumsets it lacks, so a caller that keeps the list doubles
+    each set once whatever K it later stops at."""
+    j = 0
+    while True:
+        if j + 1 == len(chain):
+            chain.append(sumset(chain[j], chain[j]))
+        cur, nxt = chain[j], chain[j + 1]
+        if nxt.size <= k * cur.size:
+            return DoublingTrace(chain[0], k, 1 << j, cur, nxt,
+                                 tuple(x.size for x in chain[:j + 2]))
+        j += 1
+
+
 def iterated_doubling(b: GroupSubset, delta) -> DoublingTrace:
     """Double b until |2X| <= K|X|, with the stop rule of the almost-period
-    radius delta: K(delta) = exp(ln(1/delta)**(1/5)), and K = 2 when that is
-    smaller or delta is not in (0, 1).  Terminates because sizes are bounded
-    by |G| and K >= 2."""
+    radius delta (_doubling_k).  Terminates because sizes are bounded by |G|
+    and K >= 2."""
     if b.size == 0:
         raise ValueError("cannot double the empty set")
-    d = _to_fraction(delta)
-    k = max(math.exp(math.log(1 / d) ** 0.2), 2.0) if 0 < d < 1 else 2.0
-    cur = b
-    ell = 1
-    sizes = [cur.size]
-    while True:
-        nxt = sumset(cur, cur)
-        sizes.append(nxt.size)
-        if nxt.size <= k * cur.size:
-            return DoublingTrace(b, k, ell, cur, nxt, tuple(sizes))
-        cur = nxt
-        ell *= 2
+    return _double_until([b], _doubling_k(delta))
 
 
 def _greedy_subgroup_within(g: GroupDescriptor, t_bits: int) -> tuple[int, list[int]]:

@@ -36,12 +36,20 @@ union check over every element of H, and a lattice search that closes every
 closure by doubling, the walk that jumps to the least missing rank, the
 check on generators and the search that skips repeated extensions; and
 kneser_fill_check as it was before it stopped at the first sumset that did
-not grow, 2t - 1 library sumsets whatever t is.
+not grow, 2t - 1 sumsets whatever t is; and the sumset as it was before the
+convolution kernel (translate_sumset), the larger set's translates by the
+smaller one's elements, the reference for both of the library's paths and
+the sumset the Kneser oracle forms; and the regularity sweeps as they were
+before their steps were kept per call (iterated_doubling, pipeline_step,
+regularize, robust_pipeline): K from the float expression, a fresh doubling
+by translate sumsets and a fresh spread, subgroup and rounding for every
+delta, the references for the step function that doubles each ball once.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -54,7 +62,14 @@ from addcomb.patterns import (_CHUNK, BiInducedWitness, DensifyReport,
 from addcomb.vc import (SampledVcReport, SeparatedSampleReport,
                         find_shattered_set)
 from addcomb.stats import binomial_sigma, wilson_interval
-from addcomb.subsets import GroupSubset, KneserReport, sumset as bits_sumset
+from addcomb.regularity import (RobustOutcome, RobustStep, _certificate,
+                                _degenerate_certificate, _robust_m,
+                                coset_round as bits_coset_round,
+                                default_delta_schedule)
+from addcomb.subsets import (DoublingTrace, GroupSubset, KneserReport, _ball,
+                             _to_fraction, max_subgroup_within,
+                             symdiff_profile as fft_profile)
+from addcomb.vc import sampled_vc as bits_sampled_vc
 
 
 def elements(mods) -> list[tuple[int, ...]]:
@@ -706,9 +721,110 @@ def kneser_fill_check(a, t: int) -> KneserReport:
     contains_zero = bool(a.bits & 1)
     cur = a
     for _ in range(2 * t - 1):
-        cur = bits_sumset(cur, a)
+        cur = translate_sumset(cur, a)
         if cur.bits == g.full_mask:
             break
     return KneserReport(t, generates, size_ok, contains_zero,
                         generates and size_ok and contains_zero,
                         cur.size, cur.bits == g.full_mask)
+
+
+def translate_sumset(a, b):
+    """A + B as the library formed it before the convolution kernel: the
+    larger set translated by each element of the smaller one, stopping once
+    the union is G."""
+    g = a.group
+    if a.size == 0 or b.size == 0:
+        return GroupSubset.empty(g)
+    small, large = (a, b) if a.size <= b.size else (b, a)
+    acc = 0
+    for r in small.ranks():
+        acc |= translate_bits(g, large.bits, r)
+        if acc == g.full_mask:
+            break
+    return GroupSubset(g, acc)
+
+
+def iterated_doubling(b, delta) -> DoublingTrace:
+    """Doubling by translate sumsets, with K from the float expression the
+    library used before it read K past the floats."""
+    d = _to_fraction(delta)
+    k = max(math.exp(math.log(1 / d) ** 0.2), 2.0) if 0 < d < 1 else 2.0
+    cur, ell, sizes = b, 1, [b.size]
+    while True:
+        nxt = translate_sumset(cur, cur)
+        sizes.append(nxt.size)
+        if nxt.size <= k * cur.size:
+            return DoublingTrace(b, k, ell, cur, nxt, tuple(sizes))
+        cur, ell = nxt, 2 * ell
+
+
+def pipeline_step(a, ball, caps=DEFAULT_CAPS):
+    """One delta of the pipeline from scratch: its own doubling, the spread
+    2lB - 2lB by translates of the negated set, H and the rounding."""
+    trace = iterated_doubling(ball.members, ball.delta)
+    x = trace.double_set
+    h = max_subgroup_within(translate_sumset(x, x.negated()), caps=caps)
+    s = bits_coset_round(a, h)
+    err = Fraction((a.bits ^ s.bits).bit_count(), a.group.order)
+    return trace, h, s, err
+
+
+def regularize(a, epsilon, *, delta_schedule=None, max_index=None,
+               caps=DEFAULT_CAPS):
+    """The regularity sweep with a fresh pipeline_step for every delta."""
+    eps = _to_fraction(epsilon)
+    if not 0 <= eps <= 1:
+        raise ValueError("epsilon must be in [0, 1]")
+    g = a.group
+    schedule = (list(delta_schedule) if delta_schedule is not None
+                else default_delta_schedule(eps, g.order))
+    prof = fft_profile(a)
+    best, best_key = None, None
+    for pos, delta in enumerate(schedule):
+        ball = _ball(a, prof, delta)
+        trace, h, s, err = pipeline_step(a, ball, caps)
+        if err > eps or (max_index is not None and h.index > max_index):
+            continue
+        key = (h.index, h.bits, pos)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = _certificate(a, eps, ball.delta, trace, h, s, err)
+    return best if best is not None else _degenerate_certificate(a, eps)
+
+
+def robust_pipeline(a, epsilon, d, *, c_constant=8.0, trials=50,
+                    delta_schedule=None, caps=DEFAULT_CAPS, rng_seed=0):
+    """The dichotomy sweep with a fresh pipeline_step for every delta."""
+    eps = _to_fraction(epsilon)
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    g = a.group
+    schedule = (list(delta_schedule) if delta_schedule is not None
+                else default_delta_schedule(eps, g.order))
+    prof = fft_profile(a)
+    steps = []
+    deltas = [*schedule, Fraction(1, 2 * g.order)]
+    for pos, delta in enumerate(deltas):
+        dd = _to_fraction(delta)
+        if dd == 0:
+            continue
+        m_raw, m_eff = _robust_m(dd, d, g.order, c_constant)
+        denom = 12 * m_eff**d
+        threshold = Fraction(g.order, denom)
+        ball = _ball(a, prof, dd)
+        if ball.size * denom < g.order:
+            steps.append(RobustStep(dd, m_raw, m_eff, threshold, ball.size,
+                                    "small_ball"))
+            report = bits_sampled_vc(a, min(12 * m_eff**d, g.order),
+                                     min(max(m_eff, d + 1), g.order), trials,
+                                     d, rng_seed, caps=caps)
+            return RobustOutcome("high_vc", d, report, None, tuple(steps))
+        trace, h, s, err = pipeline_step(a, ball, caps)
+        if err <= eps or pos == len(deltas) - 1:
+            steps.append(RobustStep(dd, m_raw, m_eff, threshold, ball.size,
+                                    "certificate"))
+            cert = _certificate(a, eps, dd, trace, h, s, err)
+            return RobustOutcome("certificate", d, None, cert, tuple(steps))
+        steps.append(RobustStep(dd, m_raw, m_eff, threshold, ball.size,
+                                "continue"))

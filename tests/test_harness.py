@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io as sysio
 import json
+import math
 import os
 import random
 import runpy
@@ -20,6 +21,7 @@ from addcomb import (
     generated_subgroup,
     half_graph,
     regularize,
+    verify_certificate,
 )
 from addcomb.caps import Caps
 from addcomb.cli import build_parser, main
@@ -556,6 +558,18 @@ def test_cli_regularize_certificate(files):
     assert not obj["degenerate"]
     cert = certificate_from_json(obj)
     assert cert.index == 4
+
+
+def test_cli_regularize_reads_a_delta_past_the_floats(files):
+    # 1/10^400 has no float reciprocal; K comes from exact integer logs
+    tiny = "1/1" + "0" * 400
+    code, out, err = _run_cli(["regularize", "--set", files["union"],
+                               "--eps", "1/4", "--schedule", tiny])
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["delta_used"] == tiny and not obj["degenerate"]
+    assert obj["trace"]["k_value"] == math.exp(math.log(10**400) ** 0.2)
+    assert verify_certificate(certificate_from_json(obj)).ok
 
 
 def test_cli_regularize_degenerate_exit(files):

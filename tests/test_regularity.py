@@ -23,9 +23,12 @@ from addcomb import (
     verify_certificate,
 )
 from addcomb.groups import _make_subgroup, translate_bits
-from addcomb.io import certificate_from_json, certificate_to_json
-from addcomb.regularity import RegularityCertificate
-from addcomb.subsets import DoublingTrace, _ball
+from addcomb.caps import DEFAULT_CAPS
+from addcomb.io import (canonical_dumps, certificate_from_json,
+                        certificate_to_json, value_to_json)
+from addcomb.regularity import RegularityCertificate, _pipeline_steps
+from addcomb.subsets import (AlmostPeriodSet, DoublingTrace, _ball,
+                             difference_set, iterated_doubling, sumset)
 from conftest import subsets
 
 
@@ -200,6 +203,14 @@ def test_regularize_degenerate_only_with_starved_schedule():
     assert not cert.degenerate and cert.index == 64
 
 
+def test_regularize_reads_a_delta_past_the_floats():
+    a, h, _ = _planted66(1001, noise=0.0)
+    tiny = Fraction(1, 10**400)
+    cert = regularize(a, "1/4", delta_schedule=[tiny])
+    assert cert.delta_used == tiny and cert.subgroup.bits == h.bits
+    assert verify_certificate(cert).ok
+
+
 def test_regularize_max_index_filter():
     a, _, _ = _planted66(1001, noise=0.0)
     cert = regularize(a, Fraction(1, 5), max_index=4)
@@ -213,6 +224,90 @@ def test_regularize_certificates_always_verify(a, eps):
     if not cert.degenerate:
         assert cert.achieved_error <= eps
         assert cert.index == cert.subgroup.index
+
+
+# deltas the sweeps see: repeats, 0, values past 1, out of order
+SCHEDULE_DELTAS = [Fraction(0), Fraction(1, 64), Fraction(1, 16), Fraction(1, 8),
+                   Fraction(3, 16), Fraction(1, 4), Fraction(1, 2), Fraction(1),
+                   Fraction(3, 2)]
+schedules = st.one_of(
+    st.none(), st.lists(st.sampled_from(SCHEDULE_DELTAS), min_size=1,
+                        max_size=6))
+
+
+def _cert_bytes(cert):
+    return canonical_dumps(certificate_to_json(cert))
+
+
+def _outcome_bytes(out):
+    cert = out.certificate
+    return canonical_dumps(value_to_json({
+        "kind": out.kind, "d": out.d, "steps": out.steps, "report": out.report,
+        "certificate": None if cert is None else certificate_to_json(cert)}))
+
+
+@given(subsets(), st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(1, 4)]),
+       schedules, st.one_of(st.none(), st.sampled_from([1, 2, 4, 8])))
+def test_regularize_matches_the_per_delta_sweep(a, eps, schedule, max_index):
+    got = regularize(a, eps, delta_schedule=schedule, max_index=max_index)
+    want = oracles.regularize(a, eps, delta_schedule=schedule,
+                              max_index=max_index)
+    assert _cert_bytes(got) == _cert_bytes(want)
+
+
+@given(subsets(), st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(1, 4)]),
+       st.sampled_from([1, 2]), schedules)
+def test_robust_pipeline_matches_the_per_delta_sweep(a, eps, d, schedule):
+    got = robust_pipeline(a, eps, d, trials=5, delta_schedule=schedule,
+                          rng_seed=4)
+    want = oracles.robust_pipeline(a, eps, d, trials=5,
+                                   delta_schedule=schedule, rng_seed=4)
+    assert _outcome_bytes(got) == _outcome_bytes(want)
+
+
+@given(subsets(), st.lists(st.sampled_from(SCHEDULE_DELTAS[1:]), min_size=1,
+                           max_size=6))
+def test_sweep_traces_equal_iterated_doubling(a, schedule):
+    step = _pipeline_steps(a, DEFAULT_CAPS)
+    prof = symdiff_profile(a)
+    for delta in schedule:
+        ball = _ball(a, prof, delta)
+        trace, h, s, err = step(ball)
+        assert trace == iterated_doubling(ball.members, delta)
+        assert trace == oracles.iterated_doubling(ball.members, delta)
+        assert (trace, h, s, err) == oracles.pipeline_step(a, ball)
+
+
+def test_sweep_keeps_a_round_per_ball_and_ell():
+    """One ball under deltas whose K stop its doubling at different ell:
+    2B has 13 elements for |B| = 5, past K(1/2) * 5 and within K(1/4) * 5."""
+    g = GroupDescriptor([64])
+    b = GroupSubset.from_ranks(g, [0, 5, 59, 7, 57])
+    a = GroupSubset(g, random.Random(3).getrandbits(64))
+    step = _pipeline_steps(a, DEFAULT_CAPS)
+    ells = []
+    for delta in (Fraction(1, 2), Fraction(1, 4), Fraction(1), Fraction(1, 4)):
+        ball = AlmostPeriodSet(a, delta, b)
+        got = step(ball)
+        assert got == oracles.pipeline_step(a, ball)
+        ells.append(got[0].ell)
+    assert ells[0] > ells[1] == ells[3] == 1
+
+
+def test_sweep_doubles_and_rounds_each_ball_once(count_calls):
+    """A schedule that meets one ball four times doubles it once, and its
+    spread, subgroup and rounding are formed once per (ball, ell)."""
+    a, _, _ = _planted66(1001, noise=0.0)
+    prof = symdiff_profile(a)
+    schedule = [Fraction(1, 8), Fraction(1, 16), Fraction(1, 8), Fraction(1, 32)]
+    assert len({_ball(a, prof, d).members.bits for d in schedule}) == 1
+    doublings = count_calls(sumset)
+    spreads = count_calls(difference_set)
+    rounds = count_calls(coset_round)
+    cert = regularize(a, Fraction(1, 5), delta_schedule=schedule)
+    assert cert == oracles.regularize(a, Fraction(1, 5), delta_schedule=schedule)
+    assert doublings[0] == len(cert.trace.sizes) - 1
+    assert spreads[0] == rounds[0] == 1
 
 
 def test_default_delta_schedule_shape():

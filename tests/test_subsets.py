@@ -27,7 +27,8 @@ from addcomb import (
     symdiff_size,
     translate,
 )
-from addcomb.groups import add_rank, translate_bits
+from addcomb import subsets as lib
+from addcomb.groups import _bit_ranks, add_rank, translate_bits
 from addcomb.subsets import _ball
 from conftest import BENCH_SHAPES, KERNEL_SHAPES, groups, nonempty_subsets, subsets
 
@@ -252,6 +253,126 @@ def test_sumset_matches_oracle(g, data):
         assert got.size >= max(a.size, b.size)
 
 
+# Z/13 and Z/3 x Z/5 have orders that are not multiples of 8, so the kernel
+# unpacks a partial last byte (unpackbits with count)
+PATH_SHAPES = [(1024,), (2,) * 10, (4, 12), (3,) * 5, (13,), (3, 5)]
+
+
+@pytest.mark.parametrize("mods", PATH_SHAPES,
+                         ids=lambda mods: "x".join(map(str, mods)))
+def test_sumset_paths_match_the_oracle(mods, monkeypatch):
+    """The kernel's support, the union of translates and the size rule's
+    choice all give the oracle's A + B and A - B, on both sides of the rule's
+    limit: empty, singleton, X = Y, X != Y and full sets."""
+    g = GroupDescriptor(mods)
+    n = g.order
+    rng = random.Random(n)
+    limit = math.ceil(lib._translate_limit(g.moduli))
+    sizes = sorted({1, 2, min(limit - 1, n // 2), min(limit, n // 2), n // 3})
+
+    def pick(k):
+        return GroupSubset.from_ranks(g, rng.sample(range(n), k))
+
+    full = GroupSubset.full(g)
+    pairs = [(GroupSubset.empty(g), pick(3)), (pick(3), GroupSubset.empty(g)),
+             (full, full), (full, pick(1)), (pick(1), pick(1))]
+    for k in sizes:
+        x = pick(k)
+        pairs += [(x, x), (x, pick(k)), (x, pick(max(1, k // 3))), (pick(1), x)]
+    for x, y in pairs:
+        want_sum = oracles.translate_sumset(x, y)
+        want_diff = oracles.translate_sumset(x, y.negated())
+        if 0 < x.size * y.size <= 4096:
+            assert _as_set(want_sum) == oracles.sumset(g.moduli, _as_set(x),
+                                                       _as_set(y))
+        for reflect, want in ((False, want_sum), (True, want_diff)):
+            kernel = lib._support(lib._convolve(g, x.bits, y.bits,
+                                                reflect=reflect))
+            assert kernel == want.bits
+        assert sumset(x, y) == want_sum
+        assert difference_set(x, y) == want_diff
+        with monkeypatch.context() as m:
+            m.setattr(lib, "_translate_limit", lambda moduli: math.inf)
+            assert sumset(x, y) == want_sum
+            assert difference_set(x, y) == want_diff
+
+
+def test_sumset_kernel_counts_are_exact():
+    """Every count, not only the support: the number of pairs with x + y = z,
+    and with x - y = z under reflect."""
+    g = GroupDescriptor([4, 12])
+    rng = random.Random(5)
+    x, y = rng.getrandbits(48), rng.getrandbits(48)
+    counts = lib._convolve(g, x, y)
+    assert counts.dtype == np.int64
+    xs = _bit_ranks(x)
+    for z in range(g.order):
+        assert counts[z] == sum(1 for a in xs for b in _bit_ranks(y)
+                                if add_rank(g, a, b) == z)
+    corr = lib._convolve(g, x, y, reflect=True)
+    for z in range(g.order):
+        assert corr[z] == sum(1 for a in xs for b in _bit_ranks(y)
+                              if add_rank(g, z, b) == a)
+
+
+# 0.3 breaks the rounding check; 1.0 rounds cleanly but breaks the total
+@pytest.mark.parametrize("offset", [0.3, 1.0])
+def test_sumset_kernel_rejects_an_inexact_transform(monkeypatch, offset):
+    irfftn = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn",
+                        lambda *args, **kw: irfftn(*args, **kw) + offset)
+    g = GroupDescriptor([3, 4])
+    with pytest.raises(AssertionError):
+        lib._convolve(g, 0b100011, 0b1010)
+
+
+def test_sumset_takes_the_kernel_for_a_coset_union(count_calls):
+    """Past the size rule's limit the first translates decide: a union that
+    stops growing (a subgroup plus noise) goes to the kernel, one that is
+    filling G keeps translating."""
+    g = GroupDescriptor([1024])
+    rng = random.Random(8)
+    assert lib._translate_limit(g.moduli) < 128
+    planted = 0
+    for r in range(0, 1024, 8):
+        planted |= 1 << r
+    for r in rng.sample(range(1024), 10):
+        planted |= 1 << r
+    x = GroupSubset(g, planted)
+    dense = GroupSubset.from_ranks(g, rng.sample(range(1024), 300))
+    kernel = count_calls(lib._convolve)
+    for a, calls in ((x, 1), (dense, 0)):
+        kernel[0] = 0
+        assert sumset(a, a) == oracles.translate_sumset(a, a)
+        assert difference_set(a, a) == oracles.translate_sumset(a, a.negated())
+        assert kernel[0] == 2 * calls
+
+
+def test_sumset_keeps_the_probe_translates(count_calls):
+    """A union judged to be filling G goes on from the probe's translates:
+    here only the probe's two even elements of the smaller side reach the
+    even coset, and the sum is not G."""
+    g = GroupDescriptor([1024])
+    rng = random.Random(9)
+    large = GroupSubset.from_ranks(g, rng.sample(range(0, 1024, 2), 256))
+    small = GroupSubset.from_ranks(g, [0, 2] + rng.sample(range(9, 1024, 2), 120))
+    assert large.size > small.size >= lib._translate_limit(g.moduli)
+    kernel = count_calls(lib._convolve)
+    got = sumset(small, large)
+    assert kernel[0] == 0 and got.bits != g.full_mask
+    assert got == oracles.translate_sumset(small, large)
+
+
+def test_translate_limit_grows_with_the_transform_cost():
+    limit = lib._translate_limit
+    # small groups always translate: a sum with a side past |G|/2 is G
+    assert all(limit(mods) > 64 for mods in
+               [(8,), (2, 2, 2), (64,), (2,) * 6, (4, 4, 4), (13,), (3, 5)])
+    # length-2 axes make a transform dear, long cyclic ones cheap
+    assert limit((1024,)) < limit((4,) * 5) < limit((2,) * 10)
+    assert limit((2,) * 12) > limit((4096,))
+
+
 def test_iterated_doubling_examples():
     z6 = GroupDescriptor([6])
     h = GroupSubset.from_ranks(z6, [0, 3])
@@ -294,6 +415,22 @@ def test_iterated_doubling_stop_rule(a):
     assert tr.double_set.size <= tr.k_value * tr.ell_set.size
     assert sumset(tr.ell_set, tr.ell_set).bits == tr.double_set.bits
     assert tr.ell & (tr.ell - 1) == 0
+
+
+def test_doubling_k_keeps_the_float_bytes_and_reads_tiny_deltas():
+    # the K of every delta whose reciprocal is a finite float is the float
+    # expression's, to the last bit
+    for delta in (Fraction(1, 8), Fraction(3, 16), Fraction(1, 10**300)):
+        want = max(math.exp(math.log(float(1 / delta)) ** 0.2), 2.0)
+        assert lib._doubling_k(delta) == want
+    assert lib._doubling_k(Fraction(1, 8)) == 3.1825481031137355
+    assert lib._doubling_k(Fraction(3, 16)) == 3.0299198576304684
+    # past the floats ln(1/delta) comes from the exact integer logs
+    tiny = Fraction(1, 10**400)
+    assert lib._doubling_k(tiny) == math.exp(math.log(10**400) ** 0.2)
+    assert lib._doubling_k(Fraction(3, 7 * 10**400)) > 50
+    b = GroupSubset.from_ranks(GroupDescriptor([16]), [0, 1])
+    assert iterated_doubling(b, tiny).k_value == lib._doubling_k(tiny)
 
 
 def test_doubling_k_from_delta():
