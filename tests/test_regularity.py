@@ -305,9 +305,9 @@ def test_sweep_doubles_and_rounds_each_ball_once(count_calls):
     spreads = count_calls(difference_set)
     rounds = count_calls(coset_round)
     cert = regularize(a, Fraction(1, 5), delta_schedule=schedule)
-    assert cert == oracles.regularize(a, Fraction(1, 5), delta_schedule=schedule)
     assert doublings[0] == len(cert.trace.sizes) - 1
     assert spreads[0] == rounds[0] == 1
+    assert cert == oracles.regularize(a, Fraction(1, 5), delta_schedule=schedule)
 
 
 def test_default_delta_schedule_shape():
