@@ -34,7 +34,7 @@ class Caps:
     order_cap: largest group order a descriptor may have (bitset rank width).
     subgroup_enum_cap: largest group order for full subgroup-lattice enumeration.
     subgroup_exhaustive_cap: largest order at which max_subgroup_within uses the
-        exhaustive lattice as the authoritative answer (greedy closure beyond).
+        exhaustive lattice as the authoritative answer (least-rank walk beyond).
     vc_ground_cap: largest ground-set size accepted by the shattering search,
         including the sampled ground sets of sampled_vc and
         separated_sample_bound_check (and so of robust_pipeline).

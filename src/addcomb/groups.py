@@ -8,7 +8,11 @@ O(len(moduli) * |G|/wordsize).  Negation is one bit reversal plus one
 translate, also O(len(moduli) * |G|/wordsize), and nothing at all when every
 modulus is 2.  Both replace O(|G|) Python-level bit moves.  Subgroups are
 closed and checked through generating sets, with O(log |H|) translates
-rather than O(|H|).
+rather than O(|H|).  Two least-rank walks serve the subgroup and coset
+jobs: _closure_walk grows a subgroup by the least rank it has not tried (the
+subgroup a set generates, or a maximal subgroup inside a set), and
+_cover_walk translates a set by the least rank it has not covered (the
+cosets of a subgroup, or the centers of a greedy ball packing).
 """
 from __future__ import annotations
 
@@ -314,17 +318,27 @@ def generated_subgroup(
     return _make_subgroup(g, bits, ranks)
 
 
-def _closure_walk(g: GroupDescriptor, bits: int) -> tuple[int, list[int]]:
-    """Bitset of the subgroup generated by the elements of bits, and the
-    generators kept on the way: the least rank of bits that the closure so
-    far misses joins it, until the closure holds all of bits."""
+def _closure_walk(g: GroupDescriptor, bits: int,
+                  within: int = -1) -> tuple[int, list[int]]:
+    """The closure's bitset and the generators kept, when the least rank of
+    bits not yet tried joins the closure if the closure with it stays inside
+    within, until every rank of bits is in the closure or tried.  A rank
+    kept out stays out, since a larger closure with it leaves within too.
+    With within = -1 (every rank) the closure is the subgroup bits
+    generate; with within = bits it is a maximal subgroup inside bits."""
     acc, gens = 1, []
     rest = bits & ~1
+    outside = ~within
     while rest:
-        r = (rest & -rest).bit_length() - 1
-        gens.append(r)
-        acc = _closure_with(g, acc, r)
-        rest &= ~acc
+        low = rest & -rest
+        r = low.bit_length() - 1
+        grown = _closure_with(g, acc, r)
+        if grown & outside:
+            rest ^= low
+        else:
+            gens.append(r)
+            acc = grown
+            rest &= ~acc
     return acc, gens
 
 
@@ -388,31 +402,35 @@ def enumerate_subgroups(
         idx = g.order // size
         if max_index is not None and idx > max_index:
             continue
-        out.append(Subgroup(g, bits, tuple(g.element(r) for r in gens), idx))
+        out.append(_make_subgroup(g, bits, gens))
     return out
 
 
-def _coset_walk(g: GroupDescriptor, h: Subgroup) -> Iterator[tuple[int, int]]:
-    """(minimum rank, bitset) of each coset of h, by minimum rank: the lowest
-    rank no coset so far covers starts the next one."""
-    if h.group != g:
-        raise ValueError("subgroup does not belong to this group")
-    free = g.full_mask
-    while free:
-        r = (free & -free).bit_length() - 1
-        c = translate_bits(g, h.bits, r)
+def _cover_walk(g: GroupDescriptor, bits: int) -> Iterator[tuple[int, int]]:
+    """(r, bits + r) for r the least rank no translate so far covers, until
+    the translates cover G.  bits must hold 0, so each translate covers its
+    own r.  A subgroup's bits give its cosets by minimum rank; an
+    almost-period ball's give greedy_packing's centers."""
+    covered = 0
+    while covered != g.full_mask:
+        r = (~covered & (covered + 1)).bit_length() - 1
+        c = translate_bits(g, bits, r)
         yield r, c
-        free ^= c
+        covered |= c
 
 
 def cosets(g: GroupDescriptor, h: Subgroup) -> list[int]:
     """Coset bitsets of h in g, ordered by minimum representative rank."""
-    return [c for _, c in _coset_walk(g, h)]
+    if h.group != g:
+        raise ValueError("subgroup does not belong to this group")
+    return [c for _, c in _cover_walk(g, h.bits)]
 
 
 def coset_representatives(g: GroupDescriptor, h: Subgroup) -> list[int]:
     """Minimum-rank representative of each coset, in coset order."""
-    return [r for r, _ in _coset_walk(g, h)]
+    if h.group != g:
+        raise ValueError("subgroup does not belong to this group")
+    return [r for r, _ in _cover_walk(g, h.bits)]
 
 
 def find_complement(

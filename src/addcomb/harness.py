@@ -22,12 +22,7 @@ import time
 from fractions import Fraction
 
 from .caps import Caps, DEFAULT_CAPS, _json_bool, _json_int
-from .groups import (
-    GroupDescriptor,
-    coset_representatives,
-    enumerate_subgroups,
-    translate_bits,
-)
+from .groups import GroupDescriptor, cosets, enumerate_subgroups
 from .io import (
     canonical_dumps,
     group_from_json,
@@ -160,16 +155,17 @@ def generate_family(g: GroupDescriptor, spec: dict, seed: int,
         index = _json_int(spec["index"], "index")
         count = _json_int(spec["cosets"], "cosets")
         noise = float(_to_fraction(spec.get("noise", 0)))
+        if not 0 <= noise <= 1:
+            raise ValueError("noise must be in [0, 1]")
         hs = [h for h in enumerate_subgroups(g, caps=caps) if h.index == index]
         if not hs:
             raise ValueError(f"no subgroup of index {index} in {g!r}")
         h = hs[0]
         if not 0 <= count <= index:
             raise ValueError(f"coset count {count} out of range 0..{index}")
-        reps = coset_representatives(g, h)
         bits = 0
-        for r in sorted(rng.sample(reps, count)):
-            bits |= translate_bits(g, h.bits, r)
+        for c in rng.sample(cosets(g, h), count):
+            bits |= c
         if noise > 0:
             for r in range(g.order):
                 if rng.random() < noise:

@@ -2,8 +2,9 @@
 
 regularize(A, eps) sweeps a shrinking threshold delta.  For each delta it
 collects the almost-periods B of A, doubles B until sumset growth stalls,
-extracts the largest subgroup H inside 2lB - 2lB, and rounds A to the union
-S of H-cosets where A holds a majority.  |A xor (A+x)| <= 4*l*delta*|G| for
+extracts a maximal subgroup H inside 2lB - 2lB (max_subgroup_within: the
+largest one up to the exhaustive cap), and rounds A to the union S of
+H-cosets where A holds a majority.  |A xor (A+x)| <= 4*l*delta*|G| for
 every x in 2lB - 2lB by the triangle inequality over the 4l summands, and
 |A xor S| <= mean over H of |A xor (A+x)|, so small delta yields a certified
 approximation.  The sweep keeps the certificate of smallest index among the
@@ -316,9 +317,24 @@ def _robust_m(delta: Fraction, d: int, order: int, c: float) -> tuple[int, int]:
 
     The small-ball branch is only meaningful when |G| >= 24 m^d (the sampled
     sets must fit twice over in G), so m is capped at the largest m >= 1 with
-    24 m^d <= |G|; both the raw and the effective value are reported."""
-    ratio = float(1 / delta)
-    m_raw = max(1, math.ceil(c * ratio * math.log(ratio))) if ratio > 1 else 1
+    24 m^d <= |G|; both the raw and the effective value are reported.
+
+    ln(1/delta) is read as in _doubling_k: the log of the float 1/delta
+    while that is finite, else the difference of the integer logs.  While
+    the float product is finite, m_raw is its ceiling; past the floats (C
+    finite), the ceiling of the exact product of C, 1/delta and that ln."""
+    num, den = delta.numerator, delta.denominator
+    m_raw = 1
+    if 0 < num < den:
+        try:
+            ratio = den / num
+            ln = math.log(ratio)
+        except OverflowError:
+            ratio, ln = math.inf, math.log(den) - math.log(num)
+        prod = c * ratio * ln
+        if not math.isfinite(prod) and math.isfinite(c):
+            prod = Fraction(c) * Fraction(den, num) * Fraction(ln)
+        m_raw = max(1, math.ceil(prod))
     # the float d-th root falls one short when |G|/24 is an exact d-th power,
     # so settle the cap in integers
     cap = max(1, math.floor((order / 24) ** (1 / d)))

@@ -70,7 +70,6 @@ from .groups import (
     Subgroup,
     _bit_ranks,
     _closure_walk,
-    _closure_with,
     _full_lattice,
     _make_subgroup,
     negate_bits,
@@ -428,50 +427,26 @@ def iterated_doubling(b: GroupSubset, delta) -> DoublingTrace:
     return _double_until([b], _doubling_k(delta))
 
 
-def _greedy_subgroup_within(g: GroupDescriptor, t_bits: int) -> tuple[int, list[int]]:
-    """Grow a subgroup inside the set t_bits by scanning candidate generators
-    in rank order and keeping those whose closure stays inside.  A rejected
-    candidate stays rejected after growth, so one pass yields a maximal
-    subgroup contained in the set."""
-    sub = 1
-    gens: list[int] = []
-    for x in _bit_ranks(t_bits):
-        if x == 0 or (sub >> x) & 1:
-            continue
-        grown = _closure_with(g, sub, x)
-        if grown & ~t_bits == 0:
-            sub = grown
-            gens.append(x)
-    return sub, gens
-
-
 def max_subgroup_within(
     t: GroupSubset, caps: Caps = DEFAULT_CAPS
 ) -> Subgroup:
-    """Largest subgroup contained in t (which must contain 0).
+    """A maximal subgroup contained in t (which must contain 0), and the
+    largest one while |G| <= caps.subgroup_exhaustive_cap.
 
-    For |G| <= caps.subgroup_exhaustive_cap the full subgroup lattice is
-    enumerated and the maximum-cardinality subgroup inside t is returned
-    (ties broken by smallest bitset value); the greedy closure answer is
-    computed alongside and may not exceed it.  Beyond the cap only the greedy
-    closure runs, which returns a maximal (not necessarily maximum) subgroup."""
+    Up to the cap it is the first subgroup of the full lattice inside t: the
+    lattice is sorted by (size desc, bitset asc), so ties go to the least
+    bitset.  Beyond the cap it is the least-rank walk of groups._closure_walk
+    over t's ranks, kept inside t: maximal, not necessarily maximum, and t
+    itself whenever t is a subgroup."""
     g = t.group
     if not t.bits & 1:
         raise ValueError("set must contain 0 to contain a subgroup")
-    greedy_bits, greedy_gens = _greedy_subgroup_within(g, t.bits)
     if g.order <= caps.subgroup_exhaustive_cap:
-        best_bits, best_gens = 1, ()
-        best_size = 1
-        for bits, gens in _full_lattice(g):
-            if bits & ~t.bits:
-                continue
-            size = bits.bit_count()
-            if size > best_size or (size == best_size and bits < best_bits):
-                best_bits, best_gens, best_size = bits, gens, size
-        if greedy_bits.bit_count() > best_size:
-            raise AssertionError("greedy subgroup exceeded the exhaustive maximum")
-        return _make_subgroup(g, best_bits, best_gens)
-    return _make_subgroup(g, greedy_bits, greedy_gens)
+        bits, gens = next((b, gs) for b, gs in _full_lattice(g)
+                          if not b & ~t.bits)
+    else:
+        bits, gens = _closure_walk(g, t.bits, t.bits)
+    return _make_subgroup(g, bits, gens)
 
 
 @dataclasses.dataclass(frozen=True)

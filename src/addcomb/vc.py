@@ -57,8 +57,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
-from .groups import (GroupDescriptor, GroupElement, _bit_ranks, negate_bits,
-                     translate_bits)
+from .groups import (GroupDescriptor, GroupElement, _bit_ranks, _cover_walk,
+                     negate_bits, translate_bits)
 from .stats import binomial_sigma, wilson_interval
 from .subsets import GroupSubset, _to_fraction, almost_periods
 
@@ -276,21 +276,15 @@ def greedy_packing(a: GroupSubset, delta) -> PackingResult:
 
     That holds exactly when x - w lies outside the almost-period ball
     B_delta(A), i.e. when x is outside the ball translate B + w, so the scan
-    is a ball cover: keep x iff it is not yet covered, then add its ball
-    translate to the cover.  Every rank below the scan point is covered, so
-    the next center is the least uncovered rank, read off the cover in one
-    big-int step.  This costs O(|centers|) big-int translates in all.  The
-    result is delta-separated and maximal by construction; both properties
-    are re-checked on the ball translates before returning."""
+    is a ball cover: the centers are the ranks groups._cover_walk yields for
+    the ball, each the least rank the ball translates so far miss.  This
+    costs O(|centers|) big-int translates in all.  The result is
+    delta-separated and maximal by construction; both properties are
+    re-checked on the ball translates before returning."""
     ball = almost_periods(a, delta)
     ball_bits = ball.members.bits
     g = a.group
-    covered = 0
-    centers: list[int] = []
-    while covered != g.full_mask:
-        x = (~covered & (covered + 1)).bit_length() - 1
-        centers.append(x)
-        covered |= translate_bits(g, ball_bits, x)
+    centers = [x for x, _ in _cover_walk(g, ball_bits)]
     _check_packing(g, ball_bits, centers)
     return PackingResult(a, ball.delta, tuple(g.element(r) for r in centers), True)
 

@@ -35,6 +35,9 @@ union check over every element of H, and a lattice search that closes every
 (subgroup, element) pair, the references for the bitset-string ranks, the
 closure by doubling, the walk that jumps to the least missing rank, the
 check on generators and the search that skips repeated extensions; and
+the maximal subgroup inside a set as it was before the closure walk took a
+`within` set (greedy_subgroup_within), a scan of every rank of the set, the
+reference for max_subgroup_within past its exhaustive cap; and
 kneser_fill_check as it was before it stopped at the first sumset that did
 not grow, 2t - 1 sumsets whatever t is; and the sumset as it was before the
 convolution kernel (translate_sumset), the larger set's translates by the
@@ -56,7 +59,7 @@ from fractions import Fraction
 import numpy as np
 
 from addcomb.caps import DEFAULT_CAPS, CapExceeded
-from addcomb.groups import add_rank, neg_rank, translate_bits
+from addcomb.groups import _closure_with, add_rank, neg_rank, translate_bits
 from addcomb.patterns import (_CHUNK, BiInducedWitness, DensifyReport,
                               TesterReport, augment_f_plus)
 from addcomb.vc import (SampledVcReport, SeparatedSampleReport,
@@ -686,6 +689,23 @@ def closure_walk(g, bits: int) -> tuple[int, list[int]]:
             gens.append(r)
             acc = closure_with(g, acc, r)
     return acc, gens
+
+
+def greedy_subgroup_within(g, t_bits: int) -> tuple[int, list[int]]:
+    """A maximal subgroup inside t_bits and the generators kept, by the scan
+    the library ran before its closure walk took a `within` set: every rank
+    of t_bits in order, skipped when the subgroup so far holds it, kept when
+    its closure with the subgroup stays inside t_bits.  The closure is the
+    library's _closure_with, checked on its own against closure_with."""
+    sub, gens = 1, []
+    for x in bit_ranks(t_bits):
+        if x == 0 or (sub >> x) & 1:
+            continue
+        grown = _closure_with(g, sub, x)
+        if grown & ~t_bits == 0:
+            sub = grown
+            gens.append(x)
+    return sub, gens
 
 
 def is_union_of_cosets(g, s_bits: int, h_bits: int) -> bool:

@@ -17,6 +17,8 @@ import oracles
 from addcomb import (
     GroupDescriptor,
     GroupSubset,
+    coset_representatives,
+    enumerate_subgroups,
     find_bi_induced,
     generated_subgroup,
     half_graph,
@@ -25,6 +27,7 @@ from addcomb import (
 )
 from addcomb.caps import Caps
 from addcomb.cli import build_parser, main
+from addcomb.groups import translate_bits
 from addcomb.harness import (
     ExperimentConfig,
     generate_family,
@@ -265,6 +268,36 @@ def test_generate_family_planted():
         generate_family(g, {"kind": "planted", "index": 5, "cosets": 1}, 0)
     with pytest.raises(ValueError):
         generate_family(g, {"kind": "planted", "index": 4, "cosets": 5}, 0)
+
+
+@pytest.mark.parametrize("noise", [5, "3/2", -1, "-1/64"])
+def test_generate_family_rejects_noise_outside_the_unit_interval(noise):
+    g = GroupDescriptor([2, 2, 2, 2])
+    spec = {"kind": "planted", "index": 4, "cosets": 2, "noise": noise}
+    with pytest.raises(ValueError, match=r"noise must be in \[0, 1\]"):
+        generate_family(g, spec, 0)
+    # the ends are kept: noise 1 flips every element
+    clean = generate_family(g, dict(spec, noise=0), 0)
+    assert generate_family(g, dict(spec, noise=1), 0) == clean.complement()
+
+
+@pytest.mark.parametrize("mods,index", [((2, 2, 2, 2), 4), ((12,), 6),
+                                        ((2, 8), 8), ((3, 3, 3), 9)])
+def test_generate_family_planted_draws_the_cosets_it_drew_before(mods, index):
+    # the family ORs rng.sample(cosets(g, h), count); it used to translate h
+    # by rng.sample(coset_representatives(g, h), count), the same draws
+    g = GroupDescriptor(mods)
+    h = [h for h in enumerate_subgroups(g) if h.index == index][0]
+    spec = {"kind": "planted", "index": index, "cosets": 3, "noise": "1/8"}
+    for seed in range(6):
+        rng = random.Random(split_seed(seed, "family:planted"))
+        bits = 0
+        for r in rng.sample(coset_representatives(g, h), 3):
+            bits |= translate_bits(g, h.bits, r)
+        for r in range(g.order):
+            if rng.random() < 1 / 8:
+                bits ^= 1 << r
+        assert generate_family(g, spec, seed).bits == bits
 
 
 def test_generate_family_random_and_explicit():

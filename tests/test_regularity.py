@@ -1,4 +1,6 @@
 import dataclasses
+import decimal
+import math
 import random
 from fractions import Fraction
 
@@ -560,6 +562,25 @@ def test_robust_m_cap_is_an_exact_integer_root(order, want):
     assert m_raw > want and m_eff == want
     assert 24 * want**3 <= order < 24 * (want + 1) ** 3
     assert _robust_m(delta, 3, order - 1, 100.0)[1] == want - 1
+
+
+@pytest.mark.parametrize("exp", [306, 400])
+def test_robust_pipeline_reads_a_delta_past_the_floats(exp):
+    # C (1/delta) ln(1/delta) overflows a float from about delta = 1e-305,
+    # and 1/delta itself past 1e-308; m is then the exact ceiling, checked
+    # against a 60-digit decimal
+    from addcomb.regularity import _robust_m
+
+    a, _, _ = _planted66(1001, noise=0.0)
+    delta = Fraction(1, 10**exp)
+    out = robust_pipeline(a, "1/4", 1, delta_schedule=[delta], rng_seed=0)
+    assert out.steps[0].delta == delta
+    with decimal.localcontext(decimal.Context(prec=60)):
+        want = 8 * decimal.Decimal(10) ** exp * exp * decimal.Decimal(10).ln()
+        assert abs(decimal.Decimal(out.steps[0].m) / want - 1) < 1e-12
+    # at a delta where the product is finite, m is the float expression's
+    assert _robust_m(Fraction(1, 10**300), 1, 64, 8.0)[0] == math.ceil(
+        8.0 * 1e300 * math.log(1e300))
 
 
 def test_robust_pipeline_scans_one_ball_per_step(count_calls):

@@ -28,7 +28,8 @@ from addcomb import (
     translate,
 )
 from addcomb import subsets as lib
-from addcomb.groups import _bit_ranks, add_rank, translate_bits
+from addcomb.caps import Caps
+from addcomb.groups import _bit_ranks, _closure_with, add_rank, translate_bits
 from addcomb.subsets import _ball
 from conftest import BENCH_SHAPES, KERNEL_SHAPES, groups, nonempty_subsets, subsets
 
@@ -465,9 +466,63 @@ def test_max_subgroup_within_properties(a):
     h = max_subgroup_within(t)
     assert h.verify()
     assert h.bits & ~t.bits == 0
-    for other in enumerate_subgroups(a.group):
-        if other.bits & ~t.bits == 0:
-            assert other.size <= h.size
+    inside = [o for o in enumerate_subgroups(a.group) if o.bits & ~t.bits == 0]
+    largest = max(o.size for o in inside)
+    # the tie rule: the least bitset among the largest subgroups inside t
+    assert h.size == largest
+    assert h.bits == min(o.bits for o in inside if o.size == largest)
+
+
+def _sets_for_the_walk(g: GroupDescriptor) -> list[int]:
+    """Random sets at densities 1/2 and 7/8, subgroups, subgroups with 8
+    ranks flipped, and unions of two cosets, each with 0 added."""
+    rng = random.Random(g.order)
+    out = [rng.getrandbits(g.order),
+           rng.getrandbits(g.order) | rng.getrandbits(g.order)
+           | rng.getrandbits(g.order)]
+    for _ in range(3):
+        gens = []
+        for _ in range(rng.randint(1, len(g.moduli) + 2)):
+            k = rng.choice((1, 2, 3, 4))
+            coords = g.coords_of(rng.randrange(g.order))
+            gens.append(g.element_from_coords([k * c for c in coords]))
+        h = generated_subgroup(g, gens).bits
+        noisy = h
+        for r in rng.sample(range(1, g.order), 8):
+            noisy ^= 1 << r
+        out += [h, noisy, h | translate_bits(g, h, rng.randrange(g.order))]
+    return [t | 1 for t in out]
+
+
+@pytest.mark.parametrize("mods", KERNEL_SHAPES + BENCH_SHAPES,
+                         ids=lambda mods: "x".join(map(str, mods)))
+def test_max_subgroup_within_past_the_cap_matches_the_scan(mods):
+    # past subgroup_exhaustive_cap the answer is the least-rank closure walk
+    # kept inside t; the rank-by-rank scan it replaced keeps the same
+    # subgroup and the same generators
+    g = GroupDescriptor(mods)
+    caps = Caps(subgroup_exhaustive_cap=1)
+    for t in _sets_for_the_walk(g):
+        h = max_subgroup_within(GroupSubset(g, t), caps=caps)
+        bits, gens = oracles.greedy_subgroup_within(g, t)
+        assert h.bits == bits
+        assert [e.rank for e in h.generators] == gens
+
+
+@pytest.mark.parametrize("mods,gens,calls", [
+    ((65536,), [8], 1),
+    ((2,) * 16, [1 << i for i in range(3, 16)], 13),
+])
+def test_max_subgroup_within_a_subgroup_closes_once_per_generator(
+        count_calls, mods, gens, calls):
+    # when t is a subgroup past the cap the walk returns t, and every rank
+    # it tries is kept: one closure per generator, none per rejected rank
+    g = GroupDescriptor(mods)
+    h = generated_subgroup(g, gens)
+    closures = count_calls(_closure_with)
+    got = max_subgroup_within(GroupSubset(g, h.bits))
+    assert got.bits == h.bits
+    assert closures[0] == len(got.generators) == calls
 
 
 def test_kneser_examples():
