@@ -323,18 +323,19 @@ def _closure_walk(g: GroupDescriptor, bits: int,
     """The closure's bitset and the generators kept, when the least rank of
     bits not yet tried joins the closure if the closure with it stays inside
     within, until every rank of bits is in the closure or tried.  A rank
-    kept out stays out, since a larger closure with it leaves within too.
-    With within = -1 (every rank) the closure is the subgroup bits
-    generate; with within = bits it is a maximal subgroup inside bits."""
+    kept out stays out, since a larger closure with it leaves within too,
+    and so does its whole coset r + acc: for h in acc, acc + <r + h>
+    contains r, so it leaves within as well.  With within = -1 (every rank)
+    the closure is the subgroup bits generate; with within = bits it is a
+    maximal subgroup inside bits."""
     acc, gens = 1, []
     rest = bits & ~1
     outside = ~within
     while rest:
-        low = rest & -rest
-        r = low.bit_length() - 1
+        r = (rest & -rest).bit_length() - 1
         grown = _closure_with(g, acc, r)
         if grown & outside:
-            rest ^= low
+            rest &= ~translate_bits(g, acc, r)
         else:
             gens.append(r)
             acc = grown

@@ -29,19 +29,26 @@ continues the stream word for word, as the generator's own draws would.  The
 accepted values are read in order, and those left over at the end of one
 chunk start the next.  The last bulk call may draw words no sample uses;
 they are drawn from the copy, so the random.Random itself is not advanced.
+Each thread keeps one spare MT19937, since constructing one seeds it from a
+fresh SeedSequence at a cost above that of a small draw: a draw takes the
+spare, sets its whole state, and puts it back when it ends or is closed; a
+draw opened while another of the thread holds the spare builds its own.
 
 The draws are held in uint32, the width of a word, and ranks are held in
-uint32 while |G| <= 2**31, in uint64 beyond.  Ranks are added by one digit
-decomposition per coordinate in that unsigned dtype: a digit sum s < 2m
-wraps to min(s, s - m), which is exact because s - m underflows to a value
-above s exactly when s < m.  The check tests one (u, v) pair at a time and
-keeps only the rows that pass, so each later pair reads only the rows that
-passed every earlier one (about half as many per pair at density 1/2).
-Membership is read from two tables of |G| booleans, A and its complement,
-unpacked once per check: a pair reads the table of its edge bit at the row
-sums and keeps the rows where it holds.  Injectivity, a sort of each row, is
-checked only on the rows that bi-induce f.
-check_witness tests its one witness as a single row of the same check.
+uint32 while |G| <= 2**31, in uint64 beyond.  The check tests one (u, v)
+pair at a time and keeps only the rows that pass, so each later pair reads
+only the rows that passed every earlier one (about half as many per pair at
+density 1/2).  A pair reads membership of x + y in A from the table of its
+edge bit, A or its complement, built once per check.  When the group is
+small, |G|^2 <= min(rows, _CHUNK) |U| |V| for a check of `rows` samples,
+the tables hold one entry per pair of ranks, at index x |G| + y: they then
+hold no more entries than one chunk has pair sums, and a pair is one add and
+one gather.  Past that rule they hold one entry per rank, and the pair adds
+its ranks by one digit decomposition per coordinate in the unsigned dtype: a
+digit sum s < 2m wraps to min(s, s - m), which is exact because s - m
+underflows to a value above s exactly when s < m.  Injectivity, a sort of
+each row, is checked only on the rows that bi-induce f.  check_witness
+tests its one witness as a single row of the same check, so it sums digits.
 
 Anchor.  The accepted phi_v tuples of the V-side sweep are closed under the
 shift y -> y - z, and the per-u mask sizes do not change under it.  So the
@@ -60,7 +67,9 @@ found is kept, and a set that holds a kept copy needs no new search.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
+import threading
 from fractions import Fraction
 from typing import Iterator
 
@@ -214,6 +223,10 @@ class _Columns(dict):
 # Samples tested per numpy pass of sample_tester and densify.
 _CHUNK = 4096
 
+# Each thread's spare MT19937 for _draw_chunks, in slot "mt": constructing
+# one seeds it from a fresh SeedSequence, which costs more than a small draw.
+_mt_slot = threading.local()
+
 
 def _draw_chunks(rng: random.Random, n: int, samples: int,
                  width: int) -> Iterator[np.ndarray]:
@@ -225,31 +238,40 @@ def _draw_chunks(rng: random.Random, n: int, samples: int,
     bits of each word below n, as _randbelow does.  rng itself is not
     advanced: it stays where it was, whatever the copy drew.  The values
     are held in uint32, which holds every n < 2**32, and the leftovers that
-    start the next chunk are a view, not a copy."""
+    start the next chunk are a view, not a copy.
+
+    The MT19937 is the thread's spare, taken out of its slot for the draw
+    and put back once the draw ends or is closed; a draw that finds the
+    slot empty (another draw of the thread is open) builds its own, so no
+    two open draws share one.  Setting the state overwrites all of it."""
     k = n.bit_length()
     if k > 32:
         raise ValueError("bulk draws need n < 2**32")
     words = rng.getstate()[1]  # 624 key words, then the position
-    mt = np.random.MT19937()
-    # a tuple key is read word by word; an array key would box each word
-    mt.state = {"bit_generator": "MT19937",
-                "state": {"key": words[:624], "pos": words[624]}}
-    spare = np.empty(0, np.uint32)
-    for start in range(0, samples, _CHUNK):
-        c = min(_CHUNK, samples - start)
-        need = c * width
-        parts = [spare]
-        have = spare.size
-        while have < need:
-            # a word is accepted with probability n / 2**k > 1/2
-            w = ((need - have) << k) // n + 1
-            vals = mt.random_raw(w).astype(np.uint32) >> (32 - k)
-            vals = np.compress(vals < n, vals)
-            parts.append(vals)
-            have += vals.size
-        got = np.concatenate(parts)
-        spare = got[need:]
-        yield got[:need].reshape(c, width)
+    mt = getattr(_mt_slot, "mt", None) or np.random.MT19937()
+    _mt_slot.mt = None  # a draw started before this one ends builds its own
+    try:
+        # a tuple key is read word by word; an array key would box each word
+        mt.state = {"bit_generator": "MT19937",
+                    "state": {"key": words[:624], "pos": words[624]}}
+        spare = np.empty(0, np.uint32)
+        for start in range(0, samples, _CHUNK):
+            c = min(_CHUNK, samples - start)
+            need = c * width
+            parts = [spare]
+            have = spare.size
+            while have < need:
+                # a word is accepted with probability n / 2**k > 1/2
+                w = ((need - have) << k) // n + 1
+                vals = mt.random_raw(w).astype(np.uint32) >> (32 - k)
+                vals = np.compress(vals < n, vals)
+                parts.append(vals)
+                have += vals.size
+            got = np.concatenate(parts)
+            spare = got[need:]
+            yield got[:need].reshape(c, width)
+    finally:
+        _mt_slot.mt = mt
 
 
 def _rank_dtype(g: GroupDescriptor) -> type:
@@ -283,24 +305,37 @@ def _add_ranks(g: GroupDescriptor, a: np.ndarray,
 
 
 class _SampleCheck:
-    """The bi-inducing predicate over rows of sampled maps, for one A and f.
+    """The bi-inducing predicate over rows of sampled maps, for one A and f
+    and a caller that tests `rows` rows in all (its sample count).
 
     Tests one (u, v) pair at a time, on the rows that passed every earlier
     pair only: a row that fails one pair cannot bi-induce f, and at density
-    1/2 each pair drops about half the rows left.  Ranks are summed in
-    _rank_dtype(A.group).  tables[1][s] is whether rank s is in A and
-    tables[0][s] whether it is not, so a pair reads the table of its edge
-    bit."""
+    1/2 each pair drops about half the rows left.  A pair reads the table of
+    its edge bit, tables[1] (x + y in A) or tables[0] (not in A), at
+    index(x, y).  While |G|^2 <= min(rows, _CHUNK) |U| |V|, i.e. the tables
+    hold no more entries than one chunk has pair sums, and |G| <= 2**16, the
+    tables have |G|^2 entries, built once as A's membership at
+    _add_ranks(x, y) for every pair of ranks: xs is multiplied by
+    scale = |G| once per call, and index is one add, x |G| + y < 2**32.
+    Otherwise scale is None and index is _add_ranks, into tables of |G|
+    entries.  Ranks are held in _rank_dtype(A.group)."""
 
-    __slots__ = ("group", "dtype", "tables", "pairs")
+    __slots__ = ("dtype", "scale", "index", "tables", "pairs")
 
-    def __init__(self, a: GroupSubset, f: BipartitePattern):
-        n = a.group.order
-        self.group = a.group
-        self.dtype = _rank_dtype(a.group)
+    def __init__(self, a: GroupSubset, f: BipartitePattern, rows: int):
+        g = a.group
+        n = g.order
+        self.dtype = _rank_dtype(g)
         packed = np.frombuffer(a.bits.to_bytes((n + 7) // 8, "little"),
                                np.uint8)
         inside = np.unpackbits(packed, count=n, bitorder="little").view(bool)
+        if (n * n <= min(rows, _CHUNK) * f.u_count * f.v_count
+                and n <= 1 << 16):
+            r = np.arange(n, dtype=self.dtype)
+            inside = inside[_add_ranks(g, r[:, None], r[None, :])].ravel()
+            self.scale, self.index = self.dtype(n), np.add
+        else:
+            self.scale, self.index = None, functools.partial(_add_ranks, g)
         self.tables = (~inside, inside)
         self.pairs = [(u, v, (u, v) in f.edges)
                       for u in range(f.u_count) for v in range(f.v_count)]
@@ -310,12 +345,14 @@ class _SampleCheck:
         and of ys (shape (c, |V|)) bi-induces f."""
         xs = xs.astype(self.dtype, copy=False)
         ys = ys.astype(self.dtype, copy=False)
+        if self.scale is not None:
+            xs = xs * self.scale
         rows = None
         for u, v, edge in self.pairs:
             if rows is None:
-                s = _add_ranks(self.group, xs[:, u], ys[:, v])
+                s = self.index(xs[:, u], ys[:, v])
             else:
-                s = _add_ranks(self.group, xs[rows, u], ys[rows, v])
+                s = self.index(xs[rows, u], ys[rows, v])
             keep = np.flatnonzero(self.tables[edge][s])
             rows = keep if rows is None else rows[keep]
         return rows
@@ -351,7 +388,8 @@ def check_witness(a: GroupSubset, f: BipartitePattern, w: BiInducedWitness,
     if injectivity not in ("none", "per_side", "global"):
         raise ValueError(f"unknown injectivity mode {injectivity!r}")
     u_ranks, v_ranks = _witness_ranks(a, f, w)
-    if not _SampleCheck(a, f)(np.array([u_ranks]), np.array([v_ranks])).size:
+    if not _SampleCheck(a, f, 1)(np.array([u_ranks]),
+                                 np.array([v_ranks])).size:
         return False
     if injectivity == "per_side":
         return (len(set(u_ranks)) == f.u_count
@@ -481,7 +519,7 @@ def sample_tester(a: GroupSubset, f: BipartitePattern, samples: int,
     verified witness and the tester never errs on pattern-free sets."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    check = _SampleCheck(a, f)
+    check = _SampleCheck(a, f, samples)
     bi = 0
     inj = 0
     for ranks in _draw_chunks(random.Random(rng_seed), a.group.order, samples,
@@ -641,7 +679,7 @@ def densify(a: GroupSubset, h: Subgroup, f: BipartitePattern,
             raise ValueError(
                 f"pair coset for (u={u}, v={v}) is bad at eta={eta}"
             )
-    check = _SampleCheck(a, f)
+    check = _SampleCheck(a, f, samples)
     h_ranks = np.array(h.ranks(), check.dtype)
     base = np.array(u_ranks + v_ranks, check.dtype)
     hits = 0

@@ -321,8 +321,9 @@ def _robust_m(delta: Fraction, d: int, order: int, c: float) -> tuple[int, int]:
 
     ln(1/delta) is read as in _doubling_k: the log of the float 1/delta
     while that is finite, else the difference of the integer logs.  While
-    the float product is finite, m_raw is its ceiling; past the floats (C
-    finite), the ceiling of the exact product of C, 1/delta and that ln."""
+    the float product is finite, m_raw is its ceiling; past the floats, the
+    ceiling of the exact product of C, 1/delta and that ln.  C must be
+    finite and positive, as robust_pipeline checks."""
     num, den = delta.numerator, delta.denominator
     m_raw = 1
     if 0 < num < den:
@@ -332,7 +333,7 @@ def _robust_m(delta: Fraction, d: int, order: int, c: float) -> tuple[int, int]:
         except OverflowError:
             ratio, ln = math.inf, math.log(den) - math.log(num)
         prod = c * ratio * ln
-        if not math.isfinite(prod) and math.isfinite(c):
+        if not math.isfinite(prod):
             prod = Fraction(c) * Fraction(den, num) * Fraction(ln)
         m_raw = max(1, math.ceil(prod))
     # the float d-th root falls one short when |G|/24 is an exact d-th power,
@@ -362,6 +363,8 @@ def robust_pipeline(a: GroupSubset, epsilon, d: int, *,
     eps = _to_fraction(epsilon)
     if d < 1:
         raise ValueError("d must be >= 1")
+    if not 0 < c_constant < math.inf:  # also False for nan
+        raise ValueError("c_constant must be finite and positive")
     g = a.group
     schedule = (list(delta_schedule) if delta_schedule is not None
                 else default_delta_schedule(eps, g.order))

@@ -643,6 +643,16 @@ def test_cli_robust_at_zero_epsilon(files):
     assert obj["certificate"]["achieved_error"] == "0"
 
 
+@pytest.mark.parametrize("c", ["inf", "nan", "0", "-5"])
+def test_cli_robust_rejects_a_constant_that_is_not_finite_and_positive(
+        files, c):
+    code, out, err = _run_cli(["robust", "--set", files["union"], "--eps",
+                               "1/4", "--d", "1", "--c", c])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValueError", "detail":
+                               "c_constant must be finite and positive"}
+
+
 def test_cli_oracle_best_subgroup(files):
     code, out, _ = _run_cli(
         ["oracle-best-subgroup", "--set", files["union"], "--eps", "1/4"]

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 import tracemalloc
 import types
 from fractions import Fraction
@@ -345,6 +347,7 @@ def test_column_table_bound_keeps_answers(monkeypatch):
 
 def _traced_peak(g, call):
     translate_bits(g, g.full_mask, 1)  # the group's shift tables, untraced
+    np.random.MT19937()  # its first use imports modules, untraced
     tracemalloc.start()
     try:
         got = call()
@@ -365,26 +368,32 @@ def test_sweep_column_table_memory_is_bounded():
     assert peak < 24 * 2**20
 
 
-def test_sample_tester_memory_is_bounded():
+def test_sample_tester_memory_is_bounded(count_calls):
     # 2000 samples of half_graph(2) on (Z/2)^18: the numpy predicate reads
-    # membership from A's packed bytes (32 KiB), never from A unpacked to
-    # one byte per element (256 KiB) or from a translate
+    # membership from A unpacked to one byte per element and its complement
+    # (2 x 256 KiB), never from a |G|^2 sum table or from a translate; the
+    # pair sums are digit sums, one _add_ranks call per pair
     g = GroupDescriptor([2] * 18)
     a = GroupSubset(g, random.Random(3).getrandbits(g.order))
+    sums = count_calls(patterns._add_ranks)
     rep, peak = _traced_peak(g, lambda: sample_tester(a, half_graph(2), 2000,
                                                       rng_seed=1))
     assert rep.samples == 2000
+    assert sums[0] == 4
     assert peak < 2**20
 
 
-def test_sample_tester_memory_is_bounded_in_the_sample_count():
+def test_sample_tester_memory_is_bounded_in_the_sample_count(count_calls):
     # 100000 samples tested in one pass would hold their draws, bulk words
-    # and pair sums at once, tens of MB; chunks of _CHUNK samples hold one
+    # and pair sums at once, tens of MB; chunks of _CHUNK samples hold one,
+    # and each of the 25 chunks sums its 4 pairs by digits
     g = GroupDescriptor([2] * 18)
     a = GroupSubset(g, random.Random(3).getrandbits(g.order))
+    sums = count_calls(patterns._add_ranks)
     rep, peak = _traced_peak(g, lambda: sample_tester(a, half_graph(2), 100000,
                                                       rng_seed=1))
     assert rep.samples == 100000
+    assert sums[0] == 4 * -(-100000 // patterns._CHUNK)
     assert peak < 2 * 2**20
 
 
@@ -555,6 +564,73 @@ def test_bulk_draws_continue_a_used_generator(n):
                                     for _ in range(samples * 3)]
 
 
+def test_bulk_draws_interleaved_match_sequential_draws():
+    # the second draw opens while the first holds the thread's spare
+    # MT19937, so it builds its own; each yields what it yields alone
+    samples = 2 * CHUNK + 7
+    alone = [list(patterns._draw_chunks(random.Random(s), n, samples, w))
+             for s, n, w in ((1, 48, 4), (2, 13, 3))]
+    one = patterns._draw_chunks(random.Random(1), 48, samples, 4)
+    two = patterns._draw_chunks(random.Random(2), 13, samples, 3)
+    both = list(zip(one, two))
+    assert len(both) == 3
+    for i, (c1, c2) in enumerate(both):
+        assert np.array_equal(c1, alone[0][i])
+        assert np.array_equal(c2, alone[1][i])
+
+
+def test_bulk_draws_closed_midway_leave_the_next_draw_exact():
+    # a draw closed after its first chunk hands its MT19937 back with the
+    # state it had then; the next draw sets the whole state again
+    first = patterns._draw_chunks(random.Random(7), 1024, 3 * CHUNK, 2)
+    next(first)
+    first.close()
+    mt = patterns._mt_slot.mt
+    assert mt is not None
+    samples = CHUNK + 9
+    got = np.concatenate(list(patterns._draw_chunks(random.Random(8), 48,
+                                                    samples, 3)))
+    assert patterns._mt_slot.mt is mt  # the spare was reused, not rebuilt
+    rng = random.Random(8)
+    assert got.ravel().tolist() == [rng.randrange(48)
+                                    for _ in range(samples * 3)]
+
+
+def test_sample_tester_in_threads_matches_serial_reports():
+    # each thread takes its own spare MT19937, so testers running at once,
+    # in more threads than cores and with a short switch interval, return
+    # the serial reports
+    jobs = []
+    for mods in ((48,), (4, 12), (2, 2, 12)):
+        g = GroupDescriptor(mods)
+        for seed in range(2):
+            jobs.append((GroupSubset(g, random.Random(seed).getrandbits(
+                g.order)), seed))
+    f = half_graph(2)
+    serial = [sample_tester(a, f, 3 * CHUNK, seed) for a, seed in jobs]
+    count = 4
+    start = threading.Barrier(count, timeout=60)
+    got = [None] * count
+
+    def run(slot):
+        start.wait()
+        got[slot] = [sample_tester(a, f, 3 * CHUNK, seed)
+                     for _ in range(3) for a, seed in jobs]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [serial * 3] * count
+
+
 def _wrap_pairs(g, rng):
     """Rank pairs whose digits at one coordinate sum to m - 1, m or 2m - 2,
     the wrap points of a digit sum, with the other digits random."""
@@ -611,12 +687,83 @@ def test_add_ranks_is_exact_at_the_dtype_edges(mods, dtype):
     _assert_add_ranks(g, pairs + _wrap_pairs(g, rng), dtype)
 
 
+def _uses_table(check, order):
+    """Whether check reads the |G|^2 sum table, whose index x |G| + y must
+    fit the uint32 ranks it is computed in."""
+    if check.scale is None:
+        assert check.tables[1].size == order
+        return False
+    assert order * order < 2**32 and check.dtype is np.uint32
+    assert check.scale == order and check.tables[1].size == order * order
+    return True
+
+
+@pytest.mark.parametrize("samples,table", [(575, False), (576, True)])
+def test_sample_check_takes_the_table_from_one_chunk_of_pair_sums(
+        samples, table, count_calls):
+    # half_graph(2) on Z/48: the table's 48^2 = 2304 entries are one chunk's
+    # pair sums at 2304 / 4 = 576 samples; below that every pair sums its
+    # digits, one _add_ranks call per pair, and the table costs one call
+    g = GroupDescriptor([48])
+    a = GroupSubset(g, random.Random(5).getrandbits(g.order))
+    f = half_graph(2)
+    assert _uses_table(patterns._SampleCheck(a, f, samples), 48) == table
+    sums = count_calls(patterns._add_ranks)
+    rep = sample_tester(a, f, samples, rng_seed=3)
+    assert sums[0] == (1 if table else 4)
+    assert rep == oracles.sample_tester(a, f, samples, 3)
+
+
+@pytest.mark.parametrize("mods", [(4, 12), (13,), (3, 5), (2, 2, 2, 2)],
+                         ids=str)
+def test_sample_check_table_matches_add_ranks(mods):
+    # every cell of the table is membership of the rank sum, so a pair
+    # reads the same entry through either index
+    g = GroupDescriptor(mods)
+    n = g.order
+    a = GroupSubset(g, random.Random(n).getrandbits(n))
+    check = patterns._SampleCheck(a, half_graph(3), CHUNK)
+    assert _uses_table(check, n)
+    x, y = np.divmod(np.arange(n * n, dtype=np.uint32), np.uint32(n))
+    sums = patterns._add_ranks(g, x, y)
+    assert np.array_equal(check.tables[1], (a.bits >> sums.astype(object)) & 1
+                          == 1)
+    assert np.array_equal(check.tables[0], ~check.tables[1])
+
+
+def test_check_witness_sums_digits(count_calls):
+    # one row never reaches the table: |G|^2 = 256 > 1 x 2 x 2
+    g = GroupDescriptor([2, 2, 4])
+    a = GroupSubset(g, 0b1011011000110101)
+    f = half_graph(2)
+    w = find_bi_induced(a, f, require_injective=False)
+    assert w is not None
+    assert not _uses_table(patterns._SampleCheck(a, f, 1), g.order)
+    sums = count_calls(patterns._add_ranks)
+    assert check_witness(a, f, w)
+    assert sums[0] == 4
+
+
+def test_sample_check_table_needs_a_uint32_index(monkeypatch):
+    # the size rule alone would take the table on Z/65537 with chunks of
+    # 2**33 rows, but 65537^2 > 2**32, so the pairs sum their digits
+    monkeypatch.setattr(patterns, "_CHUNK", 2**33)
+    g = GroupDescriptor([65537])
+    a = GroupSubset(g, random.Random(1).getrandbits(g.order))
+    assert not _uses_table(patterns._SampleCheck(a, half_graph(1), 2**33),
+                           g.order)
+
+
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
 @pytest.mark.parametrize("f", ORACLE_PATTERNS,
                          ids=["hg1", "hg2", "hg3", "path", "edgeless"])
 def test_sample_tester_matches_oracle_at_chunk_edges(f, samples):
+    # one sample sums digits; from CHUNK - 1 samples on, every pattern here
+    # reads the 48^2 table
     g = GroupDescriptor([4, 12])
     a = GroupSubset(g, random.Random(4).getrandbits(g.order))
+    assert _uses_table(patterns._SampleCheck(a, f, samples), 48) == (
+        samples > 1)
     assert sample_tester(a, f, samples, rng_seed=9) == oracles.sample_tester(
         a, f, samples, 9)
 
@@ -629,6 +776,7 @@ def test_sample_tester_matches_oracle_at_odd_orders(f, mods):
     g = GroupDescriptor(mods)
     for seed in range(3):
         a = GroupSubset(g, random.Random(seed).getrandbits(g.order))
+        assert _uses_table(patterns._SampleCheck(a, f, CHUNK + 1), g.order)
         assert sample_tester(a, f, CHUNK + 1, seed) == oracles.sample_tester(
             a, f, CHUNK + 1, seed)
 
@@ -663,7 +811,10 @@ def _densify_cases():
 @pytest.mark.parametrize("name,a,h,f", _densify_cases(),
                          ids=[c[0] for c in _densify_cases()])
 def test_densify_matches_oracle(name, a, h, f, samples):
+    # one sample sums digits, and the others read the table, on every case
     assert h.size == int(name[1:])
+    assert _uses_table(patterns._SampleCheck(a, f, samples),
+                       a.group.order) == (samples > 1)
     w = find_bi_induced(coset_round(a, h), f)
     rep = densify(a, h, f, w, samples, rng_seed=6)
     assert rep == oracles.densify(a, h, f, w, samples, 6)

@@ -490,6 +490,19 @@ def test_robust_pipeline_examples():
         robust_pipeline(empty, Fraction(1, 4), 0, rng_seed=0)
 
 
+@pytest.mark.parametrize("c", [math.inf, math.nan, 0, 0.0, -5, -math.inf])
+def test_robust_pipeline_rejects_a_constant_that_is_not_finite_and_positive(
+        c, count_calls):
+    # each is rejected before the profile is computed; unchecked, inf and
+    # nan fail in math.ceil and 0 or -5 run with every m = 1
+    a, _, _ = _planted66(1001, noise=0.0)
+    profiles = count_calls(symdiff_profile)
+    with pytest.raises(ValueError, match="c_constant must be finite and "
+                                         "positive"):
+        robust_pipeline(a, Fraction(1, 10), 2, c_constant=c, rng_seed=5)
+    assert profiles[0] == 0
+
+
 def test_robust_pipeline_schedule_exhausted_takes_the_stabilizer_delta():
     # a custom schedule that decides nothing is followed by delta = 1/(2|G|)
     g = GroupDescriptor([2] * 6)

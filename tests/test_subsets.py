@@ -525,6 +525,21 @@ def test_max_subgroup_within_a_subgroup_closes_once_per_generator(
     assert closures[0] == len(got.generators) == calls
 
 
+def test_max_subgroup_within_rejects_a_whole_coset_at_once(count_calls):
+    # t = H u (H + 1) in Z/65536 with H = <8>: rank 1 is rejected (its
+    # closure is G) while acc = {0}, 8 closes to H, and 9 is rejected with
+    # its whole coset H + 1: 3 closures, where one per rejected rank would
+    # make 8193; the oracle scan keeps the same bits and generators
+    g = GroupDescriptor([65536])
+    h = generated_subgroup(g, [8]).bits
+    t = h | translate_bits(g, h, 1)
+    closures = count_calls(_closure_with)
+    got = max_subgroup_within(GroupSubset(g, t))
+    assert closures[0] == 3
+    assert (got.bits, [e.rank for e in got.generators]) == (h, [8])
+    assert (got.bits, [8]) == oracles.greedy_subgroup_within(g, t)
+
+
 def test_kneser_examples():
     z5 = GroupDescriptor([5])
     a = GroupSubset.from_ranks(z5, [0, 1])
