@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 import re
 from typing import Iterator, Sequence
 
@@ -94,11 +95,14 @@ class GroupDescriptor:
         return GroupElement(self, rank, self.coords_of(rank))
 
     def element_from_coords(self, coords: Sequence[int]) -> "GroupElement":
+        """The element with these coordinates, each reduced modulo its
+        modulus.  A coordinate must be an integer (operator.index): 1.5 or
+        "3" raises TypeError rather than being truncated or parsed."""
         if len(coords) != len(self.moduli):
             raise ValueError(
                 f"expected {len(self.moduli)} coordinates, got {len(coords)}"
             )
-        norm = tuple(int(c) % m for c, m in zip(coords, self.moduli))
+        norm = tuple(operator.index(c) % m for c, m in zip(coords, self.moduli))
         return GroupElement(self, self.rank_of(norm), norm)
 
     def rank_of(self, coords: Sequence[int]) -> int:

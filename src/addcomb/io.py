@@ -112,7 +112,7 @@ def group_from_json(obj: dict, caps: Caps = DEFAULT_CAPS) -> GroupDescriptor:
 
 def _element_rank(g: GroupDescriptor, coords) -> int:
     """The rank of the element with these JSON coordinates, each read as a
-    JSON integer; element_from_coords alone would take 1.5 as 1."""
+    JSON integer; element_from_coords alone would take true as 1."""
     return g.element_from_coords([_json_int(c, "coordinate")
                                   for c in coords]).rank
 

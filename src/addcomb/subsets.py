@@ -4,14 +4,31 @@ Everything here is exact: cardinality thresholds are compared as integers
 after cross-multiplying with the rational parameter, never as floats.
 
 One kernel, _convolve, counts the ways to write each z as x + y (or x - y)
-with x in X and y in Y.  It unpacks the sets' bits (np.unpackbits with
-count = |G|, so any order works) into float64 arrays of shape
-reversed(moduli), whose C-order flat index is the rank, transforms them with
-one rfftn (one operand when X = Y), multiplies, and transforms back with
-irfftn: O(|G| log |G|).  The counts are integers of at most |G| <= 2^20 and
-the float64 error is about 1e-9, so rounding is exact; each result is
-checked (every value within 1/4 of an integer, and the counts summing to
-|X| |Y|) and an AssertionError is raised otherwise.  Three readings use it:
+with x in X and y in Y, by one of two transforms.  Both unpack the sets'
+bits (np.unpackbits with count = |G|, so any order works) into arrays whose
+C-order flat index is the rank, and both cost O(|G| log |G|).
+
+- rfftn (_fft_convolve), on every group: float64 arrays of shape
+  reversed(moduli) are transformed with one rfftn (one operand when X = Y),
+  multiplied, and transformed back with irfftn.  The counts are integers of
+  at most |G| <= 2^20 and the float64 error is about 1e-9, so rounding is
+  exact; each result is checked (every value within 1/4 of an integer, and
+  the counts summing to |X| |Y|).
+- Integer butterflies (_walsh_convolve), on (Z/2)^n, where rfftn runs n
+  passes over length-2 axes and is at its slowest.  The int64 indicators get
+  the Walsh-Hadamard transform, one in-place butterfly stage (a, b) ->
+  (a + b, a - b) per axis; the spectra are multiplied (squared when X = Y)
+  and transformed again, which multiplies by 2^n = |G|, and a right shift by
+  n gives the counts.  x - y = x + y there, so reflect changes nothing.
+  The arithmetic is exact: a spectrum entry is at most |X| in absolute
+  value, a product at most |X| |Y|, and each stage of the second transform
+  at most doubles the largest, so no partial sum exceeds |X| |Y| |G|.  The
+  path is taken while that is below 2^63, which every (Z/2)^n the default
+  order_cap admits meets (2^60 at 2^20); a denser pair under a raised cap
+  goes to rfftn.  Each result is checked all the same (the low n bits of
+  every output 0, and the counts summing to |X| |Y|).
+
+A check that fails raises AssertionError.  Three readings use the kernel:
 
 - symdiff_profile: |A xor (A+x)| = 2(|A| - c(x)) with c the autocorrelation
   of A's indicator, one forward transform with |F|^2 (and c(0) = |A|
@@ -42,9 +59,24 @@ a sum translates while its smaller side has fewer elements than 1.5 times
 the model's crossover (_TRANSFORM_MARGIN), and the transform is taken only
 where it measured cheaper on every fitted shape.  The limit is 75 on Z/8
 and Z/64, 100 on Z/1024 (crossover measured at 66), 171 on Z/4096 (110),
-270 on (Z/8)^4 (105), 444 on (Z/3)^7 (250), 443 on (Z/2)^10 (335), 858 on
-(Z/2)^12 (676), 1097 on Z/65536 (763) and 1316 on (Z/2)^16 (1252): length-2
-axes make a transform dear.  No group of order <= 64 transforms, since a
+270 on (Z/8)^4 (105), 444 on (Z/3)^7 (250) and 1097 on Z/65536 (763).
+
+On (Z/2)^n the transform is the butterflies', fitted the same way to the
+best times (of 40 through (Z/2)^14, then 15, then 7 from (Z/2)^18; the
+lesser of two runs) on (Z/2)^2 to (Z/2)^20:
+
+    transform = 32.0 + (9.3 + 0.0083 |G|) k
+
+An axis costs a fixed overhead and one add, subtract and copy per element.
+The model's crossover is 0.50 to 0.99 times the measured one, the lowest
+from (Z/2)^18 on, where the translate model reads 1.4 to 1.7 times the
+measured translate.  The limit is 47 on (Z/2)^6, 49 on (Z/2)^8 (crossover
+measured at 37), 56 on (Z/2)^10 (59), 71 on (Z/2)^12 (70), 87 on (Z/2)^16
+(75) and 88 on (Z/2)^20 (113): 0.75 to 1.5 times the measured crossover,
+so from (Z/2)^18 on a sum a little past the limit goes to the kernel
+though translates measured up to 1.3 times cheaper.
+
+No group of order <= 64 transforms, since its limit is above |G|/2 and a
 side past |G|/2 makes the sum G.  Past the limit a union that is filling G
 would still stop early, so the first _PROBE translates decide: if the
 share of the uncovered ranks that the last half of them cover per
@@ -80,6 +112,7 @@ from .groups import (
 _TR_FIXED, _TR_AXIS, _TR_WORD_AXIS = 0.95, 0.32, 0.009
 _FFT_FIXED, _FFT_AXIS, _FFT_LINE = 32.5, 30.8, 0.25
 _FFT_ELEM_BIT, _FFT_ELEM_BIT_OUT = 0.003, 0.017
+_WH_FIXED, _WH_AXIS, _WH_ELEM_AXIS = 32.0, 9.3, 0.0083
 _TRANSFORM_MARGIN = 1.5
 # translates a large sumset makes before judging whether its union fills G
 _PROBE = 8
@@ -182,26 +215,37 @@ def symdiff_size(a: GroupSubset, b: GroupSubset) -> int:
     return (a.bits ^ b.bits).bit_count()
 
 
-def _indicators(g: GroupDescriptor, shape: tuple[int, ...], *sets: int
-                ) -> np.ndarray:
-    """The sets' 0/1 indicators as float64, reshaped to `shape`: the flat
+def _indicators(g: GroupDescriptor, shape: tuple[int, ...], *sets: int,
+                dtype: type = np.float64) -> np.ndarray:
+    """The sets' 0/1 indicators as dtype, reshaped to `shape`: the flat
     index is the set's row and then the rank."""
     nb = (g.order + 7) // 8
     packed = np.frombuffer(b"".join([s.to_bytes(nb, "little") for s in sets]),
                            np.uint8).reshape(len(sets), nb)
     ind = np.unpackbits(packed, axis=1, count=g.order, bitorder="little")
-    return ind.reshape(shape).astype(np.float64)
+    return ind.reshape(shape).astype(dtype)
 
 
 def _convolve(g: GroupDescriptor, x_bits: int, y_bits: int, *,
               reflect: bool = False) -> np.ndarray:
     """Exact counts c(z) = #{(x, y) in X x Y : x + y = z}, or x - y = z with
-    reflect, as an int64 numpy array indexed by rank.
+    reflect, as an int64 numpy array indexed by rank: integer butterflies
+    (_walsh_convolve) on (Z/2)^n while |X| |Y| |G| < 2^63, one rfftn
+    (_fft_convolve) otherwise."""
+    # the order is 2^n with n moduli, each >= 2, only when every one is 2
+    if (g.order == 1 << len(g.moduli)
+            and x_bits.bit_count() * y_bits.bit_count() * g.order < 1 << 63):
+        return _walsh_convolve(g, x_bits, y_bits)
+    return _fft_convolve(g, x_bits, y_bits, reflect)
 
-    One rfftn over the group's axes transforms X's indicator, or X's and
-    Y's stacked; the spectra are multiplied (by the conjugate for reflect)
-    and transformed back.  Every value must lie within 1/4 of an integer and
-    the counts must sum to |X| |Y|; otherwise AssertionError."""
+
+def _fft_convolve(g: GroupDescriptor, x_bits: int, y_bits: int,
+                  reflect: bool) -> np.ndarray:
+    """_convolve on any group: one rfftn over the group's axes transforms
+    X's indicator, or X's and Y's stacked; the spectra are multiplied (by
+    the conjugate for reflect) and transformed back.  Every value must lie
+    within 1/4 of an integer and the counts must sum to |X| |Y|; otherwise
+    AssertionError."""
     shape = tuple(reversed(g.moduli))
     axes = tuple(range(len(shape)))
     if x_bits == y_bits:
@@ -220,6 +264,47 @@ def _convolve(g: GroupDescriptor, x_bits: int, y_bits: int, *,
     counts = c.astype(np.int64)
     if not (np.abs(out - c).max() < 0.25 and int(counts.sum())
             == x_bits.bit_count() * y_bits.bit_count()):
+        raise AssertionError("convolution counts are not exact")
+    return counts
+
+
+def _butterfly_stage(v: np.ndarray, h: int) -> None:
+    """One stage of the Walsh-Hadamard transform of each row of the int64
+    array v, in place: within each block of 2h entries, the pair (a, b) h
+    apart becomes (a + b, a - b).  The stage with h = 2^i transforms the
+    group's axis i."""
+    w = v.reshape(v.shape[0], -1, 2, h)
+    a, b = w[:, :, 0], w[:, :, 1]
+    t = a - b
+    a += b
+    b[...] = t
+
+
+def _walsh_convolve(g: GroupDescriptor, x_bits: int, y_bits: int
+                    ) -> np.ndarray:
+    """_convolve on (Z/2)^n, in exact integers: the Walsh-Hadamard transform
+    (one butterfly stage per axis) of X's indicator, or of X's and Y's
+    stacked, the product of the spectra, the transform again and a shift
+    right by n, since transforming twice multiplies by 2^n = |G|.  x - y =
+    x + y here, so reflect changes nothing.  The caller keeps |X| |Y| |G|
+    below 2^63, which bounds every partial sum.  The low n bits of every
+    output must be 0 and the counts must sum to |X| |Y|; otherwise
+    AssertionError."""
+    n = len(g.moduli)
+    stages = [1 << i for i in range(n)]
+    if x_bits == y_bits:
+        v = _indicators(g, (1, g.order), x_bits, dtype=np.int64)
+    else:
+        v = _indicators(g, (2, g.order), x_bits, y_bits, dtype=np.int64)
+    for h in stages:
+        _butterfly_stage(v, h)
+    prod = (v[0] * v[-1]).reshape(1, g.order)
+    for h in stages:
+        _butterfly_stage(prod, h)
+    out = prod[0]
+    counts = out >> n
+    if ((out & (g.order - 1)).any() or int(counts.sum())
+            != x_bits.bit_count() * y_bits.bit_count()):
         raise AssertionError("convolution counts are not exact")
     return counts
 
@@ -303,11 +388,15 @@ def _translate_limit(moduli: tuple[int, ...]) -> float:
     n = math.prod(moduli)
     axes = len(moduli)
     translate = _TR_FIXED + _TR_AXIS * axes + _TR_WORD_AXIS * axes * ((n + 63) // 64)
-    transform = _FFT_FIXED
-    for m in moduli:
-        bits = math.log2(m)
-        transform += (_FFT_AXIS + _FFT_LINE * (n // m) + _FFT_ELEM_BIT * n * bits
-                      + _FFT_ELEM_BIT_OUT * n * max(0.0, bits - 12))
+    if n == 1 << axes:
+        transform = _WH_FIXED + axes * (_WH_AXIS + _WH_ELEM_AXIS * n)
+    else:
+        transform = _FFT_FIXED
+        for m in moduli:
+            bits = math.log2(m)
+            transform += (_FFT_AXIS + _FFT_LINE * (n // m)
+                          + _FFT_ELEM_BIT * n * bits
+                          + _FFT_ELEM_BIT_OUT * n * max(0.0, bits - 12))
     return _TRANSFORM_MARGIN * transform / translate
 
 

@@ -60,7 +60,7 @@ from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .groups import (GroupDescriptor, GroupElement, _bit_ranks, _cover_walk,
                      negate_bits, translate_bits)
 from .stats import binomial_sigma, wilson_interval
-from .subsets import GroupSubset, _to_fraction, almost_periods
+from .subsets import GroupSubset, _sum_bits, _to_fraction, almost_periods
 
 __all__ = [
     "TranslateSystem",
@@ -279,8 +279,9 @@ def greedy_packing(a: GroupSubset, delta) -> PackingResult:
     is a ball cover: the centers are the ranks groups._cover_walk yields for
     the ball, each the least rank the ball translates so far miss.  This
     costs O(|centers|) big-int translates in all.  The result is
-    delta-separated and maximal by construction; both properties are
-    re-checked on the ball translates before returning."""
+    delta-separated and maximal by construction; _check_packing re-checks
+    both before returning, from two sums of the centers C and the ball B:
+    (C - C) & B = {0} and C + B = G."""
     ball = almost_periods(a, delta)
     ball_bits = ball.members.bits
     g = a.group
@@ -291,17 +292,19 @@ def greedy_packing(a: GroupSubset, delta) -> PackingResult:
 
 def _check_packing(g: GroupDescriptor, ball: int, centers: Sequence[int]) -> None:
     """Raise unless the centers are separated (no center's ball translate
-    holds another center) and maximal (their ball translates cover G)."""
+    holds another center) and maximal (their ball translates cover G).
+
+    Both are read from sums (subsets._sum_bits, so the size rule picks
+    translates or the convolution kernel).  The ball translate B + w holds
+    exactly the centers w' with w' - w in B, so the centers C are separated
+    exactly when (C - C) & B = {0}, and maximal exactly when C + B = G."""
     center_bits = 0
     for w in centers:
         center_bits |= 1 << w
-    union = 0
-    for w in centers:
-        t = translate_bits(g, ball, w)
-        if (t & center_bits) != 1 << w:
-            raise AssertionError("packing separation violated")
-        union |= t
-    if union != g.full_mask:
+    if center_bits and _sum_bits(g, center_bits, center_bits,
+                                 reflect=True) & ball != 1:
+        raise AssertionError("packing separation violated")
+    if _sum_bits(g, center_bits, ball) != g.full_mask:
         raise AssertionError("packing not maximal")
 
 

@@ -6,7 +6,9 @@ meaningful.  Only usable at tiny sizes.  These exceptions work on int
 bitsets: the bitset translation and negation by digit masks (digit_masks,
 rotate_coord, translate_bits_by_digit, negate_bits_by_digit), which build
 their own masks, the references for the library's two-shift translation
-kernel and its reversal-plus-translate negation; the hex codec one nibble at
+kernel and its reversal-plus-translate negation, and the counts of x + y
+and x - y from those translates (convolution_counts), the reference for both
+paths of the library's convolution kernel; the hex codec one nibble at
 a time (bits_to_hex_by_nibble, hex_to_bits_by_nibble), the reference for the
 library's format/int codec; shattered_witness, the unanchored shattering
 search over lists of traces that the library ran before it anchored the full
@@ -46,7 +48,9 @@ the sumset the Kneser oracle forms; and the regularity sweeps as they were
 before their steps were kept per call (iterated_doubling, pipeline_step,
 regularize, robust_pipeline): K from the float expression, a fresh doubling
 by translate sumsets and a fresh spread, subgroup and rounding for every
-delta, the references for the step function that doubles each ball once.
+delta, the references for the step function that doubles each ball once;
+and the packing check as it was before it read two sums (check_packing),
+one ball translate per center, the reference for vc._check_packing.
 """
 from __future__ import annotations
 
@@ -137,6 +141,20 @@ def translate_bits_by_digit(mods, bits: int, x_rank: int) -> int:
             bits = rotate_coord(bits, masks, m, blk, c)
         blk *= m
     return bits
+
+
+def convolution_counts(mods, x_bits: int, y_bits: int,
+                       reflect: bool = False) -> list[int]:
+    """#{(x, y) in X x Y : x + y = z}, or x - y = z with reflect, for every
+    rank z, from one digit-mask translate per rank: x + y = z exactly when
+    y is in -X + z, and x - y = z exactly when x is in Y + z."""
+    order = math.prod(mods)
+    if reflect:
+        return [(translate_bits_by_digit(mods, y_bits, z) & x_bits).bit_count()
+                for z in range(order)]
+    neg_x = negate_bits_by_digit(mods, x_bits)
+    return [(translate_bits_by_digit(mods, neg_x, z) & y_bits).bit_count()
+            for z in range(order)]
 
 
 def negate_bits_by_digit(mods, bits: int) -> int:
@@ -336,6 +354,22 @@ def greedy_packing(mods, aset, delta: Fraction) -> list[tuple[int, ...]]:
         if all(symdiff_size(shifted[x], shifted[w]) > bound for w in kept):
             kept.append(x)
     return kept
+
+
+def check_packing(g, ball: int, centers) -> None:
+    """Raise unless no center's ball translate holds another center and the
+    ball translates cover G, translating the ball once per center."""
+    center_bits = 0
+    for w in centers:
+        center_bits |= 1 << w
+    union = 0
+    for w in centers:
+        t = translate_bits(g, ball, w)
+        if (t & center_bits) != 1 << w:
+            raise AssertionError("packing separation violated")
+        union |= t
+    if union != g.full_mask:
+        raise AssertionError("packing not maximal")
 
 
 def bi_induced_exists(mods, aset, u_count, v_count, edges,

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -46,6 +47,17 @@ def test_descriptor_validation():
     assert g.order == 24
     assert g.exponent == 12
     assert g.full_mask == (1 << 24) - 1
+
+
+def test_element_from_coords_reads_integers_only():
+    g = GroupDescriptor([13, 4])
+    assert g.element_from_coords([15, -1]).coords == (2, 3)
+    assert g.element_from_coords((np.int64(5), np.uint8(2))).rank == 5 + 2 * 13
+    for bad in (1.5, "3", 2.0, None):
+        with pytest.raises(TypeError):
+            g.element_from_coords([bad, 0])
+        with pytest.raises(TypeError):
+            g.element_from_coords([0, bad])
 
 
 def test_rank_coords_bijection_matches_oracle():

@@ -327,6 +327,73 @@ def test_sumset_kernel_rejects_an_inexact_transform(monkeypatch, offset):
         lib._convolve(g, 0b100011, 0b1010)
 
 
+@given(st.integers(1, 12), st.data())
+def test_butterfly_counts_match_the_transform_and_the_oracle(n, data):
+    """On (Z/2)^n the integer butterflies give the rfftn path's counts and
+    the translate oracle's, for X + Y and X - Y, X = Y or not."""
+    g = GroupDescriptor([2] * n)
+    x = data.draw(st.integers(0, g.full_mask))
+    y = data.draw(st.sampled_from([x, 1, g.full_mask]) | st.integers(0, g.full_mask))
+    want = oracles.convolution_counts(g.moduli, x, y)
+    assert want == oracles.convolution_counts(g.moduli, x, y, reflect=True)
+    got = lib._walsh_convolve(g, x, y)
+    assert got.dtype == np.int64 and got.tolist() == want
+    for reflect in (False, True):
+        assert lib._fft_convolve(g, x, y, reflect).tolist() == want
+        assert lib._convolve(g, x, y, reflect=reflect).tolist() == want
+
+
+def test_butterfly_counts_on_z2_16():
+    g = GroupDescriptor([2] * 16)
+    rng = random.Random(216)
+    x, y = rng.getrandbits(g.order), rng.getrandbits(g.order)
+    for a, b in ((x, x), (x, y)):
+        got = lib._walsh_convolve(g, a, b)
+        assert np.array_equal(got, lib._fft_convolve(g, a, b, False))
+        for z in [0, *rng.sample(range(1, g.order), 31)]:
+            assert got[z] == (translate_bits(g, a, z) & b).bit_count()
+    prof = symdiff_profile(GroupSubset(g, x))
+    for z in rng.sample(range(g.order), 32):
+        assert prof[z] == (x ^ translate_bits(g, x, z)).bit_count()
+
+
+def test_convolve_takes_butterflies_on_elementary_two_groups(monkeypatch):
+    """Butterflies serve every (Z/2)^n while |X| |Y| |G| < 2^63, so int64
+    holds every partial sum; every other shape, and a denser pair past
+    that bound under a raised order cap, keep the rfftn path."""
+    monkeypatch.setattr(lib, "_walsh_convolve", lambda g, x, y: "walsh")
+    monkeypatch.setattr(lib, "_fft_convolve", lambda g, x, y, reflect: "fft")
+    for mods in [(2,), (2,) * 5, (4,), (2, 3), (2, 2, 4), (3, 2, 2), (1024,)]:
+        g = GroupDescriptor(mods)
+        want = "walsh" if set(mods) == {2} else "fft"
+        assert lib._convolve(g, g.full_mask, 1) == want
+        assert lib._convolve(g, 1, 1, reflect=True) == want
+    g = GroupDescriptor([2] * 21, order_cap=1 << 21)
+    full = g.full_mask
+    assert g.order**3 == 1 << 63
+    assert lib._convolve(g, full, full) == "fft"
+    assert lib._convolve(g, full, full ^ 1) == "walsh"
+
+
+# 1 breaks the low bits; |G| keeps them but breaks the total
+@pytest.mark.parametrize("offset", ["one", "order"])
+def test_sumset_kernel_rejects_an_inexact_butterfly(monkeypatch, offset):
+    g = GroupDescriptor([2] * 6)
+    stage = lib._butterfly_stage
+
+    def corrupt(v, h):
+        stage(v, h)
+        if h == g.order // 2:  # the last stage of each transform
+            v[:, 0] += 1 if offset == "one" else g.order
+
+    monkeypatch.setattr(lib, "_butterfly_stage", corrupt)
+    for x, y in ((0b100011, 0b1010), (0b100011, 0b100011)):
+        with pytest.raises(AssertionError):
+            lib._convolve(g, x, y)
+    with pytest.raises(AssertionError):
+        symdiff_profile(GroupSubset(g, 0b100011))
+
+
 def test_sumset_takes_the_kernel_for_a_coset_union(count_calls):
     """Past the size rule's limit the first translates decide: a union that
     stops growing (a subgroup plus noise) goes to the kernel, one that is
@@ -368,10 +435,20 @@ def test_translate_limit_grows_with_the_transform_cost():
     limit = lib._translate_limit
     # small groups always translate: a sum with a side past |G|/2 is G
     assert all(limit(mods) > 64 for mods in
-               [(8,), (2, 2, 2), (64,), (2,) * 6, (4, 4, 4), (13,), (3, 5)])
-    # length-2 axes make a transform dear, long cyclic ones cheap
-    assert limit((1024,)) < limit((4,) * 5) < limit((2,) * 10)
-    assert limit((2,) * 12) > limit((4096,))
+               [(8,), (64,), (4, 4, 4), (13,), (3, 5)])
+    assert all(limit((2,) * n) > 2 ** (n - 1) for n in range(1, 7))
+    # the rfftn model, unchanged since it was fitted
+    for mods, want in [((8,), 75), ((1024,), 100), ((4096,), 171),
+                       ((8,) * 4, 270), ((3,) * 7, 444), ((65536,), 1097)]:
+        assert round(limit(mods)) == want
+    # long cyclic axes make a transform cheap, and butterflies on (Z/2)^n
+    # cheaper still: their crossover grows slowly with n (measured 35-38
+    # through (Z/2)^9, 59 at (Z/2)^10, 70 at 2^12, 75 at 2^16, 113 at 2^20)
+    assert limit((1024,)) < limit((4,) * 5)
+    assert limit((2,) * 10) < limit((1024,))
+    assert limit((2,) * 12) < limit((4096,))
+    assert limit((2,) * 16) < limit((65536,))
+    assert limit((2,) * 9) < limit((2,) * 12) < limit((2,) * 16) < limit((2,) * 20)
 
 
 def test_iterated_doubling_examples():

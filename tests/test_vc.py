@@ -29,7 +29,8 @@ from addcomb import (
 from addcomb import vc
 from addcomb.caps import Caps, CapExceeded
 from addcomb.exhaustive import all_abelian_groups, orbit_representatives
-from addcomb.groups import _bit_ranks, translate_bits
+from addcomb.groups import _bit_ranks, _cover_walk, translate_bits
+from addcomb.subsets import _convolve, _support
 from conftest import MODULI_POOL, subsets
 
 SMALL_POOL = tuple(m for m in MODULI_POOL if math.prod(m) <= 16)
@@ -257,6 +258,59 @@ def test_greedy_packing_certifies_through_the_check(monkeypatch):
     res = greedy_packing(a, delta)
     assert res.certified
     assert seen == [(ball, [e.rank for e in res.centers])]
+
+
+def _packing_verdict(check, g, ball, centers):
+    try:
+        check(g, ball, centers)
+    except AssertionError as err:
+        return str(err)
+    return "ok"
+
+
+def _kernel_sum(g, x_bits, y_bits, reflect=False):
+    return _support(_convolve(g, x_bits, y_bits, reflect=reflect)) \
+        if x_bits and y_bits else 0
+
+
+@pytest.mark.parametrize("mods", [(16,), (2,) * 4, (3, 5), (2, 8), (4, 12),
+                                  (2,) * 8, (1024,)],
+                         ids=lambda mods: "x".join(map(str, mods)))
+def test_packing_check_matches_the_translate_oracle(mods, monkeypatch):
+    """The two sums give the translate loop's verdict and message, on
+    almost-period balls and on random bitsets (not symmetric, with or
+    without 0), for the cover walk's centers, those centers with the last
+    dropped, a rank added or one center moved, no centers and random ones;
+    through the size rule and through the kernel alone."""
+    g = GroupDescriptor(mods)
+    n = g.order
+    rng = random.Random(n)
+    cases = []
+    for trial in range(24):
+        if trial % 8 == 1:  # sparse, so the walk makes many centers
+            ball = 1 | sum(1 << r for r in rng.sample(range(n), 2))
+        elif trial % 2:
+            ball = rng.getrandbits(n)
+            if trial % 4 == 3:
+                ball &= ~1
+        else:
+            a = GroupSubset(g, rng.getrandbits(n))
+            ball = almost_periods(a, Fraction(rng.randrange(1, 8), 16)).members.bits
+        walk = [r for r, _ in _cover_walk(g, ball | 1)]
+        moved = list(walk)
+        moved[rng.randrange(len(moved))] = rng.randrange(n)
+        for centers in (walk, walk[:-1], walk + [rng.randrange(n)], moved, [],
+                        rng.sample(range(n), rng.randrange(1, n))):
+            cases.append((ball, centers))
+    seen = set()
+    for sums in ("rule", "kernel"):
+        if sums == "kernel":
+            monkeypatch.setattr(vc, "_sum_bits", _kernel_sum)
+        for ball, centers in cases:
+            want = _packing_verdict(oracles.check_packing, g, ball, centers)
+            assert _packing_verdict(vc._check_packing, g, ball, centers) == want
+            seen.add(want)
+    assert seen == {"ok", "packing separation violated", "packing not maximal"}
 
 
 @given(
