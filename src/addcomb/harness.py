@@ -180,11 +180,8 @@ def generate_family(g: GroupDescriptor, spec: dict, seed: int,
         density = float(_to_fraction(spec["density"]))
         if not 0 <= density <= 1:
             raise ValueError("density must be in [0, 1]")
-        bits = 0
-        for r in range(g.order):
-            if rng.random() < density:
-                bits |= 1 << r
-        return GroupSubset(g, bits)
+        return GroupSubset.from_ranks(
+            g, [r for r in range(g.order) if rng.random() < density])
     if kind == "explicit":
         a = subset_from_json(spec["set"], caps=caps)
         if a.group != g:

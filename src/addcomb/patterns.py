@@ -44,11 +44,12 @@ small, |G|^2 <= min(rows, _CHUNK) |U| |V| for a check of `rows` samples,
 the tables hold one entry per pair of ranks, at index x |G| + y: they then
 hold no more entries than one chunk has pair sums, and a pair is one add and
 one gather.  Past that rule they hold one entry per rank, and the pair adds
-its ranks by one digit decomposition per coordinate in the unsigned dtype: a
-digit sum s < 2m wraps to min(s, s - m), which is exact because s - m
-underflows to a value above s exactly when s < m.  Injectivity, a sort of
-each row, is checked only on the rows that bi-induce f.  check_witness
-tests its one witness as a single row of the same check, so it sums digits.
+its ranks with groups._add_ranks, one digit decomposition per coordinate in
+the unsigned dtype: a digit sum s < 2m wraps to min(s, s - m), which is
+exact because s - m underflows to a value above s exactly when s < m.
+Injectivity, a sort of each row, is checked only on the rows that
+bi-induce f.  check_witness tests its one witness as a single row of the
+same check, so it sums digits.
 
 Anchor.  The accepted phi_v tuples of the V-side sweep are closed under the
 shift y -> y - z, and the per-u mask sizes do not change under it.  So the
@@ -80,6 +81,8 @@ from .groups import (
     GroupDescriptor,
     GroupElement,
     Subgroup,
+    _add_ranks,
+    _rank_dtype,
     add_rank,
     cosets,
     neg_rank,
@@ -272,36 +275,6 @@ def _draw_chunks(rng: random.Random, n: int, samples: int,
             yield got[:need].reshape(c, width)
     finally:
         _mt_slot.mt = mt
-
-
-def _rank_dtype(g: GroupDescriptor) -> type:
-    """The unsigned dtype the sampled checks hold ranks of g in: uint32 while
-    |G| <= 2**31, which covers every order the default order_cap admits, as
-    every rank is then below 2**31 and every digit sum, at most 2m - 2, below
-    2**32; uint64 beyond."""
-    return np.uint32 if g.order <= 1 << 31 else np.uint64
-
-
-def _add_ranks(g: GroupDescriptor, a: np.ndarray,
-               b: np.ndarray) -> np.ndarray:
-    """Elementwise (broadcast) add_rank of two arrays of ranks of g, in their
-    unsigned dtype, which must be _rank_dtype(g) or wider.
-
-    One digit decomposition per coordinate; the first has block 1 and needs
-    no division, and the last digit needs no modulo, since a rank is below
-    |G|.  A digit sum s < 2m wraps to min(s, s - m): when s < m the
-    subtraction underflows to s - m + 2**bits > s, so min keeps s, and
-    otherwise it is s - m."""
-    last = len(g.moduli) - 1
-    out = None
-    for i, (m, blk) in enumerate(zip(g.moduli, g._blocks)):
-        da, db = (a // blk, b // blk) if i else (a, b)
-        if i < last:
-            da, db = da % m, db % m
-        s = da + db
-        s = np.minimum(s, s - m)
-        out = out + s * blk if i else s
-    return out
 
 
 class _SampleCheck:

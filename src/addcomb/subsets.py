@@ -154,12 +154,18 @@ class GroupSubset:
 
     @classmethod
     def from_ranks(cls, g: GroupDescriptor, ranks: Sequence[int]) -> "GroupSubset":
-        bits = 0
+        """The set of these ranks (repeats allowed, any order), in one pass:
+        each rank marks its byte of a |G|-byte buffer, which numpy packs into
+        the bitset, where `bits |= 1 << r` per rank copies a growing int each
+        time.  ValueError names the first rank out of range."""
+        n = g.order
+        marks = bytearray(n)
         for r in ranks:
-            if not 0 <= r < g.order:
-                raise ValueError(f"rank {r} out of range for order {g.order}")
-            bits |= 1 << r
-        return cls(g, bits)
+            if not 0 <= r < n:
+                raise ValueError(f"rank {r} out of range for order {n}")
+            marks[r] = 1
+        packed = np.packbits(np.frombuffer(marks, np.uint8), bitorder="little")
+        return cls(g, int.from_bytes(packed.tobytes(), "little"))
 
     @classmethod
     def from_elements(

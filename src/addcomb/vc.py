@@ -57,8 +57,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
-from .groups import (GroupDescriptor, GroupElement, _bit_ranks, _cover_walk,
-                     negate_bits, translate_bits)
+from .groups import (GroupDescriptor, GroupElement, _bit_ranks, _cover_ranks,
+                     _elements, negate_bits, translate_bits)
 from .stats import binomial_sigma, wilson_interval
 from .subsets import GroupSubset, _sum_bits, _to_fraction, almost_periods
 
@@ -276,18 +276,21 @@ def greedy_packing(a: GroupSubset, delta) -> PackingResult:
 
     That holds exactly when x - w lies outside the almost-period ball
     B_delta(A), i.e. when x is outside the ball translate B + w, so the scan
-    is a ball cover: the centers are the ranks groups._cover_walk yields for
-    the ball, each the least rank the ball translates so far miss.  This
-    costs O(|centers|) big-int translates in all.  The result is
+    is a ball cover: the centers are the ranks groups._cover_ranks takes for
+    the ball, each the least rank the ball translates so far miss.  For a
+    small ball (a random set's is {0}, and then every rank is a center) it
+    marks those translates from a table of rank sums, O(|G| |B|) work in
+    all; for a dense one it makes one big-int translate per center.  The
+    centers' elements are built in bulk (groups._elements).  The result is
     delta-separated and maximal by construction; _check_packing re-checks
     both before returning, from two sums of the centers C and the ball B:
     (C - C) & B = {0} and C + B = G."""
     ball = almost_periods(a, delta)
     ball_bits = ball.members.bits
     g = a.group
-    centers = [x for x, _ in _cover_walk(g, ball_bits)]
+    centers = _cover_ranks(g, ball_bits)
     _check_packing(g, ball_bits, centers)
-    return PackingResult(a, ball.delta, tuple(g.element(r) for r in centers), True)
+    return PackingResult(a, ball.delta, _elements(g, centers), True)
 
 
 def _check_packing(g: GroupDescriptor, ball: int, centers: Sequence[int]) -> None:
@@ -298,9 +301,7 @@ def _check_packing(g: GroupDescriptor, ball: int, centers: Sequence[int]) -> Non
     translates or the convolution kernel).  The ball translate B + w holds
     exactly the centers w' with w' - w in B, so the centers C are separated
     exactly when (C - C) & B = {0}, and maximal exactly when C + B = G."""
-    center_bits = 0
-    for w in centers:
-        center_bits |= 1 << w
+    center_bits = GroupSubset.from_ranks(g, centers).bits
     if center_bits and _sum_bits(g, center_bits, center_bits,
                                  reflect=True) & ball != 1:
         raise AssertionError("packing separation violated")

@@ -50,7 +50,11 @@ regularize, robust_pipeline): K from the float expression, a fresh doubling
 by translate sumsets and a fresh spread, subgroup and rounding for every
 delta, the references for the step function that doubles each ball once;
 and the packing check as it was before it read two sums (check_packing),
-one ball translate per center, the reference for vc._check_packing.
+one ball translate per center, the reference for vc._check_packing; and
+bitsets from ranks as they were before they were built in one pass
+(from_ranks, random_family_bits), `bits |= 1 << r` per rank, the
+references for GroupSubset.from_ranks and the random family of
+harness.generate_family.
 """
 from __future__ import annotations
 
@@ -370,6 +374,27 @@ def check_packing(g, ball: int, centers) -> None:
         union |= t
     if union != g.full_mask:
         raise AssertionError("packing not maximal")
+
+
+def from_ranks(g, ranks) -> int:
+    """The bitset of the ranks, one shifted bit or'd in per rank; ValueError
+    at the first rank out of range."""
+    bits = 0
+    for r in ranks:
+        if not 0 <= r < g.order:
+            raise ValueError(f"rank {r} out of range for order {g.order}")
+        bits |= 1 << r
+    return bits
+
+
+def random_family_bits(g, density: float, rng: random.Random) -> int:
+    """generate_family's random set: rank r is in it when the r-th draw of
+    rng.random() is below density, one shifted bit or'd in per rank."""
+    bits = 0
+    for r in range(g.order):
+        if rng.random() < density:
+            bits |= 1 << r
+    return bits
 
 
 def bi_induced_exists(mods, aset, u_count, v_count, edges,

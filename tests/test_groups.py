@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -19,15 +20,21 @@ from addcomb import (
     negate,
     subgroup_from_bits,
 )
+from addcomb import groups as groups_lib
 from addcomb.exhaustive import all_abelian_groups
 from addcomb.groups import (
+    _COVER_TABLE_ENTRIES,
     Subgroup,
     _bit_ranks,
     _closure_walk,
     _closure_with,
+    _cover_ranks,
+    _cover_walk,
+    _elements,
     _full_lattice,
     _is_union_of_cosets,
     _make_subgroup,
+    _rank_walk_pays,
     add_rank,
     neg_rank,
     negate_bits,
@@ -426,3 +433,99 @@ def test_full_lattice_skips_repeated_extensions(count_calls):
     lattice = _full_lattice.__wrapped__(g)
     assert [bits.bit_count() for bits, _ in lattice] == [2**k for k in range(10, -1, -1)]
     assert calls[0] <= 500
+
+
+# cyclic, (Z/2)^n, (Z/3)^k and mixed shapes
+COVER_SHAPES = [(7,), (64,), (1024,), (2,) * 4, (2,) * 8, (2,) * 10, (3,) * 3,
+                (3,) * 5, (2, 12), (2, 2, 12), (4, 6), (3, 16, 2), (5, 7, 4)]
+
+
+def _walk_ranks(g, bits):
+    return [r for r, _ in _cover_walk(g, bits)]
+
+
+@given(st.sampled_from(COVER_SHAPES),
+       st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.5, 0.9]),
+       st.integers(0, 2**32))
+def test_cover_ranks_matches_the_bitset_walk(mods, density, seed):
+    # sets holding 0, from {0} to nearly G, through the rule and with each
+    # walk forced
+    g = GroupDescriptor(mods)
+    rng = random.Random(seed)
+    bits = 1 | sum(1 << r for r in range(g.order) if rng.random() < density)
+    want = _walk_ranks(g, bits)
+    assert _cover_ranks(g, bits) == want
+    with pytest.MonkeyPatch.context() as mp:
+        for pays in (True, False):
+            mp.setattr(groups_lib, "_rank_walk_pays", lambda g, size: pays)
+            assert _cover_ranks(g, bits) == want
+
+
+@pytest.mark.parametrize("entries", [1, 2, 5, 24, 1 << 16])
+def test_cover_ranks_builds_its_table_in_bounded_chunks(entries, monkeypatch):
+    # chunks of one row, of a few rows, and of the whole group; no chunk
+    # holds more than the bound
+    g = GroupDescriptor([4, 6])
+    built = []
+    add = groups_lib._add_ranks
+
+    def spy(g, a, b):
+        out = add(g, a, b)
+        built.append(out.size)
+        return out
+
+    monkeypatch.setattr(groups_lib, "_add_ranks", spy)
+    monkeypatch.setattr(groups_lib, "_COVER_TABLE_ENTRIES", entries)
+    monkeypatch.setattr(groups_lib, "_rank_walk_pays", lambda g, size: True)
+    rng = random.Random(entries)
+    for _ in range(30):
+        size = rng.randrange(1, min(entries, 6) + 1)
+        bits = sum(1 << r for r in [0] + rng.sample(range(1, 24), size - 1))
+        assert _cover_ranks(g, bits) == _walk_ranks(g, bits)
+    assert built and max(built) <= entries
+
+
+@pytest.mark.parametrize("mods", BENCH_SHAPES + [(2,) * 8, (2,) * 16, (2,) * 20,
+                                                 (65536,)], ids=str)
+def test_rank_walk_rule_takes_the_table_for_sparse_sets_only(mods):
+    # a random set's ball {0} makes every rank a center: the table walk;
+    # a planted set's ball, about |G|/8, makes 8: the bitset walk
+    g = GroupDescriptor(mods)
+    assert _rank_walk_pays(g, 1) and _rank_walk_pays(g, 2)
+    assert not _rank_walk_pays(g, g.order // 8)
+    assert not _rank_walk_pays(g, _COVER_TABLE_ENTRIES + 1)
+
+
+def test_rank_walk_rule_keeps_the_bitset_walk_past_the_row_bound():
+    # past the default order cap a translate costs more than a row of the
+    # table, so only the bound refuses a set whose row would not fit it (a
+    # stub carries what the rule reads)
+    huge = types.SimpleNamespace(moduli=(2,) * 30, order=2**30)
+    assert _rank_walk_pays(huge, _COVER_TABLE_ENTRIES)
+    assert not _rank_walk_pays(huge, _COVER_TABLE_ENTRIES + 1)
+
+
+def test_cover_ranks_takes_the_walk_the_rule_names(count_calls):
+    # the table walk translates nothing; the bitset walk translates once per
+    # center
+    g = GroupDescriptor([2] * 8)
+    h = generated_subgroup(g, [1 << i for i in range(5)])
+    calls = count_calls(translate_bits)
+    assert _cover_ranks(g, 1) == list(range(256))
+    assert calls[0] == 0
+    assert _cover_ranks(g, h.bits) == [32 * i for i in range(8)]
+    assert calls[0] == 8
+    assert coset_representatives(g, h) == [32 * i for i in range(8)]
+
+
+@pytest.mark.parametrize("mods", KERNEL_SHAPES + [(2,) * 20, (3,) * 7],
+                         ids=str)
+def test_elements_in_bulk_match_element(mods):
+    g = GroupDescriptor(mods)
+    rng = random.Random(g.order)
+    ranks = [0, g.order - 1] + rng.sample(range(g.order), min(g.order, 300))
+    got = _elements(g, ranks)
+    assert got == tuple(g.element(r) for r in ranks)
+    assert all(type(r) is int and all(type(c) is int for c in e.coords)
+               for r, e in zip(ranks, got))
+    assert _elements(g, []) == ()

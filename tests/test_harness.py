@@ -249,6 +249,17 @@ def test_generate_family_interval():
         generate_family(z13, {"kind": "interval", "length": 13}, 0)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
+@pytest.mark.parametrize("mods,density", [((13,), "1/2"), ((2,) * 8, "0.3"),
+                                          ((3, 4), "1"), ((4096,), "0")])
+def test_generate_family_random_keeps_its_draws(mods, density, seed):
+    g = GroupDescriptor(mods)
+    a = generate_family(g, {"kind": "random", "density": density}, seed)
+    rng = random.Random(split_seed(seed, "family:random"))
+    want = oracles.random_family_bits(g, float(Fraction(density)), rng)
+    assert a.bits == want
+
+
 def test_generate_family_planted():
     g = GroupDescriptor([2, 2, 2, 2])
     spec = {"kind": "planted", "index": 4, "cosets": 2, "noise": 0}

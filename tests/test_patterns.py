@@ -37,7 +37,8 @@ from addcomb import (
 )
 from addcomb import patterns
 from addcomb.caps import Caps, CapExceeded
-from addcomb.groups import add_rank, neg_rank, translate_bits
+from addcomb.groups import (_add_ranks, _rank_dtype, add_rank, neg_rank,
+                            translate_bits)
 from addcomb.stats import wilson_interval
 from conftest import MODULI_POOL, subsets
 
@@ -375,7 +376,7 @@ def test_sample_tester_memory_is_bounded(count_calls):
     # pair sums are digit sums, one _add_ranks call per pair
     g = GroupDescriptor([2] * 18)
     a = GroupSubset(g, random.Random(3).getrandbits(g.order))
-    sums = count_calls(patterns._add_ranks)
+    sums = count_calls(_add_ranks)
     rep, peak = _traced_peak(g, lambda: sample_tester(a, half_graph(2), 2000,
                                                       rng_seed=1))
     assert rep.samples == 2000
@@ -389,7 +390,7 @@ def test_sample_tester_memory_is_bounded_in_the_sample_count(count_calls):
     # and each of the 25 chunks sums its 4 pairs by digits
     g = GroupDescriptor([2] * 18)
     a = GroupSubset(g, random.Random(3).getrandbits(g.order))
-    sums = count_calls(patterns._add_ranks)
+    sums = count_calls(_add_ranks)
     rep, peak = _traced_peak(g, lambda: sample_tester(a, half_graph(2), 100000,
                                                       rng_seed=1))
     assert rep.samples == 100000
@@ -647,10 +648,10 @@ def _wrap_pairs(g, rng):
 
 
 def _assert_add_ranks(g, pairs, dtype):
-    assert patterns._rank_dtype(g) is dtype
+    assert _rank_dtype(g) is dtype
     a = np.array([x for x, _ in pairs], dtype)
     b = np.array([y for _, y in pairs], dtype)
-    s = patterns._add_ranks(g, a, b)
+    s = _add_ranks(g, a, b)
     assert s.dtype == dtype
     assert s.tolist() == [add_rank(g, x, y) for x, y in pairs]
 
@@ -708,7 +709,7 @@ def test_sample_check_takes_the_table_from_one_chunk_of_pair_sums(
     a = GroupSubset(g, random.Random(5).getrandbits(g.order))
     f = half_graph(2)
     assert _uses_table(patterns._SampleCheck(a, f, samples), 48) == table
-    sums = count_calls(patterns._add_ranks)
+    sums = count_calls(_add_ranks)
     rep = sample_tester(a, f, samples, rng_seed=3)
     assert sums[0] == (1 if table else 4)
     assert rep == oracles.sample_tester(a, f, samples, 3)
@@ -725,7 +726,7 @@ def test_sample_check_table_matches_add_ranks(mods):
     check = patterns._SampleCheck(a, half_graph(3), CHUNK)
     assert _uses_table(check, n)
     x, y = np.divmod(np.arange(n * n, dtype=np.uint32), np.uint32(n))
-    sums = patterns._add_ranks(g, x, y)
+    sums = _add_ranks(g, x, y)
     assert np.array_equal(check.tables[1], (a.bits >> sums.astype(object)) & 1
                           == 1)
     assert np.array_equal(check.tables[0], ~check.tables[1])
@@ -739,7 +740,7 @@ def test_check_witness_sums_digits(count_calls):
     w = find_bi_induced(a, f, require_injective=False)
     assert w is not None
     assert not _uses_table(patterns._SampleCheck(a, f, 1), g.order)
-    sums = count_calls(patterns._add_ranks)
+    sums = count_calls(_add_ranks)
     assert check_witness(a, f, w)
     assert sums[0] == 4
 

@@ -52,6 +52,32 @@ def test_subset_construction_and_views():
         GroupSubset.from_ranks(g, [6])
 
 
+@pytest.mark.parametrize("mods", [(6,), (2, 3), (2,) * 8, (1024,), (3,) * 7],
+                         ids=str)
+def test_from_ranks_matches_the_shift_loop(mods):
+    g = GroupDescriptor(mods)
+    n = g.order
+    rng = random.Random(n)
+    some = rng.sample(range(n), n // 3)
+    for ranks in ([], [0], [n - 1], some, some + some[::2], sorted(some),
+                  some[::-1], list(range(n)), range(n), [5 % n] * 4):
+        assert GroupSubset.from_ranks(g, ranks).bits == oracles.from_ranks(g, ranks)
+    # the error names the first rank out of range, as the loop's did
+    for bad, first in (([-1], -1), ([n], n), ([0, 3 % n, n + 7, -1], n + 7)):
+        for build in (GroupSubset.from_ranks, oracles.from_ranks):
+            with pytest.raises(ValueError, match=f"rank {first} out of range"):
+                build(g, bad)
+
+
+def test_from_ranks_of_every_rank_at_2_20_is_linear():
+    # `bits |= 1 << r` per rank took 5 to 9 s on a 2-core x86-64 box
+    g = GroupDescriptor([2] * 20)
+    start = time.perf_counter()
+    a = GroupSubset.from_ranks(g, range(g.order))
+    assert time.perf_counter() - start < 2.0
+    assert a.bits == g.full_mask
+
+
 def test_translate_examples():
     z22 = GroupDescriptor([2, 2])
     a = GroupSubset.from_ranks(z22, [0, 1])

@@ -26,6 +26,7 @@ from addcomb import (
     translate,
     vc_dimension,
 )
+from addcomb import groups as groups_lib
 from addcomb import vc
 from addcomb.caps import Caps, CapExceeded
 from addcomb.exhaustive import all_abelian_groups, orbit_representatives
@@ -216,6 +217,57 @@ def test_greedy_packing_on_z_2_20_with_few_centers():
     assert [c.rank for c in res.centers] == list(range(8)) and res.certified
     # a bit test per rank made this about 30 s
     assert elapsed < 5.0
+
+
+def test_greedy_packing_takes_every_rank_of_a_random_set():
+    # a random set's ball is {0}, so every rank is a center
+    g = GroupDescriptor([2] * 12)
+    rng = random.Random(12)
+    a = GroupSubset.from_ranks(g, [r for r in range(g.order) if rng.random() < 0.3])
+    assert almost_periods(a, Fraction(1, 4)).members.bits == 1
+    res = greedy_packing(a, Fraction(1, 4))
+    assert [e.rank for e in res.centers] == list(range(4096)) and res.certified
+    assert res.centers[4095] == g.element(4095)
+
+
+@pytest.mark.parametrize("pays", [True, False], ids=["table", "bitset"])
+def test_greedy_packing_matches_the_pairwise_oracle_on_either_walk(
+        pays, monkeypatch):
+    monkeypatch.setattr(groups_lib, "_rank_walk_pays", lambda g, size: pays)
+    rng = random.Random(int(pays))
+    for g in all_abelian_groups(12):
+        for _ in range(6):
+            a = GroupSubset(g, rng.getrandbits(g.order))
+            delta = rng.choice([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)])
+            aset = {g.coords_of(r) for r in a.ranks()}
+            centers = greedy_packing(a, delta).centers
+            assert ([e.coords for e in centers]
+                    == oracles.greedy_packing(g.moduli, aset, delta))
+            assert centers == tuple(g.element(e.rank) for e in centers)
+
+
+def _walk_skipping(skip):
+    """The least-rank cover walk, except that center number skip marks only
+    itself."""
+    def walk(g, bits):
+        covered, centers = 0, []
+        while covered != g.full_mask:
+            r = (~covered & (covered + 1)).bit_length() - 1
+            covered |= (1 << r if len(centers) == skip
+                        else translate_bits(g, bits, r))
+            centers.append(r)
+        return centers
+    return walk
+
+
+def test_greedy_packing_rejects_a_walk_that_skips_a_marking(monkeypatch):
+    a, delta, ball = _interval_packing()
+    assert _walk_skipping(None)(a.group, ball) == [0, 3, 6, 9, 12]
+    assert _walk_skipping(2)(a.group, ball)[:4] == [0, 3, 6, 7]
+    for skip in (0, 2, 4):
+        monkeypatch.setattr(vc, "_cover_ranks", _walk_skipping(skip))
+        with pytest.raises(AssertionError, match="packing separation violated"):
+            greedy_packing(a, delta)
 
 
 def test_greedy_packing_rejects_negative_delta():
