@@ -18,7 +18,8 @@ each coset, the centers of a greedy ball packing), _cover_ranks takes the
 same ranks by marking the translates in a bytearray from a table of rank
 sums (_add_ranks, numpy's digit add), in O(|G| |B|) work for a set B, and
 keeps _cover_walk where the set is dense enough that its few translates
-cost less (_rank_walk_pays).
+cost less (_rank_walk_pays).  An element (GroupElement) is its group and
+its rank; its coordinates are computed from the rank when read.
 """
 from __future__ import annotations
 
@@ -49,12 +50,14 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True)
 class GroupDescriptor:
-    """A finite abelian group given by its cyclic moduli (each >= 2)."""
+    """A finite abelian group given by its cyclic moduli (each >= 2).  A
+    modulus must be an integer (operator.index): 2.5 or "3" raises
+    TypeError rather than being truncated or parsed."""
 
     moduli: tuple[int, ...]
 
     def __init__(self, moduli: Sequence[int], order_cap: int | None = None):
-        mods = tuple(int(m) for m in moduli)
+        mods = tuple(operator.index(m) for m in moduli)
         if not mods:
             raise ValueError("group needs at least one modulus")
         if any(m < 2 for m in mods):
@@ -100,7 +103,7 @@ class GroupDescriptor:
     def element(self, rank: int) -> "GroupElement":
         if not 0 <= rank < self.order:
             raise ValueError(f"rank {rank} out of range for order {self.order}")
-        return GroupElement(self, rank, self.coords_of(rank))
+        return GroupElement(self, rank)
 
     def element_from_coords(self, coords: Sequence[int]) -> "GroupElement":
         """The element with these coordinates, each reduced modulo its
@@ -110,8 +113,8 @@ class GroupDescriptor:
             raise ValueError(
                 f"expected {len(self.moduli)} coordinates, got {len(coords)}"
             )
-        norm = tuple(operator.index(c) % m for c, m in zip(coords, self.moduli))
-        return GroupElement(self, self.rank_of(norm), norm)
+        return GroupElement(self, self.rank_of(
+            [operator.index(c) % m for c, m in zip(coords, self.moduli)]))
 
     def rank_of(self, coords: Sequence[int]) -> int:
         r = 0
@@ -137,13 +140,19 @@ class GroupDescriptor:
         return f"GroupDescriptor({list(self.moduli)})"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class GroupElement:
-    """One group element: its rank and its coordinate tuple."""
+    """One group element: its group and its rank, equal (and hashed alike)
+    exactly when both are.  GroupDescriptor.element and element_from_coords
+    build it with a rank in range."""
 
     group: GroupDescriptor
     rank: int
-    coords: tuple[int, ...]
+
+    @property
+    def coords(self) -> tuple[int, ...]:
+        """The coordinates, computed from the rank (coords_of) when read."""
+        return self.group.coords_of(self.rank)
 
     def __repr__(self) -> str:
         return f"<{self.coords} rank {self.rank}>"
@@ -248,19 +257,6 @@ def _add_ranks(g: GroupDescriptor, a: np.ndarray,
     return out
 
 
-def _elements(g: GroupDescriptor, ranks: Sequence[int]
-              ) -> tuple[GroupElement, ...]:
-    """The elements of these ranks (each in range), with their coordinates
-    read from one numpy digit decomposition per coordinate rather than from
-    coords_of once per rank."""
-    digits = np.empty((len(ranks), len(g.moduli)), np.int64)
-    r = np.asarray(ranks, np.int64)
-    for i, (m, blk) in enumerate(zip(g.moduli, g._blocks)):
-        digits[:, i] = r // blk % m
-    return tuple(GroupElement(g, x, tuple(c))
-                 for x, c in zip(ranks, digits.tolist()))
-
-
 def _factorize(n: int) -> list[tuple[int, int]]:
     """(prime, exponent) of each prime factor of n, ascending."""
     out = []
@@ -361,14 +357,24 @@ def _closure_with(g: GroupDescriptor, sub_bits: int, x_rank: int) -> int:
     return acc
 
 
+def _rank_in(g: GroupDescriptor, e: GroupElement | int) -> int:
+    """The rank e is (an int) or has; ValueError for an element of another
+    group, whose rank names another element."""
+    if isinstance(e, int):
+        return e
+    if e.group != g:
+        raise ValueError("element does not belong to this group")
+    return e.rank
+
+
 def generated_subgroup(
     g: GroupDescriptor, gens: Sequence[GroupElement | int]
 ) -> Subgroup:
-    """Smallest subgroup containing all of gens."""
+    """Smallest subgroup containing all of gens (ranks, or elements of g)."""
     bits = 1
     ranks = []
     for e in gens:
-        r = e if isinstance(e, int) else e.rank
+        r = _rank_in(g, e)
         if not 0 <= r < g.order:
             raise ValueError(f"rank {r} out of range")
         ranks.append(r)
@@ -497,13 +503,13 @@ def _cover_ranks(g: GroupDescriptor, bits: int) -> list[int]:
     walk costs O(|G| |B|) entries, where _cover_walk costs one |G|-bit
     translate per r.  When B is dense its few translates cost less than the
     table, and the walk is _cover_walk (the cost rule, _rank_walk_pays)."""
-    members = _bit_ranks(bits)
-    if not _rank_walk_pays(g, len(members)):
+    size = bits.bit_count()
+    if not _rank_walk_pays(g, size):
         return [r for r, _ in _cover_walk(g, bits)]
     n = g.order
     dtype = _rank_dtype(g)
-    ball = np.array(members, dtype)
-    rows = _COVER_TABLE_ENTRIES // len(members)
+    ball = np.array(_bit_ranks(bits), dtype)
+    rows = _COVER_TABLE_ENTRIES // size
     covered = bytearray(n)
     centers = []
     r = lo = end = 0

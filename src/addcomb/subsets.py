@@ -104,6 +104,7 @@ from .groups import (
     _closure_walk,
     _full_lattice,
     _make_subgroup,
+    _rank_in,
     negate_bits,
     translate_bits,
 )
@@ -171,7 +172,8 @@ class GroupSubset:
     def from_elements(
         cls, g: GroupDescriptor, elems: Sequence[GroupElement]
     ) -> "GroupSubset":
-        return cls.from_ranks(g, [e.rank for e in elems])
+        """The set of these elements; ValueError if one is of another group."""
+        return cls.from_ranks(g, [_rank_in(g, e) for e in elems])
 
     @property
     def size(self) -> int:
@@ -194,8 +196,10 @@ class GroupSubset:
         return GroupSubset(self.group, negate_bits(self.group, self.bits))
 
     def __contains__(self, e: GroupElement | int) -> bool:
-        r = e if isinstance(e, int) else e.rank
-        return self.contains_rank(r)
+        """Membership of a rank, or of an element (never of another group's)."""
+        if isinstance(e, int):
+            return self.contains_rank(e)
+        return e.group == self.group and self.contains_rank(e.rank)
 
     def __repr__(self) -> str:
         return f"GroupSubset({list(self.group.moduli)}, size={self.size})"
@@ -208,8 +212,8 @@ def _same_group(a: GroupSubset, b: GroupSubset) -> GroupDescriptor:
 
 
 def translate(a: GroupSubset, x: GroupElement | int) -> GroupSubset:
-    """The translate A + x."""
-    r = x if isinstance(x, int) else x.rank
+    """The translate A + x; ValueError if x is of another group."""
+    r = _rank_in(a.group, x)
     if not 0 <= r < a.group.order:
         raise ValueError(f"rank {r} out of range")
     return GroupSubset(a.group, translate_bits(a.group, a.bits, r))

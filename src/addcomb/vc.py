@@ -58,7 +58,7 @@ from typing import Sequence
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .groups import (GroupDescriptor, GroupElement, _bit_ranks, _cover_ranks,
-                     _elements, negate_bits, translate_bits)
+                     negate_bits, translate_bits)
 from .stats import binomial_sigma, wilson_interval
 from .subsets import GroupSubset, _sum_bits, _to_fraction, almost_periods
 
@@ -280,17 +280,19 @@ def greedy_packing(a: GroupSubset, delta) -> PackingResult:
     the ball, each the least rank the ball translates so far miss.  For a
     small ball (a random set's is {0}, and then every rank is a center) it
     marks those translates from a table of rank sums, O(|G| |B|) work in
-    all; for a dense one it makes one big-int translate per center.  The
-    centers' elements are built in bulk (groups._elements).  The result is
-    delta-separated and maximal by construction; _check_packing re-checks
-    both before returning, from two sums of the centers C and the ball B:
+    all; for a dense one it makes one big-int translate per center.  A
+    center's element holds its group and rank alone, and computes its
+    coordinates when they are read.  The result is delta-separated and
+    maximal by construction; _check_packing re-checks both before
+    returning, from two sums of the centers C and the ball B:
     (C - C) & B = {0} and C + B = G."""
     ball = almost_periods(a, delta)
     ball_bits = ball.members.bits
     g = a.group
     centers = _cover_ranks(g, ball_bits)
     _check_packing(g, ball_bits, centers)
-    return PackingResult(a, ball.delta, _elements(g, centers), True)
+    return PackingResult(a, ball.delta,
+                         tuple(GroupElement(g, r) for r in centers), True)
 
 
 def _check_packing(g: GroupDescriptor, ball: int, centers: Sequence[int]) -> None:

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import tracemalloc
 import types
@@ -11,12 +14,15 @@ import oracles
 from addcomb import (
     CapExceeded,
     GroupDescriptor,
+    GroupSubset,
     add,
+    almost_periods,
     coset_representatives,
     cosets,
     enumerate_subgroups,
     find_complement,
     generated_subgroup,
+    greedy_packing,
     negate,
     subgroup_from_bits,
 )
@@ -24,13 +30,13 @@ from addcomb import groups as groups_lib
 from addcomb.exhaustive import all_abelian_groups
 from addcomb.groups import (
     _COVER_TABLE_ENTRIES,
+    GroupElement,
     Subgroup,
     _bit_ranks,
     _closure_walk,
     _closure_with,
     _cover_ranks,
     _cover_walk,
-    _elements,
     _full_lattice,
     _is_union_of_cosets,
     _make_subgroup,
@@ -54,6 +60,17 @@ def test_descriptor_validation():
     assert g.order == 24
     assert g.exponent == 12
     assert g.full_mask == (1 << 24) - 1
+
+
+def test_descriptor_reads_integer_moduli_only():
+    assert GroupDescriptor([np.int64(4), 2]).moduli == (4, 2)
+    assert all(type(m) is int
+               for m in GroupDescriptor([np.int64(4), np.uint8(2)]).moduli)
+    for bad in (2.5, 2.0, "3", None):
+        with pytest.raises(TypeError):
+            GroupDescriptor([bad, 4])
+        with pytest.raises(TypeError):
+            GroupDescriptor([4, bad])
 
 
 def test_element_from_coords_reads_integers_only():
@@ -199,6 +216,16 @@ def test_translate_bits_on_kernel_shapes(mods, data):
     tset = {elems[r] for r in range(g.order) if (t >> r) & 1}
     assert tset == oracles.translate(mods, aset, elems[x])
     assert translate_bits(g, t, y) == translate_bits(g, bits, add_rank(g, x, y))
+
+
+def test_generated_subgroup_rejects_another_groups_element():
+    # (1, 1) in Z/2 x Z/4 has rank 3, which in Z/8 is another element
+    z8 = GroupDescriptor([8])
+    e = GroupDescriptor([2, 4]).element_from_coords([1, 1])
+    assert e.rank == 3
+    with pytest.raises(ValueError, match="does not belong"):
+        generated_subgroup(z8, [e])
+    assert generated_subgroup(z8, [z8.element(3)]).index == 1
 
 
 def test_generated_subgroup_examples():
@@ -507,25 +534,44 @@ def test_rank_walk_rule_keeps_the_bitset_walk_past_the_row_bound():
 
 def test_cover_ranks_takes_the_walk_the_rule_names(count_calls):
     # the table walk translates nothing; the bitset walk translates once per
-    # center
+    # center, and lists no member of B, since the rule reads only |B|
     g = GroupDescriptor([2] * 8)
     h = generated_subgroup(g, [1 << i for i in range(5)])
     calls = count_calls(translate_bits)
+    listed = count_calls(_bit_ranks)
     assert _cover_ranks(g, 1) == list(range(256))
-    assert calls[0] == 0
+    assert calls[0] == 0 and listed[0] == 1
     assert _cover_ranks(g, h.bits) == [32 * i for i in range(8)]
-    assert calls[0] == 8
+    assert calls[0] == 8 and listed[0] == 1
     assert coset_representatives(g, h) == [32 * i for i in range(8)]
 
 
 @pytest.mark.parametrize("mods", KERNEL_SHAPES + [(2,) * 20, (3,) * 7],
                          ids=str)
-def test_elements_in_bulk_match_element(mods):
+def test_group_element_is_its_group_and_rank(mods):
     g = GroupDescriptor(mods)
+    other = GroupDescriptor(mods + (2,), order_cap=2 * g.order)
+    assert [f.name for f in dataclasses.fields(GroupElement)] == ["group",
+                                                                   "rank"]
     rng = random.Random(g.order)
     ranks = [0, g.order - 1] + rng.sample(range(g.order), min(g.order, 300))
-    got = _elements(g, ranks)
-    assert got == tuple(g.element(r) for r in ranks)
-    assert all(type(r) is int and all(type(c) is int for c in e.coords)
-               for r, e in zip(ranks, got))
-    assert _elements(g, []) == ()
+    for r in ranks:
+        e = g.element(r)
+        assert e.coords == g.coords_of(r)
+        assert all(type(c) is int for c in e.coords)
+        assert g.element_from_coords(e.coords) == e
+        assert e == GroupElement(g, r) and hash(e) == hash(GroupElement(g, r))
+        assert e != other.element(r) and e != g.element((r + 1) % g.order)
+        assert repr(e) == f"<{g.coords_of(r)} rank {r}>"
+        for twin in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+            assert type(twin) is GroupElement
+            assert twin == e and hash(twin) == hash(e)
+            assert twin.coords == e.coords
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.rank = 0
+    # the greedy packing's centers are the elements of the walk's ranks
+    a = GroupSubset(g, (1 << (g.order // 2)) - 1)
+    ball = almost_periods(a, "1/4").members.bits
+    centers = greedy_packing(a, "1/4").centers
+    assert centers == tuple(g.element(r) for r in _cover_ranks(g, ball))
+    assert all(type(e.rank) is int for e in centers)

@@ -88,6 +88,33 @@ def test_translate_examples():
     assert translate(b, 3).ranks() == [0]
 
 
+# (1, 1) in Z/2 x Z/4 has rank 3, which in Z/8 is another element
+def _foreign_rank_3():
+    return GroupDescriptor([2, 4]).element_from_coords([1, 1])
+
+
+def test_translate_rejects_another_groups_element():
+    z8 = GroupDescriptor([8])
+    a = GroupSubset.from_ranks(z8, [0])
+    with pytest.raises(ValueError, match="does not belong"):
+        translate(a, _foreign_rank_3())
+    assert translate(a, z8.element(3)).ranks() == [3]
+
+
+def test_membership_of_another_groups_element_is_false():
+    z8 = GroupDescriptor([8])
+    a = GroupSubset.from_ranks(z8, [3])
+    assert _foreign_rank_3() not in a
+    assert z8.element(3) in a and 3 in a
+
+
+def test_from_elements_rejects_another_groups_element():
+    z8 = GroupDescriptor([8])
+    with pytest.raises(ValueError, match="does not belong"):
+        GroupSubset.from_elements(z8, [z8.element(1), _foreign_rank_3()])
+    assert GroupSubset.from_elements(z8, [z8.element(1)]).ranks() == [1]
+
+
 def test_symdiff_examples():
     z22 = GroupDescriptor([2, 2])
     a = GroupSubset.from_ranks(z22, [0, 1])
