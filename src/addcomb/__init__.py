@@ -14,7 +14,6 @@ from .groups import (
     enumerate_subgroups,
     cosets,
     coset_representatives,
-    find_complement,
 )
 from .subsets import (
     GroupSubset,

@@ -19,7 +19,9 @@ same ranks by marking the translates in a bytearray from a table of rank
 sums (_add_ranks, numpy's digit add), in O(|G| |B|) work for a set B, and
 keeps _cover_walk where the set is dense enough that its few translates
 cost less (_rank_walk_pays).  An element (GroupElement) is its group and
-its rank; its coordinates are computed from the rank when read.
+its rank; its coordinates are computed from the rank when read.  A Subgroup
+holds its generators as ranks, so no walk builds an element; a rank passed
+in is read with operator.index, so a float raises TypeError.
 """
 from __future__ import annotations
 
@@ -44,7 +46,6 @@ __all__ = [
     "enumerate_subgroups",
     "cosets",
     "coset_representatives",
-    "find_complement",
 ]
 
 
@@ -101,6 +102,7 @@ class GroupDescriptor:
         return self._full_mask
 
     def element(self, rank: int) -> "GroupElement":
+        rank = operator.index(rank)
         if not 0 <= rank < self.order:
             raise ValueError(f"rank {rank} out of range for order {self.order}")
         return GroupElement(self, rank)
@@ -289,11 +291,12 @@ def negate(g: GroupDescriptor, a: GroupElement) -> GroupElement:
 
 @dataclasses.dataclass(frozen=True)
 class Subgroup:
-    """A subgroup: membership bitset, a generating list, and its index."""
+    """A subgroup: membership bitset, a generating list of ranks (Python
+    ints; verify() reads the bitset alone), and its index."""
 
     group: GroupDescriptor
     bits: int
-    generators: tuple[GroupElement, ...]
+    generators: tuple[int, ...]
     index: int
 
     @property
@@ -313,8 +316,7 @@ class Subgroup:
 
     def _walk(self) -> tuple[bool, list[int]]:
         """(verify's answer, ranks that generate the closure of the bits):
-        one _closure_walk gives both, so a caller needing both walks H once.
-        self.generators is never read."""
+        one _closure_walk gives both, so a caller needing both walks H once."""
         closure, gens = _closure_walk(self.group, self.bits)
         return (closure == self.bits
                 and self.index * self.size == self.group.order), gens
@@ -340,7 +342,10 @@ def _make_subgroup(
     size = bits.bit_count()
     if not bits & 1 or g.order % size != 0:
         raise ValueError("not a subgroup bitset")
-    gens = tuple(g.element(r) for r in gen_ranks)
+    gens = tuple(gen_ranks)
+    for r in gens:
+        if not 0 <= r < g.order:
+            raise ValueError(f"rank {r} out of range for order {g.order}")
     return Subgroup(g, bits, gens, g.order // size)
 
 
@@ -358,10 +363,10 @@ def _closure_with(g: GroupDescriptor, sub_bits: int, x_rank: int) -> int:
 
 
 def _rank_in(g: GroupDescriptor, e: GroupElement | int) -> int:
-    """The rank e is (an int) or has; ValueError for an element of another
-    group, whose rank names another element."""
-    if isinstance(e, int):
-        return e
+    """The rank e has (an element) or is (an integer, operator.index);
+    ValueError for an element of another group, whose rank names another."""
+    if not isinstance(e, GroupElement):
+        return operator.index(e)
     if e.group != g:
         raise ValueError("element does not belong to this group")
     return e.rank
@@ -440,8 +445,9 @@ def _full_lattice(g: GroupDescriptor) -> list[tuple[int, tuple[int, ...]]]:
                 seen[grown] = seen[sub] + (x,)
                 queue.append(grown)
             for p, _ in _factorize(grown.bit_count() // sub.bit_count()):
-                px = g.element_from_coords([p * c for c in g.coords_of(x)])
-                grown &= ~_closure_with(g, sub, px.rank)
+                px = g.rank_of([p * c % m
+                                for c, m in zip(g.coords_of(x), g.moduli)])
+                grown &= ~_closure_with(g, sub, px)
             rest &= ~grown
     return sorted(seen.items(), key=lambda kv: (-kv[0].bit_count(), kv[0]))
 
@@ -585,16 +591,3 @@ def coset_representatives(g: GroupDescriptor, h: Subgroup) -> list[int]:
         raise ValueError("subgroup does not belong to this group")
     return _cover_ranks(g, h.bits)
 
-
-def find_complement(
-    g: GroupDescriptor, h: Subgroup, caps: Caps = DEFAULT_CAPS
-) -> Subgroup | None:
-    """First subgroup K (in enumerate_subgroups order) with K & H = {0} and
-    |K| * |H| = |G|, i.e. G = H (+) K.  None when no complement exists."""
-    if h.group != g:
-        raise ValueError("subgroup does not belong to this group")
-    want = g.order // h.size
-    for k in enumerate_subgroups(g, caps=caps):
-        if k.size == want and (k.bits & h.bits) == 1:
-            return k
-    return None

@@ -179,7 +179,7 @@ def witness_from_json(g: GroupDescriptor, f: BipartitePattern,
 def _subgroup_to_json(h: Subgroup) -> dict:
     return {
         "bits_hex": bits_to_hex(h.bits, h.group.order),
-        "generators": [e.rank for e in h.generators],
+        "generators": list(h.generators),
         "index": h.index,
     }
 

@@ -42,6 +42,7 @@ from .subsets import (
     _ball,
     _double_until,
     _doubling_k,
+    _indicators,
     _to_fraction,
     difference_set,
     max_subgroup_within,
@@ -97,7 +98,8 @@ def rounding_error_bound_check(a: GroupSubset, h: Subgroup) -> RoundingBoundRepo
     """Verify |A xor coset_round(A, H)| <= (1/|H|) * sum_{x in H} |A xor (A+x)|."""
     s = coset_round(a, h)
     err = (a.bits ^ s.bits).bit_count()
-    total = int(symdiff_profile(a)[h.ranks()].sum())
+    in_h = _indicators(a.group, (a.group.order,), h.bits, dtype=bool)
+    total = int(symdiff_profile(a)[in_h].sum())
     return RoundingBoundReport(err, Fraction(total, h.size),
                                err * h.size <= total)
 
@@ -151,14 +153,18 @@ def verify_certificate(cert: RegularityCertificate) -> CertificateCheck:
     else:
         prof = symdiff_profile(cert.base)
         limit = 4 * cert.trace.ell * cert.delta_used * g.order
-        bound_ok = int(prof[h.ranks()].max()) <= limit
+        in_h = _indicators(g, (g.order,), h.bits, dtype=bool)
+        bound_ok = int(prof[in_h].max()) <= limit
     return CertificateCheck(closure_ok, union_ok, error_ok, bound_ok)
 
 
 def default_delta_schedule(epsilon: Fraction, order: int) -> list[Fraction]:
     """eps/2, eps/4, ... halving until the first value below 1/(2|G|), which
     is included: at that point the almost-period set is the exact stabilizer
-    of A and further halving changes nothing."""
+    of A and further halving changes nothing.  None for a negative eps, which
+    no delta meets: robust_pipeline's appended stabilizer delta decides it."""
+    if epsilon < 0:
+        return []
     floor = Fraction(1, 2 * order)
     out = []
     d = epsilon / 2

@@ -90,6 +90,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -197,8 +198,8 @@ class GroupSubset:
 
     def __contains__(self, e: GroupElement | int) -> bool:
         """Membership of a rank, or of an element (never of another group's)."""
-        if isinstance(e, int):
-            return self.contains_rank(e)
+        if not isinstance(e, GroupElement):
+            return self.contains_rank(operator.index(e))
         return e.group == self.group and self.contains_rank(e.rank)
 
     def __repr__(self) -> str:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import pickle
 import random
 import tracemalloc
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from addcomb import (
     CapExceeded,
+    Caps,
     GroupDescriptor,
     GroupSubset,
     add,
@@ -20,9 +22,9 @@ from addcomb import (
     coset_representatives,
     cosets,
     enumerate_subgroups,
-    find_complement,
     generated_subgroup,
     greedy_packing,
+    max_subgroup_within,
     negate,
     subgroup_from_bits,
 )
@@ -259,7 +261,7 @@ def test_enumerate_subgroups_sorted_and_verified():
         for h in subs:
             assert h.verify()
             assert h.index * h.size == g.order
-            regen = generated_subgroup(g, [e.rank for e in h.generators])
+            regen = generated_subgroup(g, list(h.generators))
             assert regen.bits == h.bits
 
 
@@ -341,31 +343,64 @@ def test_cosets_partition(g, data):
     assert union == g.full_mask
 
 
-def test_find_complement_examples():
-    z22 = GroupDescriptor([2, 2])
-    h = generated_subgroup(z22, [1])
-    k = find_complement(z22, h)
-    assert k is not None and sorted(k.ranks()) == [0, 2]
-    z4 = GroupDescriptor([4])
-    h = generated_subgroup(z4, [2])
-    assert find_complement(z4, h) is None
-    trivial = generated_subgroup(z4, [])
-    k = find_complement(z4, trivial)
-    assert k is not None and k.size == 4
+def _all_python_ints(h):
+    return type(h.generators) is tuple and all(type(r) is int
+                                               for r in h.generators)
 
 
-@given(groups(), st.data())
-def test_find_complement_is_direct_sum(g, data):
-    subs = enumerate_subgroups(g)
-    h = data.draw(st.sampled_from(subs))
-    k = find_complement(g, h)
-    if k is None:
-        return
-    assert (k.bits & h.bits) == 1
-    assert k.size * h.size == g.order
-    from addcomb import GroupSubset, sumset
+def test_generators_are_python_int_ranks_on_every_path():
+    # the lattice, the walk (subgroup_from_bits, max_subgroup_within past
+    # the exhaustive cap) and generated_subgroup from numpy ranks
+    for mods in [(2, 2, 2), (12,), (2, 4), (3, 3)]:
+        g = GroupDescriptor(mods)
+        for h in enumerate_subgroups(g):
+            assert _all_python_ints(h)
+            assert generated_subgroup(g, list(h.generators)).bits == h.bits
+            assert _all_python_ints(subgroup_from_bits(g, h.bits))
+            walked = max_subgroup_within(GroupSubset(g, h.bits),
+                                         caps=Caps(subgroup_exhaustive_cap=1))
+            assert walked.bits == h.bits and _all_python_ints(walked)
+    g = GroupDescriptor([1024])
+    for dtype in (np.int64, np.uint32):
+        h = generated_subgroup(g, np.array([256, 384], dtype))
+        assert h.generators == (256, 384) and _all_python_ints(h)
+        assert h.index == 128
 
-    assert sumset(GroupSubset(g, k.bits), GroupSubset(g, h.bits)).bits == g.full_mask
+
+def test_enumerate_subgroups_builds_no_element(monkeypatch):
+    # every group of order <= 32, each lattice built afresh
+    made = []
+    for name in ("element", "element_from_coords"):
+        fn = getattr(GroupDescriptor, name)
+
+        def counted(self, *args, fn=fn, name=name):
+            made.append(name)
+            return fn(self, *args)
+
+        monkeypatch.setattr(GroupDescriptor, name, counted)
+    monkeypatch.setattr(groups_lib, "_full_lattice", functools.lru_cache(
+        maxsize=64)(_full_lattice.__wrapped__))
+    shapes = all_abelian_groups(32)
+    assert len(shapes) == 54
+    assert sum(len(enumerate_subgroups(g)) for g in shapes) == 1029
+    assert made == []
+
+
+def test_rank_entry_points_read_integers_only():
+    # numpy ranks (uint32 is the dtype _rank_dtype gives) are the Python ints
+    # they hold; a float or a string raises TypeError
+    g = GroupDescriptor([3, 4])
+    for r in (np.int64(5), np.uint32(5)):
+        e = g.element(r)
+        assert e == g.element(5) and type(e.rank) is int
+        h = generated_subgroup(g, [r])
+        assert h.generators == (5,) and type(h.generators[0]) is int
+    assert type(g.element(True).rank) is int
+    for bad in (1.5, 2.0, "3"):
+        with pytest.raises(TypeError):
+            g.element(bad)
+        with pytest.raises(TypeError):
+            generated_subgroup(g, [bad])
 
 
 def test_subgroup_from_bits():

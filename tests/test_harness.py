@@ -654,6 +654,16 @@ def test_cli_robust_at_zero_epsilon(files):
     assert obj["certificate"]["achieved_error"] == "0"
 
 
+def test_cli_robust_at_a_negative_epsilon(files):
+    code, out, _ = _run_cli(["robust", "--set", files["union"], "--eps=-1/4",
+                             "--d", "1"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["kind"] == "certificate"
+    assert [s["delta"] for s in obj["steps"]] == ["1/32"]
+    assert obj["certificate"]["achieved_error"] == "0"
+
+
 @pytest.mark.parametrize("c", ["inf", "nan", "0", "-5"])
 def test_cli_robust_rejects_a_constant_that_is_not_finite_and_positive(
         files, c):

@@ -355,7 +355,7 @@ def test_verify_certificate_reads_the_subgroup_bits_not_its_generators():
     # same size, holds 0, but not closed: swap one non-zero element of H out
     inside = h.bits.bit_length() - 1
     fake = _make_subgroup(a.group, h.bits ^ (1 << inside) ^ (1 << outside),
-                          [e.rank for e in h.generators])
+                          list(h.generators))
     chk = verify_certificate(dataclasses.replace(cert, subgroup=fake))
     assert not chk.closure_ok and not chk.ok
 
@@ -526,6 +526,42 @@ def test_robust_pipeline_schedule_exhausted_takes_the_stabilizer_delta():
     assert [(s.delta, s.branch) for s in out.steps] == [
         (Fraction(1, 2), "continue"), (Fraction(1, 128), "small_ball")]
     assert out.kind == "high_vc" and out.steps[-1].ball_size == 1
+
+
+def test_certificate_generators_are_python_int_ranks():
+    a, _, _ = _planted66(4)
+    obj = certificate_to_json(regularize(a, Fraction(1, 5)))
+    h = certificate_from_json(obj).subgroup
+    assert list(h.generators) == obj["subgroup"]["generators"]
+    assert all(type(r) is int for r in h.generators)
+    # a generator rank out of range is refused, as a non-integer is
+    for bad in (-1, a.group.order):
+        obj["subgroup"]["generators"] = [1, bad]
+        with pytest.raises(ValueError, match=f"rank {bad} out of range"):
+            certificate_from_json(obj)
+    obj["subgroup"]["generators"] = [1.0]
+    with pytest.raises(ValueError, match="must be an integer"):
+        certificate_from_json(obj)
+
+
+def test_robust_pipeline_at_a_negative_epsilon_takes_the_stabilizer_delta():
+    # no delta meets eps < 0, so the default schedule holds none and the
+    # appended delta 1/(2|G|) decides, as with an empty schedule: the exact
+    # planted set certifies its subgroup, the noisy one's ball is {0}
+    assert default_delta_schedule(Fraction(-1, 4), 64) == []
+    for noise, branch in ((0, "certificate"), (0.05, "small_ball")):
+        a, h, _ = _planted66(2, noise)
+        out = robust_pipeline(a, Fraction(-1, 4), 1, rng_seed=0)
+        assert [(s.delta, s.branch) for s in out.steps] == [
+            (Fraction(1, 128), branch)]
+        assert out == robust_pipeline(a, Fraction(-1, 4), 1,
+                                      delta_schedule=(), rng_seed=0)
+    assert out.kind == "high_vc"
+    a, h, _ = _planted66(2, 0)
+    cert = robust_pipeline(a, Fraction(-1, 4), 1, rng_seed=0).certificate
+    assert cert.subgroup.bits == h.bits and cert.achieved_error == 0
+    with pytest.raises(ValueError, match="epsilon must be in"):
+        regularize(a, Fraction(-1, 4))
 
 
 def test_robust_pipeline_skips_a_zero_delta():

@@ -115,6 +115,31 @@ def test_from_elements_rejects_another_groups_element():
     assert GroupSubset.from_elements(z8, [z8.element(1)]).ranks() == [1]
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint32])
+def test_numpy_ranks_are_read_as_ranks(dtype):
+    # uint32 is the dtype groups._rank_dtype gives ranks in
+    z8 = GroupDescriptor([8])
+    a = GroupSubset.from_ranks(z8, [1])
+    assert translate(a, dtype(3)).ranks() == [4]
+    assert dtype(1) in a and dtype(2) not in a
+    assert GroupSubset.from_elements(z8, [dtype(2), z8.element(5)]).ranks() \
+        == [2, 5]
+    h = generated_subgroup(z8, [dtype(2)])
+    assert h.ranks() == [0, 2, 4, 6] and h.generators == (2,)
+
+
+def test_float_ranks_raise_type_error():
+    z8 = GroupDescriptor([8])
+    a = GroupSubset.from_ranks(z8, [1])
+    for bad in (1.5, 1.0):
+        with pytest.raises(TypeError):
+            translate(a, bad)
+        with pytest.raises(TypeError):
+            bad in a
+        with pytest.raises(TypeError):
+            GroupSubset.from_elements(z8, [bad])
+
+
 def test_symdiff_examples():
     z22 = GroupDescriptor([2, 2])
     a = GroupSubset.from_ranks(z22, [0, 1])
@@ -636,7 +661,7 @@ def test_max_subgroup_within_past_the_cap_matches_the_scan(mods):
         h = max_subgroup_within(GroupSubset(g, t), caps=caps)
         bits, gens = oracles.greedy_subgroup_within(g, t)
         assert h.bits == bits
-        assert [e.rank for e in h.generators] == gens
+        assert list(h.generators) == gens
 
 
 @pytest.mark.parametrize("mods,gens,calls", [
@@ -666,7 +691,7 @@ def test_max_subgroup_within_rejects_a_whole_coset_at_once(count_calls):
     closures = count_calls(_closure_with)
     got = max_subgroup_within(GroupSubset(g, t))
     assert closures[0] == 3
-    assert (got.bits, [e.rank for e in got.generators]) == (h, [8])
+    assert (got.bits, list(got.generators)) == (h, [8])
     assert (got.bits, [8]) == oracles.greedy_subgroup_within(g, t)
 
 
