@@ -1,6 +1,6 @@
 """Resource caps shared by every operation that can blow up combinatorially,
-and the strict readers of JSON scalars that the cap file and every other
-input file share."""
+and the strict readers of JSON scalars and arrays that the cap file and
+every other input file share."""
 from __future__ import annotations
 
 import dataclasses
@@ -15,6 +15,15 @@ def _json_int(value, name: str) -> int:
     and "12" as 12, and bool is an int subclass."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_list(value, name: str) -> list:
+    """value when it is a JSON array; iterating null or a number would
+    raise a TypeError that names no field, and a string would be read
+    character by character."""
+    if type(value) is not list:
+        raise ValueError(f"{name} must be a list, got {value!r}")
     return value
 
 

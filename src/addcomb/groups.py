@@ -304,7 +304,10 @@ class Subgroup:
         return self.bits.bit_count()
 
     def contains_rank(self, r: int) -> bool:
-        return bool((self.bits >> r) & 1)
+        """Whether rank r is a member: False for every integer outside
+        [0, |G|), TypeError for a non-integer."""
+        r = operator.index(r)
+        return r >= 0 and bool((self.bits >> r) & 1)
 
     def ranks(self) -> list[int]:
         return _bit_ranks(self.bits)
@@ -492,11 +495,6 @@ def _cover_walk(g: GroupDescriptor, bits: int) -> Iterator[tuple[int, int]]:
 
 # _cover_ranks builds its table of r + B this many entries at a time
 _COVER_TABLE_ENTRIES = 1 << 16
-# the cost models of _rank_walk_pays, in microseconds
-_CW_FIXED, _CW_CENTER, _CW_AXIS, _CW_WORD_AXIS, _CW_WORD = (
-    8.9, 0.72, 0.51, 0.0020, 0.0126)
-_CR_FIXED, _CR_ENTRY, _CR_ENTRY_PASS, _CR_CENTER, _CR_MEMBER = (
-    15.7, 0.0156, 0.0034, 0.46, 0.052)
 
 
 def _cover_ranks(g: GroupDescriptor, bits: int) -> list[int]:
@@ -533,49 +531,49 @@ def _cover_ranks(g: GroupDescriptor, bits: int) -> list[int]:
 
 def _rank_walk_pays(g: GroupDescriptor, size: int) -> bool:
     """The cost rule: whether _cover_ranks's table walk costs less than
-    _cover_walk for a set B of this size (holding 0).
+    _cover_walk for a set B of this size (holding 0), in counted words.
 
     The walk takes at least |G|/|B| centers, as their translates cover G,
-    and exactly that many for a subgroup; the rule assumes that many.  A
-    center costs a translate and a scan of w = ceil(|G|/64) words in
-    _cover_walk, and the marking of |B| bytes in the table walk.  A chunk
-    of the table holds rows = floor(_COVER_TABLE_ENTRIES/|B|) rows from a
-    center on, so with centers |B| apart the table holds |G| min(|B|, rows)
-    entries; a set with no row in that bound keeps _cover_walk.  An entry
-    costs one pass per coordinate (one in all when every modulus is 2) and
-    a list item.  Fitted once by least squares (relative error, nonnegative
-    terms) to the best times of both walks on 305 sets over 26 shapes of
-    order 16 to 2^20 (the table walk alone on 4, where _cover_walk takes
-    seconds): random sets holding 0, of every power-of-two size up to |G|/4
-    through order 65536, subgroups, and intervals about 0 (2-core x86-64,
-    Python 3.11.7, numpy 2.4.6), in microseconds, for k axes:
+    and exactly that many for a subgroup; the rule assumes that many, so it
+    weighs the work of one center.  _cover_walk makes k + 1 passes over
+    w + 8 words per center, for k axes and w = ceil(|G|/64): one pass per
+    axis of the translate, one for the covered set, and 8 words of fixed
+    cost per pass.  A chunk of the table holds rows = floor(
+    _COVER_TABLE_ENTRIES/|B|) rows of |B| entries from a center on, so with
+    centers |B| apart a center builds min(|B|, rows) rows, at 2 words an
+    entry.  It also marks its own |B| entries one at a time, which costs
+    about as much as building 8 rows.  The rule counts the larger of the
+    two, so the table walk runs iff
 
-        _cover_walk: 8.9 + per center 0.72 + 0.51 k + 0.0020 k w + 0.0126 w
-        table walk:  15.7 + per entry 0.0156 + 0.0034 passes
-                          + per center 0.46 + 0.052 |B|
+        2 |B| max(min(|B|, rows), 8) <= (k + 1)(w + 8),
 
-    On 80% of the sets both models read 0.4 to 1.3 times the measured
-    walk.  Where the rule picks the table walk it was slower than
-    _cover_walk on 9 of the sets: by up to 1.8 times on groups of order
-    <= 96 (tens of microseconds), and by at most 1.15 times on the others.
-    Where it keeps _cover_walk the table walk was up to 40 times faster: on
-    random sets, which can take 8 |G|/|B| centers, and on subgroups whose
-    cosets' least ranks are consecutive, so that every row of the table is
-    a center."""
+    and never when rows = 0.  A wrong pick changes the time, never a rank.
+
+    Both walks were timed (best of 3 to 11 runs, one past 2 s; 2-core
+    x86-64, Python 3.11.7, numpy 2.4.6) on two corpora of sets holding 0.
+    A, random.Random(7), 585 sets: the 23 shapes Z/16, (Z/2)^4, (Z/4)^2,
+    Z/2xZ/8, Z/64, (Z/2)^6, (Z/4)^3, Z/256, (Z/2)^8, (Z/16)^2, Z/1024,
+    (Z/2)^10, (Z/4)^5, Z/4096, (Z/2)^12, (Z/8)^4, Z/2xZ/2xZ/4xZ/1024,
+    Z/65536, (Z/2)^16, (Z/4)^8, (Z/16)^4, Z/2^18 and (Z/2)^18, in this
+    order, each with a random set of each size 4^j <= |G|/4 (0 and
+    random.sample of the other ranks), then its distinct proper subgroups
+    dG (d > 1 dividing the largest modulus) and those spanned by its first
+    or its last t axes (0 < t < k), then the rank intervals {-m, ..., m}
+    for m = 1, 2, 4, ... while 2m + 1 <= |G|/4.  B, random.Random(11), 220
+    sets: the 21 shapes Z/27, (Z/3)^3, Z/3xZ/9, Z/2xZ/3xZ/5, Z/100,
+    Z/4x(Z/6)^2, (Z/3)^5, (Z/6)^3, Z/2x(Z/12)^2, (Z/5)^4, Z/2048, (Z/3)^7,
+    Z/2xZ/4xZ/8xZ/16, Z/8192, (Z/3)^9, Z/32768, (Z/2)^15, Z/2x(Z/6)^4,
+    Z/2^20, (Z/2)^20 and (Z/4)^10, each with a random set of each size
+    2^j <= |G|/2.  Against the fitted rule it replaced, it picks the same
+    walk on 718 sets; of the other 87, 39 run over 1.3 times faster (a
+    random 128-set on (Z/4)^10: 64 -> 0.57 s) and 38 slower, 5 by over 1 ms:
+    four subgroups whose cosets lie |B| apart and an interval of 65 on
+    (Z/4)^8.  Each has the group and (within one) the |B| of a set that the
+    table walk serves 3 to 30 times faster, so no rule on |B| can part them."""
     rows = _COVER_TABLE_ENTRIES // size
-    if not rows:
-        return False
-    n = g.order
-    k = len(g.moduli)
-    w = (n + 63) // 64
-    passes = 1 if max(g.moduli) == 2 else k
-    centers = n / size
-    entries = n * min(size, rows)
-    table = (_CR_FIXED + entries * (_CR_ENTRY + _CR_ENTRY_PASS * passes)
-             + centers * (_CR_CENTER + _CR_MEMBER * size))
-    bitset = _CW_FIXED + centers * (_CW_CENTER + _CW_AXIS * k
-                                    + _CW_WORD_AXIS * k * w + _CW_WORD * w)
-    return table < bitset
+    k, w = len(g.moduli), (g.order + 63) // 64
+    return (rows > 0
+            and 2 * size * max(min(size, rows), 8) <= (k + 1) * (w + 8))
 
 
 def cosets(g: GroupDescriptor, h: Subgroup) -> list[int]:

@@ -21,7 +21,7 @@ import random
 import time
 from fractions import Fraction
 
-from .caps import Caps, DEFAULT_CAPS, _json_bool, _json_int
+from .caps import Caps, DEFAULT_CAPS, _json_bool, _json_int, _json_list
 from .groups import GroupDescriptor, cosets, enumerate_subgroups
 from .io import (
     canonical_dumps,
@@ -103,8 +103,9 @@ class ExperimentConfig:
             group=group_from_json(obj["group"], caps=caps),
             family=dict(obj["family"]),
             study=obj["study"],
-            sweep=list(obj["sweep"]),
-            seeds=[_json_int(s, "seeds") for s in obj["seeds"]],
+            sweep=list(_json_list(obj["sweep"], "sweep")),
+            seeds=[_json_int(s, "seeds")
+                   for s in _json_list(obj["seeds"], "seeds")],
             output_path=out.get("path"),
             output_format=out.get("format", "json"),
             pattern=obj.get("pattern"),

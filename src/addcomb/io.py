@@ -12,7 +12,9 @@ encoded values under the same keys, and a dataclass an object of its
 encoded fields, keyed by field name.  Anything else is already JSON.
 The certificate and witness formats, which have readers, stay explicit.
 A count or a coordinate read from a file must be a JSON integer, a flag a
-JSON boolean.
+JSON boolean, a list (moduli, elements, edges, generators) a JSON array and
+a bitset a hex string; any other value is refused with a ValueError that
+names the field.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import tempfile
 from fractions import Fraction
 from typing import Any
 
-from .caps import Caps, DEFAULT_CAPS, _json_bool, _json_int
+from .caps import Caps, DEFAULT_CAPS, _json_bool, _json_int, _json_list
 from .groups import GroupDescriptor, GroupElement, Subgroup, _make_subgroup
 from .patterns import BiInducedWitness, BipartitePattern, _make_witness
 from .regularity import RegularityCertificate
@@ -106,15 +108,28 @@ def group_to_json(g: GroupDescriptor) -> dict:
 def group_from_json(obj: dict, caps: Caps = DEFAULT_CAPS) -> GroupDescriptor:
     if "moduli" not in obj:
         raise ValueError("group JSON needs a 'moduli' field")
-    return GroupDescriptor([_json_int(m, "moduli") for m in obj["moduli"]],
+    return GroupDescriptor([_json_int(m, "moduli")
+                            for m in _json_list(obj["moduli"], "moduli")],
                            order_cap=caps.order_cap)
 
 
-def _element_rank(g: GroupDescriptor, coords) -> int:
-    """The rank of the element with these JSON coordinates, each read as a
-    JSON integer; element_from_coords alone would take true as 1."""
-    return g.element_from_coords([_json_int(c, "coordinate")
-                                  for c in coords]).rank
+def _element_ranks(g: GroupDescriptor, obj: dict, key: str) -> list[int]:
+    """The ranks of the elements listed under obj[key], each a list of JSON
+    integer coordinates; element_from_coords alone would take true as 1."""
+    ranks = []
+    for coords in _json_list(obj[key], key):
+        coords = _json_list(coords, f"an item of {key}")
+        ranks.append(g.element_from_coords(
+            [_json_int(c, "coordinate") for c in coords]).rank)
+    return ranks
+
+
+def _hex_field(obj: dict, key: str, order: int) -> int:
+    """The bitset written as a hex string under obj[key]."""
+    s = obj[key]
+    if type(s) is not str:
+        raise ValueError(f"{key} must be a hex string, got {s!r}")
+    return hex_to_bits(s, order)
 
 
 def subset_to_json(a: GroupSubset) -> dict:
@@ -131,9 +146,8 @@ def subset_from_json(obj: dict, caps: Caps = DEFAULT_CAPS) -> GroupSubset:
     if has_hex == has_elems:
         raise ValueError("set JSON needs exactly one of bits_hex, elements")
     if has_hex:
-        return GroupSubset(g, hex_to_bits(obj["bits_hex"], g.order))
-    ranks = [_element_rank(g, c) for c in obj["elements"]]
-    return GroupSubset.from_ranks(g, ranks)
+        return GroupSubset(g, _hex_field(obj, "bits_hex", g.order))
+    return GroupSubset.from_ranks(g, _element_ranks(g, obj, "elements"))
 
 
 def pattern_to_json(f: BipartitePattern) -> dict:
@@ -150,7 +164,9 @@ def pattern_from_json(obj: dict) -> BipartitePattern:
             raise ValueError(f"pattern JSON needs a {key!r} field")
     u_count, v_count = _json_int(obj["u"], "u"), _json_int(obj["v"], "v")
     edges = set()
-    for e in obj["edges"]:
+    for e in _json_list(obj["edges"], "edges"):
+        if len(_json_list(e, "an edge")) != 2:
+            raise ValueError(f"an edge must list two vertices, got {e!r}")
         u, v = _json_int(e[0], "edge end"), _json_int(e[1], "edge end")
         if not (1 <= u <= u_count and 1 <= v <= v_count):
             raise ValueError(f"edge {e} out of range (1-based)")
@@ -169,11 +185,8 @@ def witness_to_json(w) -> dict:
 
 def witness_from_json(g: GroupDescriptor, f: BipartitePattern,
                       obj: dict) -> BiInducedWitness:
-    return _make_witness(
-        f, g,
-        [_element_rank(g, c) for c in obj["phi_u"]],
-        [_element_rank(g, c) for c in obj["phi_v"]],
-    )
+    return _make_witness(f, g, _element_ranks(g, obj, "phi_u"),
+                         _element_ranks(g, obj, "phi_v"))
 
 
 def _subgroup_to_json(h: Subgroup) -> dict:
@@ -185,8 +198,9 @@ def _subgroup_to_json(h: Subgroup) -> dict:
 
 
 def _subgroup_from_json(g: GroupDescriptor, obj: dict) -> Subgroup:
-    h = _make_subgroup(g, hex_to_bits(obj["bits_hex"], g.order),
-                       [_json_int(r, "generators") for r in obj["generators"]])
+    h = _make_subgroup(g, _hex_field(obj, "bits_hex", g.order),
+                       [_json_int(r, "generators")
+                        for r in _json_list(obj["generators"], "generators")])
     if h.index != _json_int(obj["index"], "subgroup index"):
         raise ValueError("subgroup index does not match its bitset")
     return h
@@ -205,12 +219,13 @@ def _trace_to_json(t: DoublingTrace, order: int) -> dict:
 
 def _trace_from_json(g: GroupDescriptor, obj: dict) -> DoublingTrace:
     return DoublingTrace(
-        base=GroupSubset(g, hex_to_bits(obj["ball_hex"], g.order)),
+        base=GroupSubset(g, _hex_field(obj, "ball_hex", g.order)),
         k_value=float(obj["k_value"]),
         ell=_json_int(obj["ell"], "ell"),
-        ell_set=GroupSubset(g, hex_to_bits(obj["ell_set_hex"], g.order)),
-        double_set=GroupSubset(g, hex_to_bits(obj["double_set_hex"], g.order)),
-        sizes=tuple(_json_int(s, "sizes") for s in obj["sizes"]),
+        ell_set=GroupSubset(g, _hex_field(obj, "ell_set_hex", g.order)),
+        double_set=GroupSubset(g, _hex_field(obj, "double_set_hex", g.order)),
+        sizes=tuple(_json_int(s, "sizes")
+                    for s in _json_list(obj["sizes"], "sizes")),
     )
 
 
@@ -234,12 +249,12 @@ def certificate_from_json(obj: dict, caps: Caps = DEFAULT_CAPS
                           ) -> RegularityCertificate:
     g = group_from_json(obj, caps=caps)
     return RegularityCertificate(
-        base=GroupSubset(g, hex_to_bits(obj["set_hex"], g.order)),
+        base=GroupSubset(g, _hex_field(obj, "set_hex", g.order)),
         epsilon=frac_parse(obj["epsilon"]),
         delta_used=(None if obj["delta_used"] is None
                     else frac_parse(obj["delta_used"])),
         subgroup=_subgroup_from_json(g, obj["subgroup"]),
-        rounded=GroupSubset(g, hex_to_bits(obj["rounded_hex"], g.order)),
+        rounded=GroupSubset(g, _hex_field(obj, "rounded_hex", g.order)),
         achieved_error=frac_parse(obj["achieved_error"]),
         index=_json_int(obj["index"], "index"),
         degenerate=_json_bool(obj, "degenerate", None),

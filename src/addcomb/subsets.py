@@ -188,7 +188,10 @@ class GroupSubset:
             yield self.group.element(r)
 
     def contains_rank(self, r: int) -> bool:
-        return bool((self.bits >> r) & 1)
+        """Whether rank r is a member: False for every integer outside
+        [0, |G|), TypeError for a non-integer."""
+        r = operator.index(r)
+        return r >= 0 and bool((self.bits >> r) & 1)
 
     def complement(self) -> "GroupSubset":
         return GroupSubset(self.group, self.group.full_mask ^ self.bits)
@@ -199,7 +202,7 @@ class GroupSubset:
     def __contains__(self, e: GroupElement | int) -> bool:
         """Membership of a rank, or of an element (never of another group's)."""
         if not isinstance(e, GroupElement):
-            return self.contains_rank(operator.index(e))
+            return self.contains_rank(e)
         return e.group == self.group and self.contains_rank(e.rank)
 
     def __repr__(self) -> str:
@@ -365,7 +368,10 @@ def _to_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, float):
         # read floats through their shortest decimal repr so 0.1 means 1/10
         return Fraction(repr(x))

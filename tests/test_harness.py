@@ -1139,6 +1139,16 @@ def test_config_from_json_rejects_a_seed_that_is_not_an_integer(files, bad):
     _assert_cli_rejects(["experiment", "--config", cfg], "seeds")
 
 
+@pytest.mark.parametrize("field,bad", [("seeds", None), ("seeds", 1),
+                                       ("sweep", 5), ("sweep", "1/4")])
+def test_config_from_json_rejects_a_list_of_the_wrong_type(files, field, bad):
+    obj = dict(_PLANTED_JSON, **{field: bad})
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig.from_json(obj)
+    cfg = _write_json(files["dir"] / "cfg.json", obj)
+    _assert_cli_rejects(["experiment", "--config", cfg], field)
+
+
 @pytest.mark.parametrize("field,spec", [
     ("index", {"kind": "planted", "index": "4", "cosets": 2}),
     ("cosets", {"kind": "planted", "index": 4, "cosets": 2.0}),
@@ -1202,6 +1212,75 @@ def test_witness_from_json_rejects_a_coordinate_that_is_not_an_integer(
     _assert_cli_rejects(
         ["densify", "--set", files["union"], "--pattern", files["hg2"],
          "--subgroup", files["subgroup"], "--witness", w], "coordinate")
+
+
+@pytest.mark.parametrize("field,obj", [
+    ("elements", {"moduli": [13], "elements": None}),
+    ("elements", {"moduli": [13], "elements": 5}),
+    ("elements", {"moduli": [13], "elements": [[1], 5]}),
+    ("bits_hex", {"moduli": [13], "bits_hex": 3}),
+    ("moduli", {"moduli": 8, "bits_hex": "00"}),
+])
+def test_subset_from_json_rejects_a_field_of_the_wrong_type(files, field, obj):
+    # refused by name, not with a TypeError from iterating the value
+    with pytest.raises(ValueError, match=field):
+        subset_from_json(obj)
+    a = _write_json(files["dir"] / "a.json", obj)
+    _assert_cli_rejects(["vcdim", "--set", a], field)
+
+
+@pytest.mark.parametrize("edges", [None, [5], [[1]], [[1, 1, 1]], "11"])
+def test_pattern_from_json_rejects_edges_of_the_wrong_type(files, edges):
+    # checked before indexing: [[1]] would raise IndexError, the others
+    # TypeError, and [[1, 1, 1]] would be read as its first two vertices
+    obj = {"u": 2, "v": 1, "edges": edges}
+    with pytest.raises(ValueError, match="edge"):
+        pattern_from_json(obj)
+    f = _write_json(files["dir"] / "f.json", obj)
+    _assert_cli_rejects(
+        ["distance", "--set", files["interval"], "--pattern", f], "edge")
+
+
+@pytest.mark.parametrize("side", ["phi_u", "phi_v"])
+@pytest.mark.parametrize("bad", [None, [1, 2], [[0, 0, 0, 0], 1]])
+def test_witness_from_json_rejects_a_map_of_the_wrong_type(files, side, bad):
+    g = GroupDescriptor([2, 2, 2, 2])
+    obj = {"phi_u": [[0, 0, 0, 0], [1, 0, 0, 0]],
+           "phi_v": [[0, 0, 0, 0], [0, 1, 0, 0]], side: bad}
+    with pytest.raises(ValueError, match=side):
+        witness_from_json(g, half_graph(2), obj)
+    w = _write_json(files["dir"] / "w.json", obj)
+    _assert_cli_rejects(
+        ["densify", "--set", files["union"], "--pattern", files["hg2"],
+         "--subgroup", files["subgroup"], "--witness", w], side)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pack", "--delta", "1/0"],
+    ["ball", "--delta", "1/0"],
+    ["regularize", "--eps", "1/0"],
+    ["regularize", "--eps", "1/4", "--schedule", "1/8,0/0"],
+], ids=" ".join)
+def test_cli_refuses_a_zero_denominator(files, argv):
+    # Fraction("1/0") raises ZeroDivisionError; the error names the string
+    text = argv[-1].split(",")[-1]
+    code, out, err = _run_cli(argv[:1] + ["--set", files["union"]] + argv[1:])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValueError",
+                               "detail": f"zero denominator in {text!r}"}
+
+
+def test_zero_denominators_in_a_config_or_certificate_are_refused(files):
+    cfg = _write_json(files["dir"] / "cfg.json", dict(
+        _PLANTED_JSON, family=dict(_PLANTED_JSON["family"], noise="0/0")))
+    _assert_cli_rejects(["experiment", "--config", cfg], "'0/0'")
+    rows = run_experiment(ExperimentConfig.from_json(
+        dict(_PLANTED_JSON, sweep=["1/0"], seeds=[1])))
+    assert [(r.error, r.values) for r in rows] == [("ValueError", {})]
+    a = GroupSubset.from_ranks(GroupDescriptor([2, 2, 2, 2]), range(8))
+    obj = certificate_to_json(regularize(a, Fraction(1, 4)))
+    with pytest.raises(ValueError, match="zero denominator in '0/0'"):
+        certificate_from_json(dict(obj, achieved_error="0/0"))
 
 
 def test_tester_study_reads_each_sweep_value_as_an_integer():

@@ -138,6 +138,23 @@ def test_float_ranks_raise_type_error():
             bad in a
         with pytest.raises(TypeError):
             GroupSubset.from_elements(z8, [bad])
+        with pytest.raises(TypeError):
+            a.contains_rank(bad)
+        with pytest.raises(TypeError):
+            generated_subgroup(z8, [2]).contains_rank(bad)
+
+
+@pytest.mark.parametrize("rank", [-1, 8, 1 << 70, np.int64(-1)],
+                         ids=["-1", "order", "huge", "int64 -1"])
+def test_a_rank_out_of_range_is_no_member(rank):
+    # every integer outside [0, |G|) is no member, a negative one included
+    z8 = GroupDescriptor([8])
+    a = GroupSubset.from_ranks(z8, [1, 7])
+    h = generated_subgroup(z8, [2])
+    assert rank not in a
+    assert not a.contains_rank(rank)
+    assert not h.contains_rank(rank)
+    assert not GroupSubset(z8, z8.full_mask).contains_rank(rank)
 
 
 def test_symdiff_examples():
