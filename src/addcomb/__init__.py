@@ -7,8 +7,6 @@ from .groups import (
     GroupDescriptor,
     GroupElement,
     Subgroup,
-    add,
-    negate,
     generated_subgroup,
     subgroup_from_bits,
     enumerate_subgroups,

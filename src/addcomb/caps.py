@@ -27,6 +27,14 @@ def _json_list(value, name: str) -> list:
     return value
 
 
+def _json_object(value, name: str) -> dict:
+    """value when it is a JSON object; indexing or testing a key of null, a
+    number or a list would raise a TypeError that names no field."""
+    if type(value) is not dict:
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    return value
+
+
 def _json_bool(obj: dict, key: str, default: bool | None) -> bool:
     """obj[key] when it is a JSON boolean, default when absent (a default of
     None makes the key required); bool() would read "false" as true."""
@@ -67,7 +75,7 @@ class Caps:
     @classmethod
     def from_json(cls, obj: dict) -> "Caps":
         known = {f.name for f in dataclasses.fields(cls)}
-        bad = set(obj) - known
+        bad = set(_json_object(obj, "caps")) - known
         if bad:
             raise ValueError(f"unknown cap names: {sorted(bad)}")
         for k, v in obj.items():

@@ -5,7 +5,8 @@ and prints the result as canonical JSON.  A handler returns library values,
 a report dataclass or a dict of Fractions, group elements and reports, and
 _emit encodes them once with io.value_to_json: an object keyed by field
 names, exact rationals as "p/q" strings, group elements as coordinate lists.
-Certificates and witnesses print in their file formats.  --format csv prints
+Certificates and witnesses print in their file formats, and a progression,
+which holds ranks, as the coordinate lists of its terms.  --format csv prints
 a header line and one row through csv.writer, as experiment rows are
 written: nested objects flatten to dotted keys, a list cell is canonical JSON.
 
@@ -197,7 +198,9 @@ def _cmd_ap_search(args, caps: Caps):
     ap = ap_search(a, args.k)
     if ap is None:
         return {"found": False}, EXIT_OK
-    out = {"found": True, **value_to_json(ap)}
+    coords = ap.group.coords_of
+    out = {"found": True, "start": coords(ap.start), "step": coords(ap.step),
+           "k": ap.k, "terms": [coords(r) for r in ap.terms]}
     if args.half_graph:
         _, w = ap_half_graph_witness(a, ap)
         out["half_graph_witness"] = witness_to_json(w)

@@ -40,8 +40,6 @@ __all__ = [
     "GroupDescriptor",
     "GroupElement",
     "Subgroup",
-    "add",
-    "negate",
     "generated_subgroup",
     "enumerate_subgroups",
     "cosets",
@@ -102,10 +100,7 @@ class GroupDescriptor:
         return self._full_mask
 
     def element(self, rank: int) -> "GroupElement":
-        rank = operator.index(rank)
-        if not 0 <= rank < self.order:
-            raise ValueError(f"rank {rank} out of range for order {self.order}")
-        return GroupElement(self, rank)
+        return GroupElement(self, _checked_rank(self, rank))
 
     def element_from_coords(self, coords: Sequence[int]) -> "GroupElement":
         """The element with these coordinates, each reduced modulo its
@@ -131,25 +126,24 @@ class GroupDescriptor:
             out.append(c)
         return tuple(out)
 
-    def zero(self) -> "GroupElement":
-        return self.element(0)
-
-    def elements(self) -> Iterator["GroupElement"]:
-        for r in range(self.order):
-            yield self.element(r)
-
     def __repr__(self) -> str:
         return f"GroupDescriptor({list(self.moduli)})"
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@dataclasses.dataclass(frozen=True)
 class GroupElement:
     """One group element: its group and its rank, equal (and hashed alike)
     exactly when both are.  GroupDescriptor.element and element_from_coords
-    build it with a rank in range."""
+    build it with a rank in range.  Its slots are declared, since slots=True
+    makes setting a non-field raise TypeError; pickling calls the
+    constructor, as the frozen class refuses the default slot state."""
 
+    __slots__ = ("group", "rank")
     group: GroupDescriptor
     rank: int
+
+    def __reduce__(self):
+        return GroupElement, (self.group, self.rank)
 
     @property
     def coords(self) -> tuple[int, ...]:
@@ -276,19 +270,6 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def add(g: GroupDescriptor, a: GroupElement, b: GroupElement) -> GroupElement:
-    """Sum of two elements (componentwise mod the group's moduli)."""
-    if a.group != g or b.group != g:
-        raise ValueError("element does not belong to this group")
-    return g.element(add_rank(g, a.rank, b.rank))
-
-
-def negate(g: GroupDescriptor, a: GroupElement) -> GroupElement:
-    if a.group != g:
-        raise ValueError("element does not belong to this group")
-    return g.element(neg_rank(g, a.rank))
-
-
 @dataclasses.dataclass(frozen=True)
 class Subgroup:
     """A subgroup: membership bitset, a generating list of ranks (Python
@@ -345,10 +326,7 @@ def _make_subgroup(
     size = bits.bit_count()
     if not bits & 1 or g.order % size != 0:
         raise ValueError("not a subgroup bitset")
-    gens = tuple(gen_ranks)
-    for r in gens:
-        if not 0 <= r < g.order:
-            raise ValueError(f"rank {r} out of range for order {g.order}")
+    gens = tuple(_checked_rank(g, r) for r in gen_ranks)
     return Subgroup(g, bits, gens, g.order // size)
 
 
@@ -363,6 +341,15 @@ def _closure_with(g: GroupDescriptor, sub_bits: int, x_rank: int) -> int:
         acc |= translate_bits(g, acc, step)
         step = add_rank(g, step, step)
     return acc
+
+
+def _checked_rank(g: GroupDescriptor, r: int) -> int:
+    """r as a Python int (operator.index, so a float raises TypeError);
+    ValueError unless 0 <= r < |G|."""
+    r = operator.index(r)
+    if not 0 <= r < g.order:
+        raise ValueError(f"rank {r} out of range for order {g.order}")
+    return r
 
 
 def _rank_in(g: GroupDescriptor, e: GroupElement | int) -> int:
@@ -382,9 +369,7 @@ def generated_subgroup(
     bits = 1
     ranks = []
     for e in gens:
-        r = _rank_in(g, e)
-        if not 0 <= r < g.order:
-            raise ValueError(f"rank {r} out of range")
+        r = _checked_rank(g, _rank_in(g, e))
         ranks.append(r)
         bits = _closure_with(g, bits, r)
     return _make_subgroup(g, bits, ranks)

@@ -21,7 +21,8 @@ import random
 import time
 from fractions import Fraction
 
-from .caps import Caps, DEFAULT_CAPS, _json_bool, _json_int, _json_list
+from .caps import (Caps, DEFAULT_CAPS, _json_bool, _json_int, _json_list,
+                   _json_object)
 from .groups import GroupDescriptor, cosets, enumerate_subgroups
 from .io import (
     canonical_dumps,
@@ -98,10 +99,11 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, obj: dict, caps: Caps = DEFAULT_CAPS
                   ) -> "ExperimentConfig":
-        out = obj.get("output", {})
+        out = _json_object(_json_object(obj, "config").get("output", {}),
+                           "output")
         return cls(
             group=group_from_json(obj["group"], caps=caps),
-            family=dict(obj["family"]),
+            family=dict(_json_object(obj["family"], "family")),
             study=obj["study"],
             sweep=list(_json_list(obj["sweep"], "sweep")),
             seeds=[_json_int(s, "seeds")

@@ -12,9 +12,10 @@ encoded values under the same keys, and a dataclass an object of its
 encoded fields, keyed by field name.  Anything else is already JSON.
 The certificate and witness formats, which have readers, stay explicit.
 A count or a coordinate read from a file must be a JSON integer, a flag a
-JSON boolean, a list (moduli, elements, edges, generators) a JSON array and
-a bitset a hex string; any other value is refused with a ValueError that
-names the field.
+JSON boolean, a list (moduli, elements, edges, generators) a JSON array, a
+bitset a hex string and a file's top level or a nested record (a
+certificate's subgroup and trace) a JSON object; any other value is refused
+with a ValueError that names the field.
 """
 from __future__ import annotations
 
@@ -25,9 +26,10 @@ import tempfile
 from fractions import Fraction
 from typing import Any
 
-from .caps import Caps, DEFAULT_CAPS, _json_bool, _json_int, _json_list
+from .caps import (Caps, DEFAULT_CAPS, _json_bool, _json_int, _json_list,
+                   _json_object)
 from .groups import GroupDescriptor, GroupElement, Subgroup, _make_subgroup
-from .patterns import BiInducedWitness, BipartitePattern, _make_witness
+from .patterns import BiInducedWitness, BipartitePattern
 from .regularity import RegularityCertificate
 from .subsets import DoublingTrace, GroupSubset, _to_fraction
 
@@ -106,7 +108,7 @@ def group_to_json(g: GroupDescriptor) -> dict:
 
 
 def group_from_json(obj: dict, caps: Caps = DEFAULT_CAPS) -> GroupDescriptor:
-    if "moduli" not in obj:
+    if "moduli" not in _json_object(obj, "group"):
         raise ValueError("group JSON needs a 'moduli' field")
     return GroupDescriptor([_json_int(m, "moduli")
                             for m in _json_list(obj["moduli"], "moduli")],
@@ -140,7 +142,7 @@ def subset_to_json(a: GroupSubset) -> dict:
 
 
 def subset_from_json(obj: dict, caps: Caps = DEFAULT_CAPS) -> GroupSubset:
-    g = group_from_json(obj, caps=caps)
+    g = group_from_json(_json_object(obj, "set"), caps=caps)
     has_hex = "bits_hex" in obj
     has_elems = "elements" in obj
     if has_hex == has_elems:
@@ -159,6 +161,7 @@ def pattern_to_json(f: BipartitePattern) -> dict:
 
 
 def pattern_from_json(obj: dict) -> BipartitePattern:
+    _json_object(obj, "pattern")
     for key in ("u", "v", "edges"):
         if key not in obj:
             raise ValueError(f"pattern JSON needs a {key!r} field")
@@ -174,10 +177,11 @@ def pattern_from_json(obj: dict) -> BipartitePattern:
     return BipartitePattern(u_count, v_count, frozenset(edges))
 
 
-def witness_to_json(w) -> dict:
+def witness_to_json(w: BiInducedWitness) -> dict:
+    coords = w.group.coords_of
     return {
-        "phi_u": value_to_json(w.phi_u),
-        "phi_v": value_to_json(w.phi_v),
+        "phi_u": [list(coords(r)) for r in w.phi_u],
+        "phi_v": [list(coords(r)) for r in w.phi_v],
         "injective_u": w.injective_u,
         "injective_v": w.injective_v,
     }
@@ -185,8 +189,9 @@ def witness_to_json(w) -> dict:
 
 def witness_from_json(g: GroupDescriptor, f: BipartitePattern,
                       obj: dict) -> BiInducedWitness:
-    return _make_witness(f, g, _element_ranks(g, obj, "phi_u"),
-                         _element_ranks(g, obj, "phi_v"))
+    _json_object(obj, "witness")
+    return BiInducedWitness(f, g, _element_ranks(g, obj, "phi_u"),
+                            _element_ranks(g, obj, "phi_v"))
 
 
 def _subgroup_to_json(h: Subgroup) -> dict:
@@ -198,6 +203,7 @@ def _subgroup_to_json(h: Subgroup) -> dict:
 
 
 def _subgroup_from_json(g: GroupDescriptor, obj: dict) -> Subgroup:
+    _json_object(obj, "subgroup")
     h = _make_subgroup(g, _hex_field(obj, "bits_hex", g.order),
                        [_json_int(r, "generators")
                         for r in _json_list(obj["generators"], "generators")])
@@ -218,6 +224,7 @@ def _trace_to_json(t: DoublingTrace, order: int) -> dict:
 
 
 def _trace_from_json(g: GroupDescriptor, obj: dict) -> DoublingTrace:
+    _json_object(obj, "trace")
     return DoublingTrace(
         base=GroupSubset(g, _hex_field(obj, "ball_hex", g.order)),
         k_value=float(obj["k_value"]),
@@ -247,7 +254,7 @@ def certificate_to_json(c: RegularityCertificate) -> dict:
 
 def certificate_from_json(obj: dict, caps: Caps = DEFAULT_CAPS
                           ) -> RegularityCertificate:
-    g = group_from_json(obj, caps=caps)
+    g = group_from_json(_json_object(obj, "certificate"), caps=caps)
     return RegularityCertificate(
         base=GroupSubset(g, _hex_field(obj, "set_hex", g.order)),
         epsilon=frac_parse(obj["epsilon"]),

@@ -79,9 +79,9 @@ import numpy as np
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .groups import (
     GroupDescriptor,
-    GroupElement,
     Subgroup,
     _add_ranks,
+    _checked_rank,
     _rank_dtype,
     add_rank,
     cosets,
@@ -171,30 +171,31 @@ def augment_f_plus(f: BipartitePattern) -> BipartitePattern:
 
 @dataclasses.dataclass(frozen=True)
 class BiInducedWitness:
-    """Concrete maps witnessing a bi-induced occurrence of a pattern."""
+    """Maps witnessing a bi-induced occurrence of a pattern in a group:
+    phi_u and phi_v hold the ranks of the images, each read as a Python int
+    (operator.index, so a float raises TypeError) in [0, |G|)."""
 
     pattern: BipartitePattern
-    phi_u: tuple[GroupElement, ...]
-    phi_v: tuple[GroupElement, ...]
-    injective_u: bool
-    injective_v: bool
+    group: GroupDescriptor
+    phi_u: tuple[int, ...]
+    phi_v: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.phi_u) != self.pattern.u_count:
-            raise ValueError("phi_u length mismatch")
-        if len(self.phi_v) != self.pattern.v_count:
-            raise ValueError("phi_v length mismatch")
+        for side, count in (("phi_u", self.pattern.u_count),
+                            ("phi_v", self.pattern.v_count)):
+            ranks = tuple(_checked_rank(self.group, r)
+                          for r in getattr(self, side))
+            if len(ranks) != count:
+                raise ValueError(f"{side} length mismatch")
+            object.__setattr__(self, side, ranks)
 
+    @property
+    def injective_u(self) -> bool:
+        return len(set(self.phi_u)) == len(self.phi_u)
 
-def _make_witness(f: BipartitePattern, g: GroupDescriptor,
-                  u_ranks: list[int], v_ranks: list[int]) -> BiInducedWitness:
-    return BiInducedWitness(
-        f,
-        tuple(g.element(r) for r in u_ranks),
-        tuple(g.element(r) for r in v_ranks),
-        len(set(u_ranks)) == len(u_ranks),
-        len(set(v_ranks)) == len(v_ranks),
-    )
+    @property
+    def injective_v(self) -> bool:
+        return len(set(self.phi_v)) == len(self.phi_v)
 
 
 # A column table stores at most this many bits (16 MiB), whatever |G| is.
@@ -337,16 +338,14 @@ def _distinct_rows(r: np.ndarray) -> np.ndarray:
     return (srt[:, 1:] != srt[:, :-1]).all(axis=1)
 
 
-def _witness_ranks(a: GroupSubset, f: BipartitePattern, w: BiInducedWitness
-                   ) -> tuple[list[int], list[int]]:
-    """The ranks of phi_u and of phi_v; ValueError unless w maps each vertex
-    of f and every image lies in A's group, since a rank means another
-    element in another group."""
+def _check_fit(a: GroupSubset, f: BipartitePattern,
+               w: BiInducedWitness) -> None:
+    """ValueError unless w maps each vertex of f into A's group, since a
+    rank means another element in another group."""
+    if w.group != a.group:
+        raise ValueError("witness does not belong to the subset's group")
     if (len(w.phi_u), len(w.phi_v)) != (f.u_count, f.v_count):
         raise ValueError("witness and pattern differ in vertex counts")
-    if any(e.group != a.group for e in w.phi_u + w.phi_v):
-        raise ValueError("witness does not belong to the subset's group")
-    return [e.rank for e in w.phi_u], [e.rank for e in w.phi_v]
 
 
 def check_witness(a: GroupSubset, f: BipartitePattern, w: BiInducedWitness,
@@ -360,15 +359,14 @@ def check_witness(a: GroupSubset, f: BipartitePattern, w: BiInducedWitness,
     pairwise distinct as one set."""
     if injectivity not in ("none", "per_side", "global"):
         raise ValueError(f"unknown injectivity mode {injectivity!r}")
-    u_ranks, v_ranks = _witness_ranks(a, f, w)
-    if not _SampleCheck(a, f, 1)(np.array([u_ranks]),
-                                 np.array([v_ranks])).size:
+    _check_fit(a, f, w)
+    if not _SampleCheck(a, f, 1)(np.array([w.phi_u]),
+                                 np.array([w.phi_v])).size:
         return False
     if injectivity == "per_side":
-        return (len(set(u_ranks)) == f.u_count
-                and len(set(v_ranks)) == f.v_count)
+        return w.injective_u and w.injective_v
     if injectivity == "global":
-        return len(set(u_ranks + v_ranks)) == f.u_count + f.v_count
+        return len(set(w.phi_u + w.phi_v)) == f.u_count + f.v_count
     return True
 
 
@@ -422,7 +420,6 @@ def find_bi_induced(a: GroupSubset, f: BipartitePattern,
     side only needs each mask to hold as many candidates as the vertices
     sharing it.  Budgeted by caps.pattern_visit_cap visits of the anchored
     sweep."""
-    g = a.group
     groups_by_nb: dict[frozenset, list[int]] = {}
     for u in range(f.u_count):
         groups_by_nb.setdefault(f.u_neighborhood(u), []).append(u)
@@ -439,7 +436,7 @@ def find_bi_induced(a: GroupSubset, f: BipartitePattern,
                 u_ranks[u] = low.bit_length() - 1
                 if require_injective:
                     m ^= low
-        return _make_witness(f, g, u_ranks, v_ranks)
+        return BiInducedWitness(f, a.group, u_ranks, v_ranks)
     return None
 
 
@@ -464,7 +461,7 @@ def witness_from_shattering(a: GroupSubset, f: BipartitePattern,
         raise AssertionError("shattered set failed to realize a pattern")
     u_ranks = [neg_rank(g, first[pat]) for pat in want]
     v_ranks = shat[:f.v_count]
-    w = _make_witness(f, g, u_ranks, v_ranks)
+    w = BiInducedWitness(f, g, u_ranks, v_ranks)
     if not check_witness(a, f, w, injectivity="per_side"):
         raise AssertionError("constructed witness failed verification")
     return w
@@ -556,9 +553,9 @@ def distance_to_free(a: GroupSubset, f: BipartitePattern,
                                 caps=caps)
             if w is None:
                 return True
-            for xe in w.phi_u:
-                for ye in w.phi_v:
-                    pos |= 1 << add_rank(g, xe.rank, ye.rank)
+            for x in w.phi_u:
+                for y in w.phi_v:
+                    pos |= 1 << add_rank(g, x, y)
             found.append((pos, b & pos))
         rest = pos & ~fixed if left else 0
         while rest:
@@ -636,12 +633,12 @@ def densify(a: GroupSubset, h: Subgroup, f: BipartitePattern,
     g = a.group
     if h.group != g:
         raise ValueError("subgroup does not belong to the subset's group")
-    u_ranks, v_ranks = _witness_ranks(a, f, w)
+    _check_fit(a, f, w)
     size = h.size
     counts = {
         (u, v): (a.bits & translate_bits(g, h.bits,
                                          add_rank(g, xr, yr))).bit_count()
-        for u, xr in enumerate(u_ranks) for v, yr in enumerate(v_ranks)
+        for u, xr in enumerate(w.phi_u) for v, yr in enumerate(w.phi_v)
     }
     if any((2 * c >= size) != (uv in f.edges) for uv, c in counts.items()):
         raise ValueError("witness does not bi-induce the pattern in the "
@@ -654,7 +651,7 @@ def densify(a: GroupSubset, h: Subgroup, f: BipartitePattern,
             )
     check = _SampleCheck(a, f, samples)
     h_ranks = np.array(h.ranks(), check.dtype)
-    base = np.array(u_ranks + v_ranks, check.dtype)
+    base = np.array(w.phi_u + w.phi_v, check.dtype)
     hits = 0
     for idx in _draw_chunks(random.Random(rng_seed), size, samples,
                             f.vertex_count):
@@ -669,12 +666,23 @@ def densify(a: GroupSubset, h: Subgroup, f: BipartitePattern,
 
 @dataclasses.dataclass(frozen=True)
 class APWitness:
-    """A 2k-term progression with the first k terms in A, the last k out."""
+    """A 2k-term progression of a group with the first k terms in A, the
+    last k out: start, step and terms are ranks."""
 
-    start: GroupElement
-    step: GroupElement
+    group: GroupDescriptor
+    start: int
+    step: int
     k: int
-    terms: tuple[GroupElement, ...]
+    terms: tuple[int, ...]
+
+
+def _progression(g: GroupDescriptor, start: int, step: int,
+                 count: int) -> tuple[int, ...]:
+    """The ranks of start, start + step, ..., count terms."""
+    terms = [start]
+    for _ in range(count - 1):
+        terms.append(add_rank(g, terms[-1], step))
+    return tuple(terms)
 
 
 def ap_search(a: GroupSubset, k: int) -> APWitness | None:
@@ -693,21 +701,12 @@ def ap_search(a: GroupSubset, k: int) -> APWitness | None:
             continue
         for d in range(1, n):
             r = x
-            ok = True
-            for j in range(2 * k):
-                inside = bool((bits >> r) & 1)
-                if inside != (j < k):
-                    ok = False
+            for j in range(1, 2 * k):
+                r = add_rank(g, r, d)
+                if (bits >> r) & 1 != (j < k):
                     break
-                if j < 2 * k - 1:
-                    r = add_rank(g, r, d)
-            if ok:
-                terms = []
-                r = x
-                for j in range(2 * k):
-                    terms.append(g.element(r))
-                    r = add_rank(g, r, d)
-                return APWitness(g.element(x), g.element(d), k, tuple(terms))
+            else:
+                return APWitness(g, x, d, k, _progression(g, x, d, 2 * k))
     return None
 
 
@@ -717,23 +716,13 @@ def ap_half_graph_witness(a: GroupSubset, ap: APWitness
     in-A term and step d, phi_u(i) = (i+1)d and phi_v(j) = x - (j+1)d give
     phi_u(i) + phi_v(j) = x + (i-j)d, which lies in A iff i <= j.  A found
     progression forces the step's order above 2k-1, so both maps are
-    injective."""
-    g = a.group
-    k = ap.k
+    injective.  A progression of another group than A's raises ValueError."""
+    g, k, d = ap.group, ap.k, ap.step
     f = half_graph(k)
-    d = ap.step.rank
-    last_in = ap.terms[k - 1].rank
-    u_ranks = []
-    r = 0
-    for _ in range(k):
-        r = add_rank(g, r, d)
-        u_ranks.append(r)
-    v_ranks = []
-    r = last_in
-    for _ in range(k):
-        r = add_rank(g, r, neg_rank(g, d))
-        v_ranks.append(r)
-    w = _make_witness(f, g, u_ranks, v_ranks)
+    back = neg_rank(g, d)
+    first_v = add_rank(g, ap.terms[k - 1], back)
+    w = BiInducedWitness(f, g, _progression(g, d, d, k),
+                         _progression(g, first_v, back, k))
     if not check_witness(a, f, w, injectivity="per_side"):
         raise AssertionError("progression produced an invalid half-graph copy")
     return f, w

@@ -92,7 +92,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -182,10 +182,6 @@ class GroupSubset:
 
     def ranks(self) -> list[int]:
         return _bit_ranks(self.bits)
-
-    def elements(self) -> Iterator[GroupElement]:
-        for r in self.ranks():
-            yield self.group.element(r)
 
     def contains_rank(self, r: int) -> bool:
         """Whether rank r is a member: False for every integer outside

@@ -453,16 +453,6 @@ def coset_round(mods, aset, hset):
     return out
 
 
-def _witness(f, g, u_ranks, v_ranks) -> BiInducedWitness:
-    return BiInducedWitness(
-        f,
-        tuple(g.element(r) for r in u_ranks),
-        tuple(g.element(r) for r in v_ranks),
-        len(set(u_ranks)) == len(u_ranks),
-        len(set(v_ranks)) == len(v_ranks),
-    )
-
-
 def v_sweep(a, f, distinct: bool, budget: int):
     """Every phi_v in rank order, y = 0..|G|-1 at every depth (no anchor),
     whose per-u masks all stay nonempty, as (v_ranks, masks); A is
@@ -518,7 +508,7 @@ def find_bi_induced(a, f, require_injective: bool = True, caps=DEFAULT_CAPS):
                 u_ranks[u] = low.bit_length() - 1
                 if require_injective:
                     m ^= low
-        return _witness(f, a.group, u_ranks, v_ranks)
+        return BiInducedWitness(f, a.group, u_ranks, v_ranks)
     return None
 
 
@@ -592,7 +582,7 @@ def witness_from_shattering(a, f, caps=DEFAULT_CAPS):
     if needed:
         raise AssertionError("shattered set failed to realize a pattern")
     u_ranks = [neg_rank(g, found[want[u]]) for u in range(fp.u_count)]
-    return _witness(f, g, u_ranks, positions[:f.v_count])
+    return BiInducedWitness(f, g, u_ranks, positions[:f.v_count])
 
 
 def bi_induces(a, f, u_ranks, v_ranks) -> bool:
@@ -660,8 +650,8 @@ def densify(a, h, f, w, samples: int, rng_seed: int) -> DensifyReport:
     h_ranks = h.ranks()
     hits = 0
     for _ in range(samples):
-        xs = [add_rank(g, e.rank, rng.choice(h_ranks)) for e in w.phi_u]
-        ys = [add_rank(g, e.rank, rng.choice(h_ranks)) for e in w.phi_v]
+        xs = [add_rank(g, x, rng.choice(h_ranks)) for x in w.phi_u]
+        ys = [add_rank(g, y, rng.choice(h_ranks)) for y in w.phi_v]
         if bi_induces(a, f, xs, ys):
             hits += 1
     frac = hits / samples

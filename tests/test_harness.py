@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 import oracles
 from addcomb import (
+    BiInducedWitness,
+    BipartitePattern,
     GroupDescriptor,
     GroupSubset,
     coset_representatives,
@@ -185,6 +187,27 @@ def test_witness_json_round_trip():
     obj = witness_to_json(w)
     back = witness_from_json(z13, half_graph(2), obj)
     assert back == w
+
+
+@given(st.sampled_from([(2, 2, 2, 2), (2, 3), (3, 16, 2), (4, 4, 4),
+                        (5, 7, 4)]),
+       st.integers(1, 3), st.integers(1, 3), st.data())
+def test_witness_json_round_trip_on_multi_coordinate_groups(mods, u, v, data):
+    # the file holds each rank's coordinates; reading them back gives the
+    # same group, pattern, ranks and injectivity flags
+    g = GroupDescriptor(mods)
+    f = BipartitePattern(u, v, frozenset(
+        data.draw(st.sets(st.tuples(st.integers(0, u - 1),
+                                    st.integers(0, v - 1))))))
+    phi_u, phi_v = (data.draw(st.lists(st.integers(0, g.order - 1),
+                                       min_size=k, max_size=k))
+                    for k in (u, v))
+    w = BiInducedWitness(f, g, phi_u, phi_v)
+    obj = json.loads(canonical_dumps(witness_to_json(w)))
+    assert obj["phi_u"] == [list(g.coords_of(r)) for r in phi_u]
+    assert (obj["injective_u"], obj["injective_v"]) == (
+        len(set(phi_u)) == u, len(set(phi_v)) == v)
+    assert witness_from_json(g, f, obj) == w
 
 
 def test_certificate_json_round_trip():
@@ -1253,6 +1276,51 @@ def test_witness_from_json_rejects_a_map_of_the_wrong_type(files, side, bad):
     _assert_cli_rejects(
         ["densify", "--set", files["union"], "--pattern", files["hg2"],
          "--subgroup", files["subgroup"], "--witness", w], side)
+
+
+@pytest.mark.parametrize("top", [5, None])
+@pytest.mark.parametrize("kind", ["set", "pattern", "caps", "witness",
+                                  "config"])
+def test_a_file_whose_top_level_is_not_an_object_is_refused(files, kind, top):
+    # indexing or testing a key of it raised a TypeError that named no field
+    bad = _write_json(files["dir"] / "bad.json", top)
+    argv = {
+        "set": ["vcdim", "--set", bad],
+        "pattern": ["distance", "--set", files["union"], "--pattern", bad],
+        "caps": ["vcdim", "--set", files["union"], "--caps", bad],
+        "witness": ["densify", "--set", files["union"], "--pattern",
+                    files["hg2"], "--subgroup", files["subgroup"],
+                    "--witness", bad],
+        "config": ["experiment", "--config", bad],
+    }[kind]
+    _assert_cli_rejects(argv, f"{kind} must be an object, got {top!r}")
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("family", None), ("family", 5), ("group", 5), ("group", None),
+    ("output", 5), ("output", None), ("pattern", 5),
+])
+def test_config_from_json_rejects_a_record_of_the_wrong_type(files, field,
+                                                             bad):
+    obj = dict(_PLANTED_JSON, **{field: bad})
+    if field == "pattern":
+        obj.update(study="tester", sweep=[10])
+    cfg = _write_json(files["dir"] / "cfg.json", obj)
+    _assert_cli_rejects(["experiment", "--config", cfg],
+                        f"{field} must be an object, got {bad!r}")
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("subgroup", None), ("subgroup", [1]), ("trace", 5), ("trace", [1]),
+])
+def test_certificate_from_json_rejects_a_record_of_the_wrong_type(field, bad):
+    obj = certificate_to_json(regularize(
+        GroupSubset(GroupDescriptor([2, 2, 2, 2]), 0xFF0F), Fraction(1, 4)))
+    with pytest.raises(ValueError, match=f"{field} must be an object"):
+        certificate_from_json(dict(obj, **{field: bad}))
+    for top in (5, None, [obj]):
+        with pytest.raises(ValueError, match="certificate must be an object"):
+            certificate_from_json(top)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -114,22 +115,21 @@ def test_check_witness_examples():
     z4 = GroupDescriptor([4])
     a = GroupSubset.from_ranks(z4, [1])
     f = half_graph(1)
-    w_good = BiInducedWitness(f, (z4.element(0),), (z4.element(1),), True, True)
-    w_bad = BiInducedWitness(f, (z4.element(0),), (z4.element(2),), True, True)
+    w_good = BiInducedWitness(f, z4, (0,), (1,))
+    w_bad = BiInducedWitness(f, z4, (0,), (2,))
     assert check_witness(a, f, w_good)
     assert not check_witness(a, f, w_bad)
     with pytest.raises(ValueError):
         check_witness(a, f, w_good, injectivity="sideways")
     with pytest.raises(ValueError):
-        BiInducedWitness(f, (), (z4.element(1),), True, True)
+        BiInducedWitness(f, z4, (), (1,))
 
 
 def _z8_witness_on_z4():
     # A = {3} in Z/4 and a Z/8 witness whose rank 7 reads as 3 in Z/4
     z4, z8 = GroupDescriptor([4]), GroupDescriptor([8])
     a = GroupSubset.from_ranks(z4, [3])
-    w = BiInducedWitness(half_graph(1), (z8.element(7),), (z8.element(0),),
-                         True, True)
+    w = BiInducedWitness(half_graph(1), z8, (7,), (0,))
     return a, w
 
 
@@ -143,8 +143,7 @@ def test_check_witness_rejects_a_witness_of_another_vertex_count():
     # half_graph(2) needs images for two vertices per side; this one has one
     z4 = GroupDescriptor([4])
     a = GroupSubset.from_ranks(z4, [1])
-    w = BiInducedWitness(half_graph(1), (z4.element(0),), (z4.element(1),),
-                         True, True)
+    w = BiInducedWitness(half_graph(1), z4, (0,), (1,))
     with pytest.raises(ValueError, match="vertex counts"):
         check_witness(a, half_graph(2), w)
     with pytest.raises(ValueError, match="vertex counts"):
@@ -152,19 +151,49 @@ def test_check_witness_rejects_a_witness_of_another_vertex_count():
                 rng_seed=0)
 
 
+def test_a_witness_is_its_group_and_its_ranks():
+    z4 = GroupDescriptor([4])
+    f = half_graph(1)
+    w = BiInducedWitness(f, z4, [np.int64(3)], (np.uint8(1),))
+    assert (w.group, w.phi_u, w.phi_v) == (z4, (3,), (1,))
+    assert all(type(r) is int for r in w.phi_u + w.phi_v)
+    assert w == BiInducedWitness(f, z4, (3,), (1,))
+    with pytest.raises(TypeError):
+        BiInducedWitness(f, z4, (1.5,), (0,))
+    with pytest.raises(TypeError):
+        BiInducedWitness(f, z4, (0,), ("1",))
+    for bad in (-1, z4.order, np.int64(-1)):
+        with pytest.raises(ValueError, match=f"rank {bad} out of range"):
+            BiInducedWitness(f, z4, (0,), (bad,))
+    with pytest.raises(ValueError, match="phi_v length mismatch"):
+        BiInducedWitness(f, z4, (0,), (0, 1))
+
+
+@pytest.mark.parametrize("u_ranks,v_ranks", [
+    ((0, 1), (2, 3)), ((0, 0), (2, 3)), ((0, 1), (3, 3)), ((1, 1), (2, 2)),
+])
+def test_witness_injectivity_flags_follow_the_ranks(u_ranks, v_ranks):
+    w = BiInducedWitness(K22, GroupDescriptor([2, 2]), u_ranks, v_ranks)
+    assert w.injective_u == (u_ranks[0] != u_ranks[1])
+    assert w.injective_v == (v_ranks[0] != v_ranks[1])
+    # read-only properties, not fields a caller could set wrong
+    assert [f.name for f in dataclasses.fields(w)] == ["pattern", "group",
+                                                        "phi_u", "phi_v"]
+    with pytest.raises(AttributeError):
+        w.injective_u = True
+
+
 def test_check_witness_injectivity_modes():
     z4 = GroupDescriptor([4])
     a = GroupSubset.from_ranks(z4, [1])
     # both path u's on the same element: fine without injectivity, not per side
-    w = BiInducedWitness(
-        PATH, (z4.element(0), z4.element(0)), (z4.element(1),), False, True
-    )
+    w = BiInducedWitness(PATH, z4, (0, 0), (1,))
     assert check_witness(a, PATH, w)
     assert not check_witness(a, PATH, w, injectivity="per_side")
     # per-side injective but u-image equals v-image: global rejects it
     a2 = GroupSubset.from_ranks(z4, [2])
     f = half_graph(1)
-    w2 = BiInducedWitness(f, (z4.element(1),), (z4.element(1),), True, True)
+    w2 = BiInducedWitness(f, z4, (1,), (1,))
     assert check_witness(a2, f, w2, injectivity="per_side")
     assert not check_witness(a2, f, w2, injectivity="global")
 
@@ -174,7 +203,7 @@ def test_find_bi_induced_examples():
     assert find_bi_induced(GroupSubset.empty(z4), half_graph(1)) is None
     w = find_bi_induced(GroupSubset.from_ranks(z4, [0]), half_graph(1))
     assert w is not None
-    assert (w.phi_u[0].rank + w.phi_v[0].rank) % 4 == 0
+    assert (w.phi_u[0] + w.phi_v[0]) % 4 == 0
     # a full set cannot realise the non-edge of a half graph
     assert find_bi_induced(GroupSubset.full(z4), half_graph(2)) is None
     assert find_bi_induced(GroupSubset.full(z4), EDGELESS) is None
@@ -184,8 +213,8 @@ def test_find_bi_induced_examples():
     interval = GroupSubset.from_ranks(z13, range(1, 7))
     w2 = find_bi_induced(interval, half_graph(2))
     assert w2 is not None
-    assert [e.rank for e in w2.phi_u] == [1, 0]
-    assert [e.rank for e in w2.phi_v] == [0, 1]
+    assert w2.phi_u == (1, 0)
+    assert w2.phi_v == (0, 1)
     assert check_witness(interval, half_graph(2), w2, injectivity="per_side")
 
 
@@ -315,14 +344,12 @@ def test_check_witness_matches_oracle(a, f, data):
     u_ranks, v_ranks = (
         data.draw(st.lists(st.integers(0, g.order - 1), min_size=k, max_size=k))
         for k in (f.u_count, f.v_count))
-    w = BiInducedWitness(f, tuple(g.element(r) for r in u_ranks),
-                         tuple(g.element(r) for r in v_ranks), True, True)
+    w = BiInducedWitness(f, g, u_ranks, v_ranks)
     assert check_witness(a, f, w) == oracles.bi_induces(a, f, u_ranks, v_ranks)
     found = find_bi_induced(a, f, require_injective=False)
     if found is not None:
         assert check_witness(a, f, found)
-        assert oracles.bi_induces(a, f, [e.rank for e in found.phi_u],
-                                  [e.rank for e in found.phi_v])
+        assert oracles.bi_induces(a, f, found.phi_u, found.phi_v)
 
 
 # distance to free of half_graph(1) and EDGELESS at order 16 takes the
@@ -997,8 +1024,8 @@ def test_ap_search_examples():
     interval = GroupSubset.from_ranks(z13, range(1, 7))
     ap = ap_search(interval, 2)
     assert ap is not None
-    assert (ap.start.rank, ap.step.rank) == (1, 3)
-    assert [t.rank for t in ap.terms] == [1, 4, 7, 10]
+    assert (ap.group, ap.start, ap.step) == (z13, 1, 3)
+    assert ap.terms == (1, 4, 7, 10)
     assert ap_search(GroupSubset.empty(z13), 1) is None
     assert ap_search(GroupSubset.full(z13), 1) is None
     with pytest.raises(ValueError):
@@ -1027,9 +1054,9 @@ def test_ap_search_split_structure(a, k):
     if ap is None:
         return
     assert len(ap.terms) == 2 * k
-    assert ap.step.rank != 0
+    assert ap.step != 0
     for j, t in enumerate(ap.terms):
-        assert a.contains_rank(t.rank) == (j < k)
+        assert a.contains_rank(t) == (j < k)
 
 
 def test_ap_half_graph_witness():
@@ -1039,7 +1066,15 @@ def test_ap_half_graph_witness():
         ap = ap_search(interval, k)
         f, w = ap_half_graph_witness(interval, ap)
         assert f == half_graph(k)
+        assert w.group == z13
         assert check_witness(interval, f, w, injectivity="per_side")
+    # u_i = (i+1)d and v_j = x - (j+1)d for the last in-A term x = 4, d = 3
+    assert (w.phi_u, w.phi_v) == ((3, 6), (1, 11))
+    # a progression of another group is refused, not read by its ranks
+    z16 = GroupDescriptor([16])
+    ap = ap_search(GroupSubset.from_ranks(z16, range(1, 7)), 2)
+    with pytest.raises(ValueError, match="group"):
+        ap_half_graph_witness(interval, ap)
 
 
 def _densify_z2_18():
@@ -1058,9 +1093,7 @@ def _densify_z2_18():
             bits |= 0xFF << (8 * c)
             if rng.random() < 0.1:
                 bits ^= 1 << (8 * c + rng.randrange(8))
-    w = BiInducedWitness(f, tuple(g.element(e.rank) for e in w6.phi_u),
-                         tuple(g.element(e.rank) for e in w6.phi_v),
-                         True, True)
+    w = BiInducedWitness(f, g, w6.phi_u, w6.phi_v)
     return GroupSubset(g, bits), generated_subgroup(g, [1, 2, 4]), f, w
 
 
