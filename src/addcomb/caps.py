@@ -4,6 +4,7 @@ every other input file share."""
 from __future__ import annotations
 
 import dataclasses
+import math
 
 
 class CapExceeded(Exception):
@@ -16,6 +17,18 @@ def _json_int(value, name: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _json_finite(value, name: str) -> float:
+    """value as a float when it is a finite JSON number; float() would take
+    true as 1.0 and "nan" as nan, and an integer past the largest float
+    raises OverflowError."""
+    try:
+        if type(value) in (int, float) and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _json_list(value, name: str) -> list:
@@ -35,10 +48,19 @@ def _json_object(value, name: str) -> dict:
     return value
 
 
+def _json_field(obj: dict, key: str):
+    """obj[key], the value of a required field; indexing alone would raise
+    a KeyError whose message is the bare key."""
+    if key not in obj:
+        raise ValueError(f"missing required field {key!r}")
+    return obj[key]
+
+
 def _json_bool(obj: dict, key: str, default: bool | None) -> bool:
     """obj[key] when it is a JSON boolean, default when absent (a default of
     None makes the key required); bool() would read "false" as true."""
-    value = obj.get(key, default)
+    value = (_json_field(obj, key) if default is None
+             else obj.get(key, default))
     if not isinstance(value, bool):
         raise ValueError(f"{key} must be true or false, got {value!r}")
     return value

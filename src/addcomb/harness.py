@@ -21,8 +21,8 @@ import random
 import time
 from fractions import Fraction
 
-from .caps import (Caps, DEFAULT_CAPS, _json_bool, _json_int, _json_list,
-                   _json_object)
+from .caps import (Caps, DEFAULT_CAPS, _json_bool, _json_field, _json_int,
+                   _json_list, _json_object)
 from .groups import GroupDescriptor, cosets, enumerate_subgroups
 from .io import (
     canonical_dumps,
@@ -102,12 +102,12 @@ class ExperimentConfig:
         out = _json_object(_json_object(obj, "config").get("output", {}),
                            "output")
         return cls(
-            group=group_from_json(obj["group"], caps=caps),
-            family=dict(_json_object(obj["family"], "family")),
-            study=obj["study"],
-            sweep=list(_json_list(obj["sweep"], "sweep")),
+            group=group_from_json(_json_field(obj, "group"), caps=caps),
+            family=dict(_json_object(_json_field(obj, "family"), "family")),
+            study=_json_field(obj, "study"),
+            sweep=list(_json_list(_json_field(obj, "sweep"), "sweep")),
             seeds=[_json_int(s, "seeds")
-                   for s in _json_list(obj["seeds"], "seeds")],
+                   for s in _json_list(_json_field(obj, "seeds"), "seeds")],
             output_path=out.get("path"),
             output_format=out.get("format", "json"),
             pattern=obj.get("pattern"),
@@ -155,8 +155,8 @@ def generate_family(g: GroupDescriptor, spec: dict, seed: int,
     kind = spec.get("kind")
     rng = random.Random(split_seed(seed, f"family:{kind}"))
     if kind == "planted":
-        index = _json_int(spec["index"], "index")
-        count = _json_int(spec["cosets"], "cosets")
+        index = _json_int(_json_field(spec, "index"), "index")
+        count = _json_int(_json_field(spec, "cosets"), "cosets")
         noise = float(_to_fraction(spec.get("noise", 0)))
         if not 0 <= noise <= 1:
             raise ValueError("noise must be in [0, 1]")
@@ -180,13 +180,13 @@ def generate_family(g: GroupDescriptor, spec: dict, seed: int,
             raise ValueError(f"interval length {length} out of range")
         return GroupSubset.from_ranks(g, range(1, length + 1))
     if kind == "random":
-        density = float(_to_fraction(spec["density"]))
+        density = float(_to_fraction(_json_field(spec, "density")))
         if not 0 <= density <= 1:
             raise ValueError("density must be in [0, 1]")
         return GroupSubset.from_ranks(
             g, [r for r in range(g.order) if rng.random() < density])
     if kind == "explicit":
-        a = subset_from_json(spec["set"], caps=caps)
+        a = subset_from_json(_json_field(spec, "set"), caps=caps)
         if a.group != g:
             raise ValueError("explicit set lives in a different group")
         return a

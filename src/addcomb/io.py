@@ -12,10 +12,11 @@ encoded values under the same keys, and a dataclass an object of its
 encoded fields, keyed by field name.  Anything else is already JSON.
 The certificate and witness formats, which have readers, stay explicit.
 A count or a coordinate read from a file must be a JSON integer, a flag a
-JSON boolean, a list (moduli, elements, edges, generators) a JSON array, a
-bitset a hex string and a file's top level or a nested record (a
-certificate's subgroup and trace) a JSON object; any other value is refused
-with a ValueError that names the field.
+JSON boolean, a trace's k_value a finite JSON number, a list (moduli,
+elements, edges, generators) a JSON array, a bitset a hex string and a
+file's top level or a nested record (a certificate's subgroup and trace) a
+JSON object; any other value, and a required field that is missing, is
+refused with a ValueError that names the field.
 """
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ import tempfile
 from fractions import Fraction
 from typing import Any
 
-from .caps import (Caps, DEFAULT_CAPS, _json_bool, _json_int, _json_list,
-                   _json_object)
+from .caps import (Caps, DEFAULT_CAPS, _json_bool, _json_field, _json_finite,
+                   _json_int, _json_list, _json_object)
 from .groups import GroupDescriptor, GroupElement, Subgroup, _make_subgroup
 from .patterns import BiInducedWitness, BipartitePattern
 from .regularity import RegularityCertificate
@@ -119,7 +120,7 @@ def _element_ranks(g: GroupDescriptor, obj: dict, key: str) -> list[int]:
     """The ranks of the elements listed under obj[key], each a list of JSON
     integer coordinates; element_from_coords alone would take true as 1."""
     ranks = []
-    for coords in _json_list(obj[key], key):
+    for coords in _json_list(_json_field(obj, key), key):
         coords = _json_list(coords, f"an item of {key}")
         ranks.append(g.element_from_coords(
             [_json_int(c, "coordinate") for c in coords]).rank)
@@ -128,7 +129,7 @@ def _element_ranks(g: GroupDescriptor, obj: dict, key: str) -> list[int]:
 
 def _hex_field(obj: dict, key: str, order: int) -> int:
     """The bitset written as a hex string under obj[key]."""
-    s = obj[key]
+    s = _json_field(obj, key)
     if type(s) is not str:
         raise ValueError(f"{key} must be a hex string, got {s!r}")
     return hex_to_bits(s, order)
@@ -206,8 +207,9 @@ def _subgroup_from_json(g: GroupDescriptor, obj: dict) -> Subgroup:
     _json_object(obj, "subgroup")
     h = _make_subgroup(g, _hex_field(obj, "bits_hex", g.order),
                        [_json_int(r, "generators")
-                        for r in _json_list(obj["generators"], "generators")])
-    if h.index != _json_int(obj["index"], "subgroup index"):
+                        for r in _json_list(_json_field(obj, "generators"),
+                                            "generators")])
+    if h.index != _json_int(_json_field(obj, "index"), "subgroup index"):
         raise ValueError("subgroup index does not match its bitset")
     return h
 
@@ -227,12 +229,12 @@ def _trace_from_json(g: GroupDescriptor, obj: dict) -> DoublingTrace:
     _json_object(obj, "trace")
     return DoublingTrace(
         base=GroupSubset(g, _hex_field(obj, "ball_hex", g.order)),
-        k_value=float(obj["k_value"]),
-        ell=_json_int(obj["ell"], "ell"),
+        k_value=_json_finite(_json_field(obj, "k_value"), "k_value"),
+        ell=_json_int(_json_field(obj, "ell"), "ell"),
         ell_set=GroupSubset(g, _hex_field(obj, "ell_set_hex", g.order)),
         double_set=GroupSubset(g, _hex_field(obj, "double_set_hex", g.order)),
         sizes=tuple(_json_int(s, "sizes")
-                    for s in _json_list(obj["sizes"], "sizes")),
+                    for s in _json_list(_json_field(obj, "sizes"), "sizes")),
     )
 
 
@@ -257,16 +259,16 @@ def certificate_from_json(obj: dict, caps: Caps = DEFAULT_CAPS
     g = group_from_json(_json_object(obj, "certificate"), caps=caps)
     return RegularityCertificate(
         base=GroupSubset(g, _hex_field(obj, "set_hex", g.order)),
-        epsilon=frac_parse(obj["epsilon"]),
-        delta_used=(None if obj["delta_used"] is None
-                    else frac_parse(obj["delta_used"])),
-        subgroup=_subgroup_from_json(g, obj["subgroup"]),
+        epsilon=frac_parse(_json_field(obj, "epsilon")),
+        delta_used=(None if (d := _json_field(obj, "delta_used")) is None
+                    else frac_parse(d)),
+        subgroup=_subgroup_from_json(g, _json_field(obj, "subgroup")),
         rounded=GroupSubset(g, _hex_field(obj, "rounded_hex", g.order)),
-        achieved_error=frac_parse(obj["achieved_error"]),
-        index=_json_int(obj["index"], "index"),
+        achieved_error=frac_parse(_json_field(obj, "achieved_error")),
+        index=_json_int(_json_field(obj, "index"), "index"),
         degenerate=_json_bool(obj, "degenerate", None),
-        trace=(None if obj["trace"] is None
-               else _trace_from_json(g, obj["trace"])),
+        trace=(None if (t := _json_field(obj, "trace")) is None
+               else _trace_from_json(g, t)),
     )
 
 

@@ -42,39 +42,53 @@ A check that fails raises AssertionError.  Three readings use the kernel:
 
 A sum with a small side is cheaper as a union of translates of the larger
 set (groups.translate_bits), which also stops once the union is G.  The size
-rule (_translate_limit) weighs the two with a cost model of the shape,
-fitted once by least squares (relative error) to the best-of-40 times of
-both paths on 58 shapes of order 4 to 65536 (2-core x86-64, Python 3.11.7,
-numpy 2.4.6), in microseconds, for k axes and w = ceil(|G|/64) words:
+rule (_translate_limit) weighs the two in counted work, for k axes, w =
+ceil(|G|/64) words and lines = the sum over the axes, of length m, of |G|/m:
 
-    translate = 0.95 + 0.32 k + 0.009 k w
-    transform = 32.5 + sum over the axes, of length m, of
-                30.8 + 0.25 |G|/m + 0.003 |G| log2 m
-                     + 0.017 |G| max(0, log2 m - 12)
+    limit = (_AXIS_POINTS (k + 1) + |G| log2|G| + _LINE_POINTS lines)
+            / ((k + 1) (w + _PASS_WORDS))
 
-An axis costs a fixed overhead, |G|/m one-dimensional transforms, the
-butterflies, and more per element once it is longer than 4096.  The model's
-crossover (transform / translate) is 0.70 to 1.7 times the measured one, so
-a sum translates while its smaller side has fewer elements than 1.5 times
-the model's crossover (_TRANSFORM_MARGIN), and the transform is taken only
-where it measured cheaper on every fitted shape.  The limit is 75 on Z/8
-and Z/64, 100 on Z/1024 (crossover measured at 66), 171 on Z/4096 (110),
-270 on (Z/8)^4 (105), 444 on (Z/3)^7 (250) and 1097 on Z/65536 (763).
+- A translate shifts each axis with a few big-int operations over the w
+  words, and the union ORs it in: k + 1 passes over w words, each with a
+  fixed cost of _PASS_WORDS = 230 words.
+- A transform works log2 m times on each of the |G| points along an axis
+  of length m: |G| log2|G| point operations in all, and a fixed
+  _AXIS_POINTS = 9000 for each axis and once more for the call.  rfftn
+  also runs one transform of length m per line along the axis, lines in
+  all, at a fixed _LINE_POINTS = 18 each; the butterflies on (Z/2)^n run
+  no lines, so lines is 0 there.
+- A point operation is counted as one word of a translate.  A fourth
+  constant for that ratio fits at 0.8 and takes the worst shape below only
+  from 2.57 to 2.14 times its crossover.
 
-On (Z/2)^n the transform is the butterflies', fitted the same way to the
-best times (of 40 through (Z/2)^14, then 15, then 7 from (Z/2)^18; the
-lesser of two runs) on (Z/2)^2 to (Z/2)^20:
+A wrong pick changes the time, never a set.  The constants were fitted
+(least worst ratio, under the bounds the tests pin) to the measured
+crossover: the best time of one self-convolution, _support(_convolve(g, x,
+x)), over the best time of one translate and OR at random ranks (best of
+15 to 30; 2-core x86-64, Python 3.11.7, numpy 2.4.6; each shape in its own
+process, since in one process the same transform ran up to 3.5 times
+faster after earlier and larger ones; the median of 5 runs).  The grid
+is 62 shapes: Z/2^j for j = 4..18, (Z/2)^4 to (Z/2)^20, (Z/3)^3,5,7,9,
+(Z/4)^3,5,8,10, (Z/8)^4,6, (Z/16)^2,4,5, (Z/5)^4, (Z/6)^3,4, (Z/7)^3,
+(Z/12)^3, Z/13, Z/100, Z/1000, Z/32768 again, Z/3xZ/5, Z/4xZ/12, Z/2xZ/512,
+Z/3xZ/9xZ/27, Z/2xZ/4xZ/8xZ/16, Z/2xZ/2^17, Z/2x(Z/6)^4 and
+Z/2xZ/2xZ/4xZ/1024.  There the rule reads 0.39 to 2.57 times the measured
+crossover (0.39 to 2.58 on 3 later runs it was not fitted to).  The
+worst shapes:
 
-    transform = 32.0 + (9.3 + 0.0083 |G|) k
+- (Z/16)^5 (limit 270, measured 105), (Z/8)^6 (275, 138) and (Z/16)^4
+  (221, 117), where a word of a translate costs about twice what it costs
+  on the cyclic group of that order;
+- Z/2xZ/2xZ/4xZ/1024 (265, 679), Z/2xZ/4xZ/8xZ/16 (59, 113) and
+  Z/2x(Z/6)^4 (85, 156), where rfftn's lines of length 2 cost more than 18
+  points;
+- Z/8192 (174, 98) against Z/2^18 (548, 956): the measured crossover grows
+  tenfold between them, and more than doubles from Z/8192 to Z/16384 alone,
+  which no count of points or words sees.
 
-An axis costs a fixed overhead and one add, subtract and copy per element.
-The model's crossover is 0.50 to 0.99 times the measured one, the lowest
-from (Z/2)^18 on, where the translate model reads 1.4 to 1.7 times the
-measured translate.  The limit is 47 on (Z/2)^6, 49 on (Z/2)^8 (crossover
-measured at 37), 56 on (Z/2)^10 (59), 71 on (Z/2)^12 (70), 87 on (Z/2)^16
-(75) and 88 on (Z/2)^20 (113): 0.75 to 1.5 times the measured crossover,
-so from (Z/2)^18 on a sum a little past the limit goes to the kernel
-though translates measured up to 1.3 times cheaper.
+Z/1024 reads 57 (measured 45) and (Z/4)^5 59 (82).  Every group of order
+<= 64 reads 39 to 41; the grid's shapes of those orders measured 32.5 to
+49.
 
 No group of order <= 64 transforms, since its limit is above |G|/2 and a
 side past |G|/2 makes the sum G.  Past the limit a union that is filling G
@@ -110,12 +124,12 @@ from .groups import (
     translate_bits,
 )
 
-# The size rule's cost model in microseconds, fitted once (module docstring).
-_TR_FIXED, _TR_AXIS, _TR_WORD_AXIS = 0.95, 0.32, 0.009
-_FFT_FIXED, _FFT_AXIS, _FFT_LINE = 32.5, 30.8, 0.25
-_FFT_ELEM_BIT, _FFT_ELEM_BIT_OUT = 0.003, 0.017
-_WH_FIXED, _WH_AXIS, _WH_ELEM_AXIS = 32.0, 9.3, 0.0083
-_TRANSFORM_MARGIN = 1.5
+# The size rule's fixed costs (module docstring): of a transform's call and
+# of each of its axes, and of each line rfftn transforms, in point
+# operations; of each big-int pass of a translate, in words.
+_AXIS_POINTS = 9000
+_LINE_POINTS = 18
+_PASS_WORDS = 230
 # translates a large sumset makes before judging whether its union fills G
 _PROBE = 8
 
@@ -396,21 +410,15 @@ def almost_periods(a: GroupSubset, delta) -> AlmostPeriodSet:
 @functools.lru_cache(maxsize=256)
 def _translate_limit(moduli: tuple[int, ...]) -> float:
     """The size rule: a sumset translates when its smaller side has fewer
-    elements than this, the number of translates that cost as much as
-    _TRANSFORM_MARGIN transforms by the cost model in the module docstring."""
+    elements than this, the number of translates that cost as much as one
+    transform, counted in words and point operations (module docstring)."""
     n = math.prod(moduli)
-    axes = len(moduli)
-    translate = _TR_FIXED + _TR_AXIS * axes + _TR_WORD_AXIS * axes * ((n + 63) // 64)
-    if n == 1 << axes:
-        transform = _WH_FIXED + axes * (_WH_AXIS + _WH_ELEM_AXIS * n)
-    else:
-        transform = _FFT_FIXED
-        for m in moduli:
-            bits = math.log2(m)
-            transform += (_FFT_AXIS + _FFT_LINE * (n // m)
-                          + _FFT_ELEM_BIT * n * bits
-                          + _FFT_ELEM_BIT_OUT * n * max(0.0, bits - 12))
-    return _TRANSFORM_MARGIN * transform / translate
+    k = len(moduli)
+    # _convolve takes the butterflies, which run no lines, on (Z/2)^n
+    lines = 0 if n == 1 << k else sum(n // m for m in moduli)
+    transform = (_AXIS_POINTS * (k + 1) + n * math.log2(n)
+                 + _LINE_POINTS * lines)
+    return transform / ((k + 1) * ((n + 63) // 64 + _PASS_WORDS))
 
 
 def _sum_bits(g: GroupDescriptor, x_bits: int, y_bits: int,

@@ -216,8 +216,10 @@ def test_certificate_json_round_trip():
     obj = certificate_to_json(cert)
     assert obj["achieved_error"] == "0"
     assert certificate_from_json(obj) == cert
-    # string round trip through the canonical encoder too
-    assert certificate_from_json(json.loads(canonical_dumps(obj))) == cert
+    # string round trip through the canonical encoder too, byte for byte
+    text = canonical_dumps(obj)
+    back = certificate_from_json(json.loads(text))
+    assert back == cert and canonical_dumps(certificate_to_json(back)) == text
     bad = dict(obj)
     bad["subgroup"] = dict(obj["subgroup"], index=cert.subgroup.index + 1)
     with pytest.raises(ValueError):
@@ -1349,6 +1351,73 @@ def test_zero_denominators_in_a_config_or_certificate_are_refused(files):
     obj = certificate_to_json(regularize(a, Fraction(1, 4)))
     with pytest.raises(ValueError, match="zero denominator in '0/0'"):
         certificate_from_json(dict(obj, achieved_error="0/0"))
+
+
+@pytest.mark.parametrize("field", ["group", "family", "study", "sweep",
+                                   "seeds"])
+def test_config_from_json_names_a_missing_field(files, field):
+    # indexing the key raised a KeyError whose detail was the bare key
+    obj = {k: v for k, v in _PLANTED_JSON.items() if k != field}
+    with pytest.raises(ValueError, match=f"missing required field '{field}'"):
+        ExperimentConfig.from_json(obj)
+    cfg = _write_json(files["dir"] / "cfg.json", obj)
+    _assert_cli_rejects(["experiment", "--config", cfg],
+                        f"missing required field '{field}'")
+
+
+@pytest.mark.parametrize("field,spec", [
+    ("index", {"kind": "planted", "cosets": 2}),
+    ("cosets", {"kind": "planted", "index": 4}),
+    ("density", {"kind": "random"}),
+    ("set", {"kind": "explicit"}),
+])
+def test_generate_family_names_a_missing_field(files, field, spec):
+    with pytest.raises(ValueError, match=f"missing required field '{field}'"):
+        generate_family(GroupDescriptor([2, 2, 2, 2]), spec, 0)
+    cfg = _write_json(files["dir"] / "cfg.json", dict(_PLANTED_JSON,
+                                                       family=spec))
+    _assert_cli_rejects(["experiment", "--config", cfg],
+                        f"missing required field '{field}'")
+
+
+@pytest.mark.parametrize("side", ["phi_u", "phi_v"])
+def test_witness_from_json_names_a_missing_map(files, side):
+    obj = {"phi_u": [[0, 0, 0, 0], [1, 0, 0, 0]],
+           "phi_v": [[0, 0, 0, 0], [0, 1, 0, 0]]}
+    del obj[side]
+    w = _write_json(files["dir"] / "w.json", obj)
+    _assert_cli_rejects(
+        ["densify", "--set", files["union"], "--pattern", files["hg2"],
+         "--subgroup", files["subgroup"], "--witness", w],
+        f"missing required field '{side}'")
+
+
+def _certificate_with_trace():
+    obj = certificate_to_json(regularize(
+        GroupSubset(GroupDescriptor([2, 2, 2, 2]), 0xFF0F), Fraction(1, 4)))
+    assert obj["trace"] is not None
+    return obj
+
+
+def test_certificate_from_json_names_every_missing_field():
+    obj = _certificate_with_trace()
+    for record in (None, "subgroup", "trace"):
+        inner = obj if record is None else obj[record]
+        for key in inner:
+            cut = {k: v for k, v in inner.items() if k != key}
+            bad = cut if record is None else dict(obj, **{record: cut})
+            with pytest.raises(ValueError, match=repr(key)):
+                certificate_from_json(bad)
+
+
+@pytest.mark.parametrize("bad", [True, "nan", None, "abc", math.nan,
+                                 math.inf, 10**400])
+def test_certificate_from_json_reads_k_value_as_a_finite_number(bad):
+    # float() read true as 1.0 and "nan" as nan, and null, "abc" and an
+    # integer past the largest float raised errors that named no field
+    obj = _certificate_with_trace()
+    with pytest.raises(ValueError, match="k_value"):
+        certificate_from_json(dict(obj, trace=dict(obj["trace"], k_value=bad)))
 
 
 def test_tester_study_reads_each_sweep_value_as_an_integer():

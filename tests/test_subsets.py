@@ -14,6 +14,7 @@ import oracles
 from addcomb import (
     GroupDescriptor,
     GroupSubset,
+    all_abelian_groups,
     almost_periods,
     cosets,
     difference_set,
@@ -351,7 +352,7 @@ def test_sumset_matches_oracle(g, data):
 
 # Z/13 and Z/3 x Z/5 have orders that are not multiples of 8, so the kernel
 # unpacks a partial last byte (unpackbits with count)
-PATH_SHAPES = [(1024,), (2,) * 10, (4, 12), (3,) * 5, (13,), (3, 5)]
+PATH_SHAPES = [(1024,), (2,) * 10, (4, 12), (3,) * 5, (13,), (3, 5), (8,) * 4]
 
 
 @pytest.mark.parametrize("mods", PATH_SHAPES,
@@ -528,17 +529,15 @@ def test_sumset_keeps_the_probe_translates(count_calls):
 
 def test_translate_limit_grows_with_the_transform_cost():
     limit = lib._translate_limit
-    # small groups always translate: a sum with a side past |G|/2 is G
-    assert all(limit(mods) > 64 for mods in
-               [(8,), (64,), (4, 4, 4), (13,), (3, 5)])
-    assert all(limit((2,) * n) > 2 ** (n - 1) for n in range(1, 7))
-    # the rfftn model, unchanged since it was fitted
-    for mods, want in [((8,), 75), ((1024,), 100), ((4096,), 171),
-                       ((8,) * 4, 270), ((3,) * 7, 444), ((65536,), 1097)]:
-        assert round(limit(mods)) == want
-    # long cyclic axes make a transform cheap, and butterflies on (Z/2)^n
-    # cheaper still: their crossover grows slowly with n (measured 35-38
-    # through (Z/2)^9, 59 at (Z/2)^10, 70 at 2^12, 75 at 2^16, 113 at 2^20)
+    # small groups always translate: a sum with a side past |G|/2 is G, so
+    # the exhaustive sweeps never reach the kernel
+    for g in all_abelian_groups(64):
+        assert limit(g.moduli) > g.order / 2
+    # the measured order (module docstring): rfftn's 1280 short lines put
+    # (Z/4)^5 (crossover 82) above Z/1024 (45); butterflies on (Z/2)^n are
+    # cheaper still, and their crossover grows slowly with n (32.5-42
+    # through (Z/2)^10, 54 at 2^12, 68 at 2^16, 94 at 2^20)
+    assert limit((1024,)) < 128
     assert limit((1024,)) < limit((4,) * 5)
     assert limit((2,) * 10) < limit((1024,))
     assert limit((2,) * 12) < limit((4096,))
