@@ -109,10 +109,9 @@ def group_to_json(g: GroupDescriptor) -> dict:
 
 
 def group_from_json(obj: dict, caps: Caps = DEFAULT_CAPS) -> GroupDescriptor:
-    if "moduli" not in _json_object(obj, "group"):
-        raise ValueError("group JSON needs a 'moduli' field")
+    moduli = _json_field(_json_object(obj, "group"), "moduli")
     return GroupDescriptor([_json_int(m, "moduli")
-                            for m in _json_list(obj["moduli"], "moduli")],
+                            for m in _json_list(moduli, "moduli")],
                            order_cap=caps.order_cap)
 
 
@@ -163,12 +162,10 @@ def pattern_to_json(f: BipartitePattern) -> dict:
 
 def pattern_from_json(obj: dict) -> BipartitePattern:
     _json_object(obj, "pattern")
-    for key in ("u", "v", "edges"):
-        if key not in obj:
-            raise ValueError(f"pattern JSON needs a {key!r} field")
-    u_count, v_count = _json_int(obj["u"], "u"), _json_int(obj["v"], "v")
+    u_count = _json_int(_json_field(obj, "u"), "u")
+    v_count = _json_int(_json_field(obj, "v"), "v")
     edges = set()
-    for e in _json_list(obj["edges"], "edges"):
+    for e in _json_list(_json_field(obj, "edges"), "edges"):
         if len(_json_list(e, "an edge")) != 2:
             raise ValueError(f"an edge must list two vertices, got {e!r}")
         u, v = _json_int(e[0], "edge end"), _json_int(e[1], "edge end")

@@ -48,8 +48,7 @@ its ranks with groups._add_ranks, one digit decomposition per coordinate in
 the unsigned dtype: a digit sum s < 2m wraps to min(s, s - m), which is
 exact because s - m underflows to a value above s exactly when s < m.
 Injectivity, a sort of each row, is checked only on the rows that
-bi-induce f.  check_witness tests its one witness as a single row of the
-same check, so it sums digits.
+bi-induce f.
 
 Anchor.  The accepted phi_v tuples of the V-side sweep are closed under the
 shift y -> y - z, and the per-u mask sizes do not change under it.  So the
@@ -348,11 +347,18 @@ def _check_fit(a: GroupSubset, f: BipartitePattern,
         raise ValueError("witness and pattern differ in vertex counts")
 
 
+def _pair_sums(w: BiInducedWitness) -> dict[tuple[int, int], int]:
+    """The rank of phi_u(u) + phi_v(v) for every pair (u, v), u-major."""
+    return {(u, v): add_rank(w.group, x, y)
+            for u, x in enumerate(w.phi_u) for v, y in enumerate(w.phi_v)}
+
+
 def check_witness(a: GroupSubset, f: BipartitePattern, w: BiInducedWitness,
                   injectivity: str = "none") -> bool:
-    """True iff edge(u,v) <=> phi_u(u)+phi_v(v) in A for all pairs, tested as
-    the one row of a _SampleCheck; ValueError for a witness of another group
-    or of another vertex count.
+    """True iff edge(u,v) <=> phi_u(u)+phi_v(v) in A for all pairs, read as
+    bit s of A for each pair sum s: densify's rounded-set condition at
+    H = {0}.  ValueError for a witness of another group or of another
+    vertex count.
 
     injectivity: "none" checks only the iff condition; "per_side" also
     requires each map injective; "global" requires all u- and v-images
@@ -360,8 +366,8 @@ def check_witness(a: GroupSubset, f: BipartitePattern, w: BiInducedWitness,
     if injectivity not in ("none", "per_side", "global"):
         raise ValueError(f"unknown injectivity mode {injectivity!r}")
     _check_fit(a, f, w)
-    if not _SampleCheck(a, f, 1)(np.array([w.phi_u]),
-                                 np.array([w.phi_v])).size:
+    if any((a.bits >> s) & 1 != (uv in f.edges)
+           for uv, s in _pair_sums(w).items()):
         return False
     if injectivity == "per_side":
         return w.injective_u and w.injective_v
@@ -553,9 +559,8 @@ def distance_to_free(a: GroupSubset, f: BipartitePattern,
                                 caps=caps)
             if w is None:
                 return True
-            for x in w.phi_u:
-                for y in w.phi_v:
-                    pos |= 1 << add_rank(g, x, y)
+            for s in _pair_sums(w).values():
+                pos |= 1 << s
             found.append((pos, b & pos))
         rest = pos & ~fixed if left else 0
         while rest:
@@ -635,11 +640,8 @@ def densify(a: GroupSubset, h: Subgroup, f: BipartitePattern,
         raise ValueError("subgroup does not belong to the subset's group")
     _check_fit(a, f, w)
     size = h.size
-    counts = {
-        (u, v): (a.bits & translate_bits(g, h.bits,
-                                         add_rank(g, xr, yr))).bit_count()
-        for u, xr in enumerate(w.phi_u) for v, yr in enumerate(w.phi_v)
-    }
+    counts = {uv: (a.bits & translate_bits(g, h.bits, s)).bit_count()
+              for uv, s in _pair_sums(w).items()}
     if any((2 * c >= size) != (uv in f.edges) for uv, c in counts.items()):
         raise ValueError("witness does not bi-induce the pattern in the "
                          "rounded set; the perturbation bound does not apply")

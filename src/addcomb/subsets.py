@@ -116,6 +116,7 @@ from .groups import (
     GroupElement,
     Subgroup,
     _bit_ranks,
+    _checked_rank,
     _closure_walk,
     _full_lattice,
     _make_subgroup,
@@ -226,10 +227,9 @@ def _same_group(a: GroupSubset, b: GroupSubset) -> GroupDescriptor:
 
 
 def translate(a: GroupSubset, x: GroupElement | int) -> GroupSubset:
-    """The translate A + x; ValueError if x is of another group."""
-    r = _rank_in(a.group, x)
-    if not 0 <= r < a.group.order:
-        raise ValueError(f"rank {r} out of range")
+    """The translate A + x; ValueError if x is of another group or a rank
+    out of range."""
+    r = _checked_rank(a.group, _rank_in(a.group, x))
     return GroupSubset(a.group, translate_bits(a.group, a.bits, r))
 
 

@@ -1392,6 +1392,21 @@ def test_witness_from_json_names_a_missing_map(files, side):
         f"missing required field '{side}'")
 
 
+@pytest.mark.parametrize("kind,field", [("set", "moduli"), ("pattern", "u"),
+                                        ("pattern", "v"),
+                                        ("pattern", "edges")])
+def test_set_and_pattern_readers_name_a_missing_field(files, kind, field):
+    # the set and pattern readers name the field as every other reader does
+    obj = ({"moduli": [2, 2, 2, 2], "bits_hex": "f0ff"} if kind == "set"
+           else {"u": 2, "v": 2, "edges": [[1, 1], [1, 2], [2, 2]]})
+    del obj[field]
+    path = _write_json(files["dir"] / f"{kind}.json", obj)
+    args = {"set": files["union"], "pattern": files["hg2"], kind: path}
+    _assert_cli_rejects(
+        ["pattern-find", "--set", args["set"], "--pattern", args["pattern"]],
+        f"missing required field '{field}'")
+
+
 def _certificate_with_trace():
     obj = certificate_to_json(regularize(
         GroupSubset(GroupDescriptor([2, 2, 2, 2]), 0xFF0F), Fraction(1, 4)))

@@ -352,6 +352,25 @@ def test_check_witness_matches_oracle(a, f, data):
         assert oracles.bi_induces(a, f, found.phi_u, found.phi_v)
 
 
+@given(subsets(), st.sampled_from(ORACLE_PATTERNS), st.data())
+def test_densify_at_the_trivial_subgroup_checks_the_witness(a, f, data):
+    # at H = {0} a pair coset is its sum alone, of density 0 or 1, so it is
+    # always good, and the rounded set is A: densify's precondition is
+    # check_witness
+    g = a.group
+    u_ranks, v_ranks = (
+        data.draw(st.lists(st.integers(0, g.order - 1), min_size=k, max_size=k))
+        for k in (f.u_count, f.v_count))
+    w = BiInducedWitness(f, g, u_ranks, v_ranks)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    h = generated_subgroup(g, [])
+    if check_witness(a, f, w):
+        densify(a, h, f, w, 1, seed)
+    else:
+        with pytest.raises(ValueError, match="rounded"):
+            densify(a, h, f, w, 1, seed)
+
+
 # distance to free of half_graph(1) and EDGELESS at order 16 takes the
 # per-flip-set oracle seconds; both are swept exhaustively at order <= 8
 @given(subsets(), st.sampled_from([half_graph(2), half_graph(3), PATH]))
@@ -759,17 +778,23 @@ def test_sample_check_table_matches_add_ranks(mods):
     assert np.array_equal(check.tables[0], ~check.tables[1])
 
 
-def test_check_witness_sums_digits(count_calls):
-    # one row never reaches the table: |G|^2 = 256 > 1 x 2 x 2
+def test_check_witness_reads_pair_sums(count_calls):
+    # a witness is checked from its |U||V| pair sums, with no sampled check
     g = GroupDescriptor([2, 2, 4])
     a = GroupSubset(g, 0b1011011000110101)
     f = half_graph(2)
     w = find_bi_induced(a, f, require_injective=False)
     assert w is not None
-    assert not _uses_table(patterns._SampleCheck(a, f, 1), g.order)
+    # phi_v(1) = phi_v(0) puts the non-edge (1, 0)'s sum, not in A, on the
+    # edge (1, 1)
+    bad = BiInducedWitness(f, g, w.phi_u, (w.phi_v[0], w.phi_v[0]))
+    sampled = count_calls(patterns._SampleCheck)
     sums = count_calls(_add_ranks)
-    assert check_witness(a, f, w)
-    assert sums[0] == 4
+    for wit in (w, bad):
+        assert check_witness(a, f, wit) == oracles.bi_induces(
+            a, f, wit.phi_u, wit.phi_v)
+    assert check_witness(a, f, w) and not check_witness(a, f, bad)
+    assert (sampled[0], sums[0]) == (0, 0)
 
 
 def test_sample_check_table_needs_a_uint32_index(monkeypatch):
