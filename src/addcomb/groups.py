@@ -491,7 +491,10 @@ def _cover_ranks(g: GroupDescriptor, bits: int) -> list[int]:
     members, _COVER_TABLE_ENTRIES entries at a time, from r on).  So the
     walk costs O(|G| |B|) entries, where _cover_walk costs one |G|-bit
     translate per r.  When B is dense its few translates cost less than the
-    table, and the walk is _cover_walk (the cost rule, _rank_walk_pays)."""
+    table, and the walk is _cover_walk (the cost rule, _rank_walk_pays).
+    B = {0} covers one rank per center, so every rank is one, with no walk."""
+    if bits == 1:
+        return list(range(g.order))
     size = bits.bit_count()
     if not _rank_walk_pays(g, size):
         return [r for r, _ in _cover_walk(g, bits)]

@@ -89,7 +89,7 @@ from .groups import (
 )
 from .stats import binomial_sigma, wilson_interval
 from .subsets import GroupSubset
-from .vc import _cut, _least_shattered
+from .vc import _least_shattered
 
 __all__ = [
     "BipartitePattern",
@@ -452,20 +452,27 @@ def witness_from_shattering(a: GroupSubset, f: BipartitePattern,
     VC dimension of A's translate system is too small.
 
     The augmented pattern F+ has all U-neighborhoods distinct; a shattered
-    set of size v_count(F+) supplies phi_v, and the search's trace table,
-    cut to the set, the translate realizing each u's pattern for phi_u.
+    set S of size v_count(F+) supplies phi_v, and the search's own columns
+    the translate realizing each u's pattern on S for phi_u: position p is
+    in A + x exactly when bit x of the column at p is set, so the least
+    translator with u's pattern is the lowest bit of reps AND, over the
+    positions of S, each column where u has the edge and its complement
+    where it has not (the translator the trace table cut to S would give).
     Distinct patterns force distinct phi_u, so both maps are injective."""
     fp = augment_f_plus(f)
     g = a.group
-    shat, first = _least_shattered(a, fp.v_count, caps)
+    shat, reps, cols = _least_shattered(a, fp.v_count, caps)
     if shat is None:
         return None
-    first = _cut(first, sum(1 << p for p in shat))
-    want = [sum(1 << shat[v] for v in fp.u_neighborhood(u))
-            for u in range(fp.u_count)]
-    if any(pat not in first for pat in want):
-        raise AssertionError("shattered set failed to realize a pattern")
-    u_ranks = [neg_rank(g, first[pat]) for pat in want]
+    u_ranks = []
+    for u in range(fp.u_count):
+        nb = fp.u_neighborhood(u)
+        x = reps
+        for v, p in enumerate(shat):
+            x &= cols[p] if v in nb else ~cols[p]
+        if not x:
+            raise AssertionError("shattered set failed to realize a pattern")
+        u_ranks.append(neg_rank(g, (x & -x).bit_length() - 1))
     v_ranks = shat[:f.v_count]
     w = BiInducedWitness(f, g, u_ranks, v_ranks)
     if not check_witness(a, f, w, injectivity="per_side"):

@@ -8,13 +8,32 @@ ground elements in ascending order that refines a partition of the system by
 its pattern on the chosen elements, and returns a shattered witness.
 
 The partition is kept over translators, not traces.  The search keeps one
-translator per distinct trace, the first in rank order; call the bitset of
+translator per distinct trace, the least in rank order; call the bitset of
 these translators reps.  A class is an int bitset over reps: the
 translators whose traces agree on every chosen element.  The root class is
 reps itself.  The column of a candidate p is (p - A) & reps, the translators
 x with p in A + x: one big-int translate of -A per candidate, built once per
 search.  Choosing p splits each class cls into ones = cls & col and
 zeros = cls ^ ones, and a class's size is its bit count.
+
+Two producers build the search's input (reps, the candidates, their
+columns).  The full system (ground and translators the whole group) needs
+no table of its traces, since it is invariant under translation: A + x =
+A + y exactly when x - y lies in Stab(A) = {s : A + s = A}.  So the least
+translator of each distinct trace is the least rank of its Stab(A)-coset,
+and reps is the bitset of those ranks (groups._cover_ranks over Stab(A)),
+whose count |G|/|Stab(A)| is the number of distinct traces.  Stab(A) is
+read from the columns themselves: with col_p = p - A over every rank,
+the AND of the columns at A's positions is the intersection over a in A of
+a - A, which is {x : A within A + x} = Stab(A).  Every position is a
+candidate (for each p some translate holds it and some misses it), unless
+A is empty or full, when there is one trace and none is.  So the full
+system costs |G| translates (and one negation) in all.  A restricted system
+(a proper ground Y or translator set X) is not invariant; its producer
+makes the table of its traces (TranslateSystem.trace_translators, trace ->
+first translator, one translate per translator), keeps its translators as
+reps and the ground positions where the traces do not all agree as
+candidates, and translates -A once per candidate.
 
 A branch dies as soon as one class fails to split, since shattered sets are
 closed under subsets.  The smallest class also bounds the reachable depth
@@ -43,10 +62,11 @@ always contains 0.  A restricted system (a proper ground Y or translator set
 X, as in sampled_vc and separated_sample_bound_check) is not invariant, and
 its search tries every first position.
 
-_cut turns a system's table (trace -> first translator) into the table of
-the system on a smaller ground with no translate: witness_from_shattering
-cuts the search's table to the witness, separated_sample_bound_check the
-table of A's translates by the centers to each trial's sample.
+_cut serves restricted systems only: it turns a system's table into the
+table of the system on a smaller ground with no translate, as
+separated_sample_bound_check does for the table of A's translates by the
+centers on each trial's sample.  The table search over the full system
+stays in the tests as the oracle of the column search.
 """
 from __future__ import annotations
 
@@ -111,18 +131,60 @@ class TranslateSystem:
 
 
 def _search_input(sys: TranslateSystem, caps: Caps
-                  ) -> tuple[dict[int, int], bool]:
-    """The system's translator per distinct trace, and whether the search
-    may be anchored (ground and translators both the whole group), after the
-    ground-size cap."""
+                  ) -> tuple[int, list[int], list[int], bool]:
+    """The search's input (reps, candidates, columns) for the system, and
+    whether the search may be anchored (ground and translators both the
+    whole group), after the ground-size cap.  The full system's input comes
+    from its columns, a restricted one's from its trace table (module
+    docstring)."""
     ground = sys.resolved_ground()
     if ground.size > caps.vc_ground_cap:
         raise CapExceeded(
             f"ground size {ground.size} exceeds vc cap {caps.vc_ground_cap}"
         )
     full = sys.base.group.full_mask
-    anchored = ground.bits == full and sys.resolved_translators().bits == full
-    return sys.trace_translators(), anchored
+    if ground.bits == full and sys.resolved_translators().bits == full:
+        return (*_column_input(sys.base), True)
+    return (*_table_input(sys.base, sys.trace_translators()), False)
+
+
+def _column_input(a: GroupSubset) -> tuple[int, list[int], list[int]]:
+    """The full translate system's search input: every rank is a candidate
+    (none when A is empty or full), cols[p] = (p - A) & reps, and reps
+    holds the least rank of each coset of Stab(A), the AND of the columns at
+    A's positions."""
+    g = a.group
+    if a.bits in (0, g.full_mask):
+        return 1, [], []
+    neg = negate_bits(g, a.bits)
+    cols = [translate_bits(g, neg, p) for p in range(g.order)]
+    stab = g.full_mask
+    for p in a.ranks():
+        stab &= cols[p]
+    cand = list(range(g.order))
+    if stab == 1:
+        # each rank is its own coset: reps is G, and masks no column
+        return g.full_mask, cand, cols
+    reps = GroupSubset.from_ranks(g, _cover_ranks(g, stab)).bits
+    return reps, cand, [c & reps for c in cols]
+
+
+def _table_input(a: GroupSubset, first: dict[int, int]
+                 ) -> tuple[int, list[int], list[int]]:
+    """The search input of the system whose table (trace -> first
+    translator) is `first`: its translators, the ground positions where its
+    traces do not all agree, and their columns."""
+    reps = sum(1 << x for x in first.values())
+    if len(first) <= 1:
+        return reps, [], []
+    t0 = next(iter(first))
+    diff = 0
+    for t in first:
+        diff |= t ^ t0
+    cand = _bit_ranks(diff)
+    g = a.group
+    neg = negate_bits(g, a.bits)
+    return reps, cand, [translate_bits(g, neg, p) & reps for p in cand]
 
 
 def _cut(first: dict[int, int], ground: int) -> dict[int, int]:
@@ -134,26 +196,14 @@ def _cut(first: dict[int, int], ground: int) -> dict[int, int]:
     return cut
 
 
-def _shattered_witness(a: GroupSubset, first: dict[int, int],
-                       stop_at: int | None, anchored: bool) -> list[int]:
-    """A largest shattered ground set (ascending) of the system whose
-    translator per distinct trace is `first`, the first one met in the
-    search; with stop_at given, the first shattered set of that size as soon
-    as one is found.  Anchored (only for the full translate system, see the
-    module docstring), depth 0 tries the first candidate alone, which is
-    then position 0."""
-    if len(first) <= 1:
-        return []
-    g = a.group
-    reps = diff = 0
-    t0 = next(iter(first))
-    for t, x in first.items():
-        reps |= 1 << x
-        diff |= t ^ t0
-    # the candidates: ground positions where the traces do not all agree
-    cand = _bit_ranks(diff)
-    neg = negate_bits(g, a.bits)
-    cols = [translate_bits(g, neg, p) & reps for p in cand]
+def _shattered_witness(reps: int, cand: list[int], cols: list[int],
+                       anchored: bool, stop_at: int | None) -> list[int]:
+    """A largest shattered ground set (ascending) of the system whose search
+    input is (reps, cand, cols), the first one met in the search; with
+    stop_at given, the first shattered set of that size as soon as one is
+    found.  Anchored (only for the full translate system, see the module
+    docstring), depth 0 tries the first candidate alone, which is then
+    position 0."""
     n = len(cand)
     best: list[int] = []
     chosen: list[int] = []
@@ -196,7 +246,7 @@ def _shattered_witness(a: GroupSubset, first: dict[int, int],
                 chosen.pop()
         return False
 
-    grow([reps], 0, 1 if anchored else n)
+    grow([reps], 0, min(n, 1) if anchored else n)
     return best
 
 
@@ -208,8 +258,7 @@ def vc_dimension(sys: TranslateSystem, max_d: int | None = None,
     exceeds max_d and returns max_d + 1, meaning "> max_d".  Threshold
     queries are much cheaper than exact computation on large systems."""
     stop_at = None if max_d is None else max_d + 1
-    first, anchored = _search_input(sys, caps)
-    return len(_shattered_witness(sys.base, first, stop_at, anchored))
+    return len(_shattered_witness(*_search_input(sys, caps), stop_at))
 
 
 def set_vc_dimension(a: GroupSubset, max_d: int | None = None,
@@ -219,13 +268,14 @@ def set_vc_dimension(a: GroupSubset, max_d: int | None = None,
 
 
 def _least_shattered(a: GroupSubset, size: int, caps: Caps
-                     ) -> tuple[list[int] | None, dict[int, int]]:
-    """find_shattered_set for size >= 1, with the search's trace table."""
-    first, _ = _search_input(TranslateSystem(a), caps)
-    if len(first) < 1 << size:
-        return None, first
-    got = _shattered_witness(a, first, size, True)
-    return (got if len(got) == size else None), first
+                     ) -> tuple[list[int] | None, int, list[int]]:
+    """find_shattered_set for size >= 1, with the search's reps and its
+    columns, cols[p] for position p."""
+    reps, cand, cols, anchored = _search_input(TranslateSystem(a), caps)
+    if reps.bit_count() < 1 << size:
+        return None, reps, cols
+    got = _shattered_witness(reps, cand, cols, anchored, size)
+    return (got if len(got) == size else None), reps, cols
 
 
 def find_shattered_set(a: GroupSubset, size: int,
@@ -249,11 +299,13 @@ class SauerReport:
 
 def sauer_check(sys: TranslateSystem, caps: Caps = DEFAULT_CAPS) -> SauerReport:
     """Count distinct traces and compare with sum_{i<=d} C(n,i), and with
-    2n^d when n >= 2 and d >= 1."""
-    first, anchored = _search_input(sys, caps)
+    2n^d when n >= 2 and d >= 1.  The search keeps one translator per
+    distinct trace, so the count is reps's; for the full system it is the
+    index of Stab(A)."""
+    reps, cand, cols, anchored = _search_input(sys, caps)
     n = sys.resolved_ground().size
-    d = len(_shattered_witness(sys.base, first, None, anchored))
-    count = len(first)
+    d = len(_shattered_witness(reps, cand, cols, anchored, None))
+    count = reps.bit_count()
     binom = sum(math.comb(n, i) for i in range(min(d, n) + 1))
     poly = 2 * n**d if n >= 2 and d >= 1 else None
     holds = count <= binom and (poly is None or count <= poly)
@@ -478,8 +530,8 @@ def separated_sample_bound_check(a: GroupSubset, delta, m: int, d: int,
     low = 0
     for _ in range(trials):
         ys = GroupSubset.from_ranks(g, rng.sample(range(g.order), m))
-        cut = _cut(first, ys.bits)
-        if len(_shattered_witness(a, cut, d + 1, False)) <= d:
+        search = _table_input(a, _cut(first, ys.bits))
+        if len(_shattered_witness(*search, False, d + 1)) <= d:
             low += 1
     frac = low / trials
     sigma = binomial_sigma(low, trials)

@@ -13,16 +13,20 @@ a time (bits_to_hex_by_nibble, hex_to_bits_by_nibble), the reference for the
 library's format/int codec; shattered_witness, the unanchored shattering
 search over lists of traces that the library ran before it anchored the full
 translate system at 0 and split bitsets of translators, the reference for
-both; the patterns layer as it was before its column table, its anchored
-V-side sweep and its search over the positions of found copies (v_sweep,
-find_bi_induced, exhaustive_density, distance_to_free), which translates A
-at every visit and searches every flip set; witness_from_shattering as it
-was before it read the shattering search's trace table, which translates A
-again to find each U-vertex's translator; and the sampled checks as they
-were before the bulk numpy path (bi_induces, sample_tester, densify), one rng
-call per coordinate and one add_rank per pair, the reference for the
-replayed draws and the vectorized predicate; the bulk draws as they were
-before they ran on numpy's MT19937 (draw_chunks), getrandbits words read
+both (the library's own table search, vc._table_input over
+TranslateSystem.trace_translators, which restricted systems still run, is
+in turn the reference for the full system's search input from its columns
+and Stab(A)); the patterns layer as it was before its column table, its
+anchored V-side sweep and its search over the positions of found copies
+(v_sweep, find_bi_induced, exhaustive_density, distance_to_free), which
+translates A at every visit and searches every flip set;
+witness_from_shattering as it was before it read the shattering search's
+trace table or its columns, which translates A again to find each
+U-vertex's translator; and the sampled checks as they were before the
+bulk numpy path (bi_induces, sample_tester, densify), one rng call per
+coordinate and one add_rank per pair, the reference for the replayed
+draws and the vectorized predicate; the bulk draws as they were before
+they ran on numpy's MT19937 (draw_chunks), getrandbits words read
 through to_bytes, which advance the random.Random they read, the reference
 for the copied Mersenne Twister stream; and the sampled VC checks as
 they were before they ran through vc_dimension (sampled_vc,

@@ -508,7 +508,8 @@ def test_cover_ranks_matches_the_bitset_walk(mods, density, seed):
 @pytest.mark.parametrize("entries", [1, 2, 5, 24, 1 << 16])
 def test_cover_ranks_builds_its_table_in_bounded_chunks(entries, monkeypatch):
     # chunks of one row, of a few rows, and of the whole group; no chunk
-    # holds more than the bound
+    # holds more than the bound; at one entry a chunk fits only B = {0},
+    # which takes every rank with no table, so none is built
     g = GroupDescriptor([4, 6])
     built = []
     add = groups_lib._add_ranks
@@ -526,7 +527,8 @@ def test_cover_ranks_builds_its_table_in_bounded_chunks(entries, monkeypatch):
         size = rng.randrange(1, min(entries, 6) + 1)
         bits = sum(1 << r for r in [0] + rng.sample(range(1, 24), size - 1))
         assert _cover_ranks(g, bits) == _walk_ranks(g, bits)
-    assert built and max(built) <= entries
+    assert bool(built) == (entries > 1)
+    assert max(built, default=0) <= entries
 
 
 @pytest.mark.parametrize("mods", BENCH_SHAPES + [(2,) * 8, (2,) * 16, (2,) * 20,
@@ -576,13 +578,16 @@ def test_rank_walk_rule_keeps_the_bitset_walk_past_the_row_bound():
 
 
 def test_cover_ranks_takes_the_walk_the_rule_names(count_calls):
-    # the table walk translates nothing; the bitset walk translates once per
-    # center, and lists no member of B, since the rule reads only |B|
+    # B = {0} takes every rank with no walk; the table walk translates
+    # nothing; the bitset walk translates once per center, and lists no
+    # member of B, since the rule reads only |B|
     g = GroupDescriptor([2] * 8)
     h = generated_subgroup(g, [1 << i for i in range(5)])
     calls = count_calls(translate_bits)
     listed = count_calls(_bit_ranks)
     assert _cover_ranks(g, 1) == list(range(256))
+    assert calls[0] == 0 and listed[0] == 0
+    assert _cover_ranks(g, 0b11) == list(range(0, 256, 2))
     assert calls[0] == 0 and listed[0] == 1
     assert _cover_ranks(g, h.bits) == [32 * i for i in range(8)]
     assert calls[0] == 8 and listed[0] == 1

@@ -11,13 +11,16 @@ from hypothesis import strategies as st
 import oracles
 from addcomb import (
     AdjacencyOracle,
+    BipartitePattern,
     GroupDescriptor,
     GroupSubset,
     TranslateSystem,
     almost_periods,
+    coset_representatives,
     find_shattered_set,
     generated_subgroup,
     greedy_packing,
+    half_graph,
     random_independent_subset_rate,
     sampled_vc,
     sauer_check,
@@ -25,6 +28,7 @@ from addcomb import (
     set_vc_dimension,
     translate,
     vc_dimension,
+    witness_from_shattering,
 )
 from addcomb import groups as groups_lib
 from addcomb import vc
@@ -173,23 +177,43 @@ def test_sauer_never_fails(a):
     assert sauer_check(TranslateSystem(a)).holds
 
 
-def test_sauer_check_computes_the_traces_once(monkeypatch):
-    calls = []
-    traces = TranslateSystem.trace_translators
+def test_full_system_search_reads_its_own_columns(monkeypatch, count_calls):
+    # the full system builds no trace table: its search input is |G|
+    # translates of -A (and the negation's one translate unless every
+    # modulus is 2), and none is made before the ground cap raises
+    tables = []
+    table = TranslateSystem.trace_translators
 
     def counting(self):
-        calls.append(self)
-        return traces(self)
+        tables.append(self)
+        return table(self)
 
     monkeypatch.setattr(TranslateSystem, "trace_translators", counting)
-    z16 = GroupDescriptor([2, 2, 2, 2])
-    sys_ = TranslateSystem(GroupSubset.from_ranks(z16, [0, 1, 2, 3, 5, 8]))
-    rep = sauer_check(sys_)
-    assert len(calls) == 1 and rep.dimension == 3 and rep.holds
-    # the ground cap is checked before any translate is taken
-    with pytest.raises(CapExceeded):
-        sauer_check(sys_, caps=Caps(vc_ground_cap=15))
-    assert len(calls) == 1
+    translates = count_calls(translate_bits)
+    for mods, ranks in (((2, 2, 2, 2), [0, 1, 2, 3, 5, 8]),
+                        ((12,), [0, 1, 3, 4, 9]),
+                        ((4, 4), [0, 1, 2, 6, 11, 13])):
+        g = GroupDescriptor(mods)
+        a = GroupSubset.from_ranks(g, ranks)
+        want = g.order + (max(mods) > 2)
+        translates[0] = 0
+        rep = sauer_check(TranslateSystem(a))
+        # a trivial stabilizer: every translate is a distinct trace
+        assert rep.trace_count == g.order and rep.holds
+        assert rep.dimension == oracles.set_vc_dimension(
+            mods, {g.coords_of(r) for r in ranks})
+        assert translates[0] == want
+        translates[0] = 0
+        assert set_vc_dimension(a) == rep.dimension
+        assert translates[0] == want
+        translates[0] = 0
+        small = Caps(vc_ground_cap=g.order - 1)
+        with pytest.raises(CapExceeded):
+            sauer_check(TranslateSystem(a), caps=small)
+        with pytest.raises(CapExceeded):
+            set_vc_dimension(a, caps=small)
+        assert translates[0] == 0
+    assert tables == []
 
 
 def test_greedy_packing_examples():
@@ -694,15 +718,58 @@ def test_restricted_witnesses_match_the_list_search(mods):
         a = GroupSubset(g, rng.getrandbits(g.order))
         ground = GroupSubset(g, rng.getrandbits(g.order))
         sys_ = TranslateSystem(a, ground, GroupSubset(g, rng.getrandbits(g.order)))
-        first, anchored = vc._search_input(sys_, Caps())
+        first = sys_.trace_translators()
+        search = vc._search_input(sys_, Caps())
         traces = sys_.traces()
         assert traces == sorted(first)
         positions = ground.ranks()
         d = len(oracles.shattered_witness(traces, positions, None))
         for stop_at in [None, *range(1, d + 2)]:
             want = oracles.shattered_witness(traces, positions, stop_at)
-            got = vc._shattered_witness(a, first, stop_at, anchored)
+            got = vc._shattered_witness(*search, stop_at)
             assert got == want, (a, sys_, stop_at)
+
+
+@pytest.mark.parametrize("mods, gens", [
+    ((48,), [[24], [16], [12]]),
+    ((4, 12), [[2], [16], [2, 24]]),
+    ((2,) * 6, [[1], [1, 2], [8, 32]]),
+    ((8, 8), [[4], [32], [36]]),
+], ids=["48", "4x12", "2^6", "8x8"])
+def test_nontrivial_stabilizers_match_the_table_search(mods, gens):
+    # planted unions of cosets, at orders the order-16 orbit sweep does not
+    # reach: the column search's reps are the trace table's translators, and
+    # its witnesses, its trace count and witness_from_shattering are those
+    # of the table search
+    g = GroupDescriptor(mods)
+    rng = random.Random(f"stabilizer/{mods}")
+    patterns = [half_graph(1), half_graph(2),
+                BipartitePattern(2, 2, frozenset({(0, 0), (1, 1)}))]
+    found = 0
+    for gen in gens:
+        h = generated_subgroup(g, gen)
+        cosets = coset_representatives(g, h)
+        for _ in range(6):
+            bits = 0
+            for r in rng.sample(cosets, rng.randrange(1, len(cosets))):
+                bits |= translate_bits(g, h.bits, r)
+            a = GroupSubset(g, bits)
+            table = TranslateSystem(a).trace_translators()
+            reps, cand, cols, anchored = vc._search_input(TranslateSystem(a),
+                                                          Caps())
+            assert anchored and reps.bit_count() < g.order
+            assert set(_bit_ranks(reps)) == set(table.values())
+            by_table = vc._table_input(a, table)
+            d = len(vc._shattered_witness(*by_table, True, None))
+            for stop_at in [None, *range(1, d + 2)]:
+                assert (vc._shattered_witness(reps, cand, cols, True, stop_at)
+                        == vc._shattered_witness(*by_table, True, stop_at))
+            assert sauer_check(TranslateSystem(a)).trace_count == len(table)
+            for f in patterns:
+                w = witness_from_shattering(a, f)
+                assert w == oracles.witness_from_shattering(a, f)
+                found += w is not None
+    assert found
 
 
 @given(subsets(), st.data())
