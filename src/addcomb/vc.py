@@ -50,7 +50,8 @@ one replaced (kept as tests/oracles.py:shattered_witness).  A class stands
 for the same traces, one translator each, so every split succeeds or fails
 as it did there and every class has the same size.  The candidates, their
 order, the bounds and the stop rule are unchanged, and a branch is dropped
-early only where that search entered it to prune it at once.
+early only where that search entered it to prune it at once, or (full
+system only) where the least-translate rule below cuts it.
 
 When ground and translators are both the whole group the system is
 invariant under translation: (A+x) & (U+z) = ((A+x-z) & U) + z, so if U is
@@ -61,6 +62,28 @@ unchanged, and so is the lexicographically least shattered k-set, which
 always contains 0.  A restricted system (a proper ground Y or translator set
 X, as in sampled_vc and separated_sample_bound_check) is not invariant, and
 its search tries every first position.
+
+The anchored search also keeps only sets that are their own least
+translate.  Let p1 be the position chosen at depth 1, the least nonzero
+rank of the set.  A branch dies when two chosen positions w != u have
+rank(w - u) < p1.  This is sound: take a shattered U and let V be the
+lexicographically least of its translates U - u, u in U (each shattered,
+each holding 0).  For v in V, V - v is one of them too, so V <= V - v, and
+their second elements give p1(V) <= min over w != v of rank(w - v).  So V
+keeps the rule.  Ties (rank = p1) are kept.  The rule is about pairs, so a
+prefix that breaks it has no extension that keeps it, and cutting it at
+once loses nothing.  The lexicographically least shattered k-set is its own
+least translate (every translate of it is a shattered k-set), so it is
+never cut; the search meets the sets that survive in the order it met them
+before, and the dimension, every witness and every threshold answer are
+unchanged.  The search carries the rule as one bitset over ranks,
+chosen + E with E = D | -D and D = ranks [1, p1): a candidate c breaks the
+rule exactly when c - u lies in E for a chosen u.  E grows as p1 rises
+through the depth-1 loop, the new ranks' negatives in one negate_bits, and
+only when a depth-1 branch passes its split (most small searches enter
+few); entering a child adds E + c, one translate.  While p1 = 1, E is empty
+and nothing is added.  Restricted systems are not invariant, and their
+search runs without the rule.
 
 _cut serves restricted systems only: it turns a system's table into the
 table of the system on a smaller ground with no translate, as
@@ -131,12 +154,12 @@ class TranslateSystem:
 
 
 def _search_input(sys: TranslateSystem, caps: Caps
-                  ) -> tuple[int, list[int], list[int], bool]:
+                  ) -> tuple[int, list[int], list[int], GroupDescriptor | None]:
     """The search's input (reps, candidates, columns) for the system, and
-    whether the search may be anchored (ground and translators both the
-    whole group), after the ground-size cap.  The full system's input comes
-    from its columns, a restricted one's from its trace table (module
-    docstring)."""
+    the group when the search may be anchored and pruned (ground and
+    translators both the whole group), else None, after the ground-size
+    cap.  The full system's input comes from its columns, a restricted
+    one's from its trace table (module docstring)."""
     ground = sys.resolved_ground()
     if ground.size > caps.vc_ground_cap:
         raise CapExceeded(
@@ -144,8 +167,8 @@ def _search_input(sys: TranslateSystem, caps: Caps
         )
     full = sys.base.group.full_mask
     if ground.bits == full and sys.resolved_translators().bits == full:
-        return (*_column_input(sys.base), True)
-    return (*_table_input(sys.base, sys.trace_translators()), False)
+        return (*_column_input(sys.base), sys.base.group)
+    return (*_table_input(sys.base, sys.trace_translators()), None)
 
 
 def _column_input(a: GroupSubset) -> tuple[int, list[int], list[int]]:
@@ -197,24 +220,35 @@ def _cut(first: dict[int, int], ground: int) -> dict[int, int]:
 
 
 def _shattered_witness(reps: int, cand: list[int], cols: list[int],
-                       anchored: bool, stop_at: int | None) -> list[int]:
+                       g: GroupDescriptor | None, stop_at: int | None
+                       ) -> list[int]:
     """A largest shattered ground set (ascending) of the system whose search
     input is (reps, cand, cols), the first one met in the search; with
     stop_at given, the first shattered set of that size as soon as one is
-    found.  Anchored (only for the full translate system, see the module
-    docstring), depth 0 tries the first candidate alone, which is then
-    position 0."""
+    found.  g is the group for the full translate system and None for a
+    restricted one.  Given g the search is anchored and pruned (module
+    docstring): depth 0 tries the first candidate alone, which is then
+    position 0, and with p1 the position chosen at depth 1, a candidate is
+    skipped when it lies in u + E for a chosen u, E = D | -D for
+    D = ranks [1, p1)."""
     n = len(cand)
     best: list[int] = []
     chosen: list[int] = []
+    # E, and the least rank not yet in its D; both grow with p1, and only
+    # when a depth-1 branch passes its split
+    e = 0
+    low = 1
 
-    def grow(classes: list[int], start: int, end: int) -> bool:
-        nonlocal best
+    def grow(classes: list[int], start: int, end: int, forbid: int) -> bool:
+        nonlocal best, e, low
         depth = len(chosen)
+        rising = depth == 1 and g is not None
         for i in range(start, end):
             top = len(best)
             if depth + n - i <= top:
                 break
+            if forbid and forbid >> cand[i] & 1:
+                continue
             # A shattered extension is a new best when depth >= len(best);
             # the child can only beat best if each of its classes holds at
             # least `need` translators (each further element at best halves
@@ -236,17 +270,26 @@ def _shattered_witness(reps: int, cand: list[int], cols: list[int],
                 split.append(ones)
                 split.append(zeros)
             else:
-                chosen.append(cand[i])
+                p = cand[i]
+                if rising and low < p:
+                    # p1 = p: add ranks [low, p) and their negatives to E
+                    new = (1 << p) - (1 << low)
+                    e |= new | negate_bits(g, new)
+                    low = p
+                    if e >> p & 1:
+                        continue
+                chosen.append(p)
                 if record:
                     best = list(chosen)
                     if depth + 1 == stop_at:
                         return True
-                if deeper and grow(split, i + 1, n):
+                if deeper and grow(split, i + 1, n, e and (
+                        forbid | e | translate_bits(g, e, p))):
                     return True
                 chosen.pop()
         return False
 
-    grow([reps], 0, min(n, 1) if anchored else n)
+    grow([reps], 0, n if g is None else min(n, 1), 0)
     return best
 
 
@@ -256,7 +299,10 @@ def vc_dimension(sys: TranslateSystem, max_d: int | None = None,
 
     With max_d set, the search stops as soon as it certifies the dimension
     exceeds max_d and returns max_d + 1, meaning "> max_d".  Threshold
-    queries are much cheaper than exact computation on large systems."""
+    queries are much cheaper than exact computation on large systems.  A
+    negative max_d raises ValueError."""
+    if max_d is not None and max_d < 0:
+        raise ValueError(f"max_d must be >= 0, got {max_d}")
     stop_at = None if max_d is None else max_d + 1
     return len(_shattered_witness(*_search_input(sys, caps), stop_at))
 
@@ -271,17 +317,20 @@ def _least_shattered(a: GroupSubset, size: int, caps: Caps
                      ) -> tuple[list[int] | None, int, list[int]]:
     """find_shattered_set for size >= 1, with the search's reps and its
     columns, cols[p] for position p."""
-    reps, cand, cols, anchored = _search_input(TranslateSystem(a), caps)
+    reps, cand, cols, g = _search_input(TranslateSystem(a), caps)
     if reps.bit_count() < 1 << size:
         return None, reps, cols
-    got = _shattered_witness(reps, cand, cols, anchored, size)
+    got = _shattered_witness(reps, cand, cols, g, size)
     return (got if len(got) == size else None), reps, cols
 
 
 def find_shattered_set(a: GroupSubset, size: int,
                        caps: Caps = DEFAULT_CAPS) -> list[int] | None:
     """The lexicographically least shattered ground set of the given size
-    (positions ascending), or None when the VC dimension is smaller."""
+    (positions ascending), or None when the VC dimension is smaller.  A
+    negative size raises ValueError."""
+    if size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
     return [] if size == 0 else _least_shattered(a, size, caps)[0]
 
 
@@ -302,9 +351,9 @@ def sauer_check(sys: TranslateSystem, caps: Caps = DEFAULT_CAPS) -> SauerReport:
     2n^d when n >= 2 and d >= 1.  The search keeps one translator per
     distinct trace, so the count is reps's; for the full system it is the
     index of Stab(A)."""
-    reps, cand, cols, anchored = _search_input(sys, caps)
+    reps, cand, cols, g = _search_input(sys, caps)
     n = sys.resolved_ground().size
-    d = len(_shattered_witness(reps, cand, cols, anchored, None))
+    d = len(_shattered_witness(reps, cand, cols, g, None))
     count = reps.bit_count()
     binom = sum(math.comb(n, i) for i in range(min(d, n) + 1))
     poly = 2 * n**d if n >= 2 and d >= 1 else None
@@ -531,7 +580,7 @@ def separated_sample_bound_check(a: GroupSubset, delta, m: int, d: int,
     for _ in range(trials):
         ys = GroupSubset.from_ranks(g, rng.sample(range(g.order), m))
         search = _table_input(a, _cut(first, ys.bits))
-        if len(_shattered_witness(*search, False, d + 1)) <= d:
+        if len(_shattered_witness(*search, None, d + 1)) <= d:
             low += 1
     frac = low / trials
     sigma = binomial_sigma(low, trials)

@@ -586,6 +586,16 @@ def test_cli_vcdim(files):
     }
 
 
+def test_cli_vcdim_refuses_a_negative_threshold(files):
+    # exited 0 with {"exceeds_threshold":true,"threshold":-1,"vcdim":4}
+    z48 = _write_json(files["dir"] / "z48.json",
+                      {"moduli": [48], "bits_hex": "332f7503622e"})
+    code, out, _ = _run_cli(["vcdim", "--set", z48])
+    assert (code, out) == (0, '{"vcdim":4}\n')
+    _assert_cli_rejects(["vcdim", "--set", z48, "--max-d", "-1"],
+                        "max_d must be >= 0")
+
+
 def test_cli_vcdim_csv_format(files):
     code, out, _ = _run_cli(
         ["vcdim", "--set", files["interval"], "--format", "csv"]

@@ -65,6 +65,20 @@ def test_vc_threshold_mode():
     assert set_vc_dimension(a, max_d=0) == 1
 
 
+def test_vc_dimension_refuses_a_negative_threshold():
+    # a threshold below 0 used to run the search to its end (its stop depth
+    # max_d + 1 is never reached) and report the full dimension as "> max_d"
+    g = GroupDescriptor([13])
+    a = GroupSubset.from_ranks(g, range(1, 7))
+    restricted = TranslateSystem(a, ground=GroupSubset.from_ranks(g, range(6)))
+    for sys_ in (TranslateSystem(a), restricted):
+        with pytest.raises(ValueError, match=r"^max_d must be >= 0, got -1$"):
+            vc_dimension(sys_, max_d=-1)
+    with pytest.raises(ValueError, match=r"^max_d must be >= 0, got -3$"):
+        set_vc_dimension(a, max_d=-3)
+    assert set_vc_dimension(a, max_d=0) == 1
+
+
 def test_vc_ground_cap():
     g = GroupDescriptor([2, 2])
     a = GroupSubset.from_ranks(g, [0, 1])
@@ -114,6 +128,12 @@ def test_find_shattered_set_examples():
     assert find_shattered_set(a, 4) is None
     assert find_shattered_set(GroupSubset.empty(z222), 1) is None
     assert find_shattered_set(a, 0) == []
+
+
+def test_find_shattered_set_refuses_a_negative_size():
+    a = GroupSubset.from_ranks(GroupDescriptor([2, 2]), [0, 1])
+    with pytest.raises(ValueError, match=r"^size must be >= 0, got -1$"):
+        find_shattered_set(a, -1)
 
 
 def test_find_shattered_set_ground_cap():
@@ -755,21 +775,80 @@ def test_nontrivial_stabilizers_match_the_table_search(mods, gens):
                 bits |= translate_bits(g, h.bits, r)
             a = GroupSubset(g, bits)
             table = TranslateSystem(a).trace_translators()
-            reps, cand, cols, anchored = vc._search_input(TranslateSystem(a),
-                                                          Caps())
-            assert anchored and reps.bit_count() < g.order
+            reps, cand, cols, group = vc._search_input(TranslateSystem(a),
+                                                       Caps())
+            assert group == g and reps.bit_count() < g.order
             assert set(_bit_ranks(reps)) == set(table.values())
             by_table = vc._table_input(a, table)
-            d = len(vc._shattered_witness(*by_table, True, None))
+            d = len(vc._shattered_witness(*by_table, g, None))
+            traces = sorted(table)
+            positions = list(range(g.order))
             for stop_at in [None, *range(1, d + 2)]:
-                assert (vc._shattered_witness(reps, cand, cols, True, stop_at)
-                        == vc._shattered_witness(*by_table, True, stop_at))
+                got = vc._shattered_witness(reps, cand, cols, g, stop_at)
+                assert got == vc._shattered_witness(*by_table, g, stop_at)
+                assert got == oracles.shattered_witness(traces, positions,
+                                                        stop_at)
             assert sauer_check(TranslateSystem(a)).trace_count == len(table)
             for f in patterns:
                 w = witness_from_shattering(a, f)
                 assert w == oracles.witness_from_shattering(a, f)
                 found += w is not None
     assert found
+
+
+def _assert_pruned_search_matches_the_list_search(a):
+    """The anchored, pruned column search against the unanchored list search
+    over every position: the same witness for the exact query and for every
+    threshold up to d + 1.  Each witness is also its own least translate,
+    the rule's premise: no two of its positions differ by a rank below its
+    second one."""
+    g = a.group
+    search = vc._search_input(TranslateSystem(a), Caps())
+    assert search[3] == g
+    traces = TranslateSystem(a).traces()
+    positions = list(range(g.order))
+    d = len(oracles.shattered_witness(traces, positions, None))
+    for stop_at in [None, *range(1, d + 2)]:
+        got = vc._shattered_witness(*search, stop_at)
+        assert got == oracles.shattered_witness(traces, positions, stop_at)
+        for w, u in itertools.permutations(got, 2):
+            assert groups_lib.add_rank(g, w, groups_lib.neg_rank(g, u)) >= got[1]
+    return d
+
+
+# one small subgroup each (2 or 3 elements), so A keeps many traces
+PLANTED_48_TO_64 = [((48,), [24]), ((50,), [25]), ((54,), [18]),
+                    ((2, 28), [1]), ((56,), [28]), ((60,), [20]),
+                    ((3, 20), [30]), ((2, 2, 16), [2]), ((64,), [32]),
+                    ((4, 4, 4), [2])]
+
+
+@pytest.mark.parametrize("mods, gen", PLANTED_48_TO_64,
+                         ids=["x".join(map(str, m)) for m, _ in PLANTED_48_TO_64])
+def test_pruned_search_matches_the_list_search_on_planted_cosets(mods, gen):
+    # unions of cosets of a nontrivial subgroup, so Stab(A) is nontrivial
+    # and reps is a proper part of G
+    g = GroupDescriptor(mods)
+    h = generated_subgroup(g, gen)
+    assert 1 < h.size < g.order
+    cosets = coset_representatives(g, h)
+    rng = random.Random(f"pruned/{mods}")
+    dims = set()
+    for _ in range(4):
+        bits = 0
+        for r in rng.sample(cosets, rng.randrange(1, len(cosets))):
+            bits |= translate_bits(g, h.bits, r)
+        dims.add(_assert_pruned_search_matches_the_list_search(
+            GroupSubset(g, bits)))
+    assert max(dims) >= 2
+
+
+def test_pruned_search_matches_the_list_search_on_z96():
+    # a random set of Z/96, beyond the orders the other pins reach
+    g = GroupDescriptor([96])
+    rng = random.Random("z96/0")
+    a = GroupSubset.from_ranks(g, [r for r in range(96) if rng.random() < 0.2])
+    assert _assert_pruned_search_matches_the_list_search(a) == 4
 
 
 @given(subsets(), st.data())
