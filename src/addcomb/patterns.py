@@ -34,21 +34,33 @@ fresh SeedSequence at a cost above that of a small draw: a draw takes the
 spare, sets its whole state, and puts it back when it ends or is closed; a
 draw opened while another of the thread holds the spare builds its own.
 
-The draws are held in uint32, the width of a word, and ranks are held in
-uint32 while |G| <= 2**31, in uint64 beyond.  The check tests one (u, v)
-pair at a time and keeps only the rows that pass, so each later pair reads
-only the rows that passed every earlier one (about half as many per pair at
-density 1/2).  A pair reads membership of x + y in A from the table of its
+The draws are held in uint32, the width of a word.  The check turns each
+chunk of _CHUNK = 8192 samples into one contiguous column per vertex, in the
+dtype the tables are indexed with, once: numpy converts any other index to
+intp on every gather (8192 rows took 25 us through a uint32 index against
+7 us through intp).  It tests one (u, v) pair at a time and keeps only the
+rows that pass: each later pair takes only those rows from its two columns
+(about half as many per pair at density 1/2), and one more take keeps the
+row numbers that pass.  A pair reads membership of x + y in A from the table of its
 edge bit, A or its complement, built once per check.  When the group is
 small, |G|^2 <= min(rows, _CHUNK) |U| |V| for a check of `rows` samples,
 the tables hold one entry per pair of ranks, at index x |G| + y: they then
-hold no more entries than one chunk has pair sums, and a pair is one add and
-one gather.  Past that rule they hold one entry per rank, and the pair adds
-its ranks with groups._add_ranks, one digit decomposition per coordinate in
-the unsigned dtype: a digit sum s < 2m wraps to min(s, s - m), which is
-exact because s - m underflows to a value above s exactly when s < m.
-Injectivity, a sort of each row, is checked only on the rows that
-bi-induce f.
+hold no more entries than one chunk has pair sums, the columns are intp
+with the U columns multiplied by |G| once, and a pair is one add and one
+take.  Past that rule they hold one entry per rank, the columns are uintp,
+and the pair adds its ranks with groups._add_ranks, one digit decomposition
+per coordinate in that unsigned dtype, then reads the sums as intp: a digit
+sum s < 2m wraps to min(s, s - m), which is exact because s - m underflows
+to a value above s exactly when s < m.  Injectivity is checked only on the
+rows that bi-induce f, by |S| (|S| - 1) / 2 compares of the taken columns
+per side S; a scaled U column is distinct where its ranks are.
+sample_tester drops a chunk's columns before it draws the next chunk, so
+the two do not add up: with them held, a 20000-sample call on Z/48 peaked
+at 1.04 MiB rather than 0.85, and glibc's malloc, on Linux, handed the top
+of its heap back and faulted it in again for every chunk, about 140-190
+page faults a call, enough to cancel the larger chunk's gain.  At 8192 rows
+(Z/2)^18 peaks at 1.53 MiB with 100000 samples, its two tables taking
+512 KiB; 16384 rows would pass 2 MiB there.
 
 Anchor.  The accepted phi_v tuples of the V-side sweep are closed under the
 shift y -> y - z, and the per-u mask sizes do not change under it.  So the
@@ -67,7 +79,7 @@ found is kept, and a set that holds a kept copy needs no new search.
 from __future__ import annotations
 
 import dataclasses
-import functools
+import itertools
 import random
 import threading
 from fractions import Fraction
@@ -224,7 +236,7 @@ class _Columns(dict):
 
 
 # Samples tested per numpy pass of sample_tester and densify.
-_CHUNK = 4096
+_CHUNK = 8192
 
 # Each thread's spare MT19937 for _draw_chunks, in slot "mt": constructing
 # one seeds it from a fresh SeedSequence, which costs more than a small draw.
@@ -278,63 +290,84 @@ def _draw_chunks(rng: random.Random, n: int, samples: int,
 
 
 class _SampleCheck:
-    """The bi-inducing predicate over rows of sampled maps, for one A and f
-    and a caller that tests `rows` rows in all (its sample count).
+    """The bi-inducing predicate over sampled maps, for one A and f and a
+    caller that tests `rows` samples in all (its sample count).
 
-    Tests one (u, v) pair at a time, on the rows that passed every earlier
-    pair only: a row that fails one pair cannot bi-induce f, and at density
-    1/2 each pair drops about half the rows left.  A pair reads the table of
-    its edge bit, tables[1] (x + y in A) or tables[0] (not in A), at
-    index(x, y).  While |G|^2 <= min(rows, _CHUNK) |U| |V|, i.e. the tables
-    hold no more entries than one chunk has pair sums, and |G| <= 2**16, the
-    tables have |G|^2 entries, built once as A's membership at
-    _add_ranks(x, y) for every pair of ranks: xs is multiplied by
-    scale = |G| once per call, and index is one add, x |G| + y < 2**32.
-    Otherwise scale is None and index is _add_ranks, into tables of |G|
-    entries.  Ranks are held in _rank_dtype(A.group)."""
+    columns turns a chunk of rank rows into one contiguous column per
+    vertex, U first, in the dtype the tables are indexed with, so no gather
+    converts its index.  The check tests one (u, v) pair at a time, on the
+    rows that passed every earlier pair only, taken from the two columns: a
+    row that fails one pair cannot bi-induce f, and at density 1/2 each
+    pair drops about half the rows left.  A pair reads the table of its
+    edge bit, A's membership (x + y in A) or its complement.  While
+    |G|^2 <= min(rows, _CHUNK) |U| |V|, i.e. the tables hold no more
+    entries than one chunk has pair sums, and |G| <= 2**16, the tables have
+    |G|^2 entries, built once as A's membership at _add_ranks(x, y) for
+    every pair of ranks: the columns are intp, the U columns multiplied by
+    scale = |G|, and a pair's index is one add, x |G| + y.  Otherwise scale
+    is None, the tables have |G| entries, the columns are uintp, and a
+    pair's index is _add_ranks in that unsigned dtype, viewed as intp."""
 
-    __slots__ = ("dtype", "scale", "index", "tables", "pairs")
+    __slots__ = ("group", "u_count", "scale", "tables", "pairs", "same_side")
 
     def __init__(self, a: GroupSubset, f: BipartitePattern, rows: int):
         g = a.group
         n = g.order
-        self.dtype = _rank_dtype(g)
+        self.group = g
+        self.u_count = f.u_count
         packed = np.frombuffer(a.bits.to_bytes((n + 7) // 8, "little"),
                                np.uint8)
         inside = np.unpackbits(packed, count=n, bitorder="little").view(bool)
         if (n * n <= min(rows, _CHUNK) * f.u_count * f.v_count
                 and n <= 1 << 16):
-            r = np.arange(n, dtype=self.dtype)
+            r = np.arange(n, dtype=_rank_dtype(g))
             inside = inside[_add_ranks(g, r[:, None], r[None, :])].ravel()
-            self.scale, self.index = self.dtype(n), np.add
+            self.scale = n
         else:
-            self.scale, self.index = None, functools.partial(_add_ranks, g)
+            self.scale = None
         self.tables = (~inside, inside)
-        self.pairs = [(u, v, (u, v) in f.edges)
-                      for u in range(f.u_count) for v in range(f.v_count)]
+        u = f.u_count
+        self.pairs = [(x, u + y, self.tables[(x, y) in f.edges])
+                      for x in range(u) for y in range(f.v_count)]
+        self.same_side = [
+            (i, j) for side in (range(u), range(u, f.vertex_count))
+            for i, j in itertools.combinations(side, 2)]
 
-    def __call__(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """The indices i, ascending, for which row i of xs (shape (c, |U|))
-        and of ys (shape (c, |V|)) bi-induces f."""
-        xs = xs.astype(self.dtype, copy=False)
-        ys = ys.astype(self.dtype, copy=False)
-        if self.scale is not None:
-            xs = xs * self.scale
+    def columns(self, ranks: np.ndarray) -> np.ndarray:
+        """ranks, shape (c, |U| + |V|) in an unsigned dtype, as an array of
+        shape (|U| + |V|, c): row j is vertex j's column, contiguous."""
+        if self.scale is None:
+            return np.array(ranks.T, np.uintp, order="C")
+        cols = np.array(ranks.T, np.intp, order="C")
+        cols[:self.u_count] *= self.scale
+        return cols
+
+    def __call__(self, cols: np.ndarray) -> np.ndarray:
+        """The indices i, ascending, for which sample i of cols (from
+        columns) bi-induces f."""
         rows = None
-        for u, v, edge in self.pairs:
-            if rows is None:
-                s = self.index(xs[:, u], ys[:, v])
+        for x, y, table in self.pairs:
+            xs, ys = cols[x], cols[y]
+            if rows is not None:
+                xs, ys = xs.take(rows), ys.take(rows)
+            if self.scale is None:
+                s = _add_ranks(self.group, xs, ys).view(np.intp)
             else:
-                s = self.index(xs[rows, u], ys[rows, v])
-            keep = np.flatnonzero(self.tables[edge][s])
-            rows = keep if rows is None else rows[keep]
+                s = xs + ys
+            keep = np.flatnonzero(table.take(s))
+            rows = keep if rows is None else rows.take(keep)
         return rows
 
-
-def _distinct_rows(r: np.ndarray) -> np.ndarray:
-    """distinct[i] iff the entries of row i are pairwise distinct."""
-    srt = np.sort(r, axis=1)
-    return (srt[:, 1:] != srt[:, :-1]).all(axis=1)
+    def count_injective(self, cols: np.ndarray, rows: np.ndarray) -> int:
+        """How many of the samples rows of cols map each side of f to
+        pairwise distinct ranks: |S| (|S| - 1) / 2 column compares per side
+        S, on those rows only.  Scaled U columns are distinct exactly when
+        their ranks are."""
+        taken = cols.take(rows, axis=1)
+        distinct = np.ones(rows.size, bool)
+        for i, j in self.same_side:
+            distinct &= taken[i] != taken[j]
+        return int(np.count_nonzero(distinct))
 
 
 def _check_fit(a: GroupSubset, f: BipartitePattern,
@@ -507,12 +540,11 @@ def sample_tester(a: GroupSubset, f: BipartitePattern, samples: int,
     inj = 0
     for ranks in _draw_chunks(random.Random(rng_seed), a.group.order, samples,
                               f.vertex_count):
-        xs = ranks[:, :f.u_count]
-        ys = ranks[:, f.u_count:]
-        hit = check(xs, ys)
+        cols = check.columns(ranks)
+        hit = check(cols)
         bi += hit.size
-        inj += int(np.count_nonzero(_distinct_rows(xs[hit])
-                                    & _distinct_rows(ys[hit])))
+        inj += check.count_injective(cols, hit)
+        del cols  # freed before the next chunk's draws (see Sampled checks)
     lo, hi = wilson_interval(bi, samples)
     return TesterReport(samples, bi, bi / samples, lo, hi, inj,
                         inj / samples, "YES" if inj else "NO")
@@ -659,13 +691,14 @@ def densify(a: GroupSubset, h: Subgroup, f: BipartitePattern,
                 f"pair coset for (u={u}, v={v}) is bad at eta={eta}"
             )
     check = _SampleCheck(a, f, samples)
-    h_ranks = np.array(h.ranks(), check.dtype)
-    base = np.array(w.phi_u + w.phi_v, check.dtype)
+    dtype = _rank_dtype(g)
+    h_ranks = np.array(h.ranks(), dtype)
+    base = np.array(w.phi_u + w.phi_v, dtype)
     hits = 0
     for idx in _draw_chunks(random.Random(rng_seed), size, samples,
                             f.vertex_count):
         ranks = _add_ranks(g, base, h_ranks[idx])
-        hits += check(ranks[:, :f.u_count], ranks[:, f.u_count:]).size
+        hits += check(check.columns(ranks)).size
     frac = hits / samples
     sigma = binomial_sigma(hits, samples)
     bound = Fraction(1, 2)

@@ -432,13 +432,16 @@ def sampled_vc(a: GroupSubset, x_size: int, y_size: int, trials: int, d: int,
     restricted translate system has VC dimension exceeding d.  With
     x_size = y_size = |G| and one trial this is exactly set_vc_dimension > d.
     Each trial is a vc_dimension threshold query, so caps.vc_ground_cap
-    bounds y_size."""
+    bounds y_size.  A negative d or fewer than one trial raises
+    ValueError."""
     g = a.group
     n = g.order
     if not (1 <= x_size <= n and 1 <= y_size <= n):
         raise ValueError("sample sizes must be in 1..|G|")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if d < 0:
+        raise ValueError(f"d must be >= 0, got {d}")
     rng = random.Random(rng_seed)
     hits = 0
     everything = range(n)
@@ -510,7 +513,8 @@ def random_independent_subset_rate(graph: AdjacencyOracle, k: int, trials: int,
     greedily (keep a vertex iff it has no edge into the kept set), and count
     how often the kept set reaches size k/4.  Requires max degree <= n/k and
     k <= n/2.  The empirical rate is compared against 1 - e^(-k/8) with three
-    plug-in standard errors of slack."""
+    plug-in standard errors of slack.  Fewer than one trial raises
+    ValueError."""
     n = graph.n
     if k < 1 or 2 * k > n:
         raise ValueError("need 1 <= k <= n/2")
@@ -518,6 +522,8 @@ def random_independent_subset_rate(graph: AdjacencyOracle, k: int, trials: int,
         raise ValueError(
             f"max degree {graph.max_degree} exceeds n/k = {n}/{k}"
         )
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = random.Random(rng_seed)
     succ = 0
     masks = graph.neighbor_masks
@@ -565,11 +571,16 @@ def separated_sample_bound_check(a: GroupSubset, delta, m: int, d: int,
     (minus 3 sigma) still reaches 3 m^(2d) (1-delta)^m, the family must have
     at most 2 m^d members.  Each trial is a threshold search on the traces
     of A's translates by the centers, made once and cut to its sample;
-    caps.vc_ground_cap bounds m, checked before the packing is built."""
+    caps.vc_ground_cap bounds m, checked before the packing is built.  A
+    negative d or fewer than one trial raises ValueError."""
     dd = _to_fraction(delta)
     g = a.group
     if not 1 <= m <= g.order:
         raise ValueError("m must be in 1..|G|")
+    if d < 0:
+        raise ValueError(f"d must be >= 0, got {d}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if m > caps.vc_ground_cap:
         raise CapExceeded(f"ground size {m} exceeds vc cap {caps.vc_ground_cap}")
     pack = greedy_packing(a, dd)

@@ -444,6 +444,22 @@ def test_sample_tester_memory_is_bounded_in_the_sample_count(count_calls):
     assert peak < 2 * 2**20
 
 
+def test_sample_tester_memory_is_bounded_on_the_table_path(count_calls):
+    # the benchmark's test job, 20000 samples of half_graph(2) on Z/48: one
+    # _add_ranks call builds the 48^2 table, and the peak, 0.85 MiB at 8192
+    # rows, is one chunk's draws on top of the last chunk's ranks; holding
+    # the last chunk's intp columns too takes it to 1.04 MiB, and a chunk of
+    # 16384 rows further still
+    g = GroupDescriptor([48])
+    a = GroupSubset(g, random.Random(5).getrandbits(g.order))
+    sums = count_calls(_add_ranks)
+    rep, peak = _traced_peak(g, lambda: sample_tester(a, half_graph(2), 20000,
+                                                      rng_seed=1))
+    assert rep == oracles.sample_tester(a, half_graph(2), 20000, 1)
+    assert sums[0] == 1
+    assert peak < 2**20
+
+
 def _module_state():
     return {k: len(v) if isinstance(v, (dict, list, set)) else id(v)
             for k, v in vars(patterns).items()}
@@ -735,12 +751,17 @@ def test_add_ranks_is_exact_at_the_dtype_edges(mods, dtype):
 
 
 def _uses_table(check, order):
-    """Whether check reads the |G|^2 sum table, whose index x |G| + y must
-    fit the uint32 ranks it is computed in."""
+    """Whether check reads the |G|^2 sum table, at index x |G| + y in intp
+    columns whose U columns are scaled by |G|, an index below 2**32; else
+    the tables have |G| entries and the columns are unscaled uintp."""
+    width = check.u_count + 1
+    cols = check.columns(np.ones((1, width), np.uint32))
     if check.scale is None:
-        assert check.tables[1].size == order
+        assert check.tables[1].size == order and cols.dtype == np.uintp
+        assert cols.ravel().tolist() == [1] * width
         return False
-    assert order * order < 2**32 and check.dtype is np.uint32
+    assert order * order < 2**32 and cols.dtype == np.intp
+    assert cols.ravel().tolist() == [order] * check.u_count + [1]
     assert check.scale == order and check.tables[1].size == order * order
     return True
 

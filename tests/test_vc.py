@@ -514,6 +514,48 @@ def test_independent_subset_rate_preconditions():
         random_independent_subset_rate(star, 4, 10, rng_seed=0)
 
 
+def test_independent_subset_rate_refuses_no_trials():
+    # trials = 0 divided by zero, and trials = -3 was caught only by
+    # binomial_sigma
+    empty = AdjacencyOracle.from_edges(16, [])
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+            random_independent_subset_rate(empty, 8, trials, rng_seed=0)
+    assert random_independent_subset_rate(empty, 8, 1, rng_seed=0).rate == 1.0
+
+
+def test_sampled_vc_refuses_a_negative_d():
+    # d = -1 was refused only by vc_dimension, with a message naming max_d
+    z16 = GroupDescriptor([2, 2, 2, 2])
+    a = GroupSubset.from_ranks(z16, [0, 1, 2, 3, 5, 8])
+    with pytest.raises(ValueError, match=r"^d must be >= 0, got -1$"):
+        sampled_vc(a, 4, 4, 10, -1, rng_seed=0)
+    assert sampled_vc(a, 4, 4, 10, 0, rng_seed=0).trials == 10
+
+
+def _sep_z16():
+    g = GroupDescriptor([16])
+    return GroupSubset.from_ranks(g, [0, 1, 2, 5, 9])
+
+
+def test_separated_sample_bound_check_refuses_a_negative_d():
+    # d = -1 returned holds=True with size_bound 2 m^-1 = 0.333: each
+    # trial's search stopped at depth 0, which is never reached
+    with pytest.raises(ValueError, match=r"^d must be >= 0, got -1$"):
+        separated_sample_bound_check(_sep_z16(), Fraction(1, 4), 6, -1, 10,
+                                     rng_seed=0)
+
+
+def test_separated_sample_bound_check_refuses_no_trials():
+    # trials = 0 built the packing, then divided by zero
+    with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+        separated_sample_bound_check(_sep_z16(), Fraction(1, 4), 6, 1, 0,
+                                     rng_seed=0)
+    rep = separated_sample_bound_check(_sep_z16(), Fraction(1, 4), 6, 0, 1,
+                                       rng_seed=0)
+    assert rep.trials == 1 and rep.size_bound == 2
+
+
 def test_separated_sample_bound_examples():
     z222 = GroupDescriptor([2, 2, 2])
     h = GroupSubset(z222, generated_subgroup(z222, [1, 2]).bits)
