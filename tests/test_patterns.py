@@ -573,7 +573,10 @@ def test_sample_tester_decision_tracks_injective_hits(a, f):
 # ------------------------------------------ sampled checks against oracles
 
 CHUNK = patterns._CHUNK
-SAMPLE_COUNTS = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
+# the edges of the chunk size and of a half-size chunk: 4095-4097 fill part
+# of one chunk, and 12293 = 3 * 4096 + 5 ends in a partial second chunk
+SAMPLE_COUNTS = sorted({1, 4095, 4096, 4097, 12293,
+                        CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5})
 
 
 @pytest.mark.parametrize("width", [1, 3])
